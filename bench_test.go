@@ -273,37 +273,6 @@ func BenchmarkFig7MemberTelemetry(b *testing.B) {
 	b.ReportMetric(epochs, "epochs/run")
 }
 
-// BenchmarkFig7MemberWorkers scales the intra-run access scheduler across
-// worker-lane widths on a Figure-7 member run. DEDUP is the member by
-// design: its 73% L1 hit rate gives the scheduler the widest conflict-free
-// rounds of the Figure-7 set (~8.3 commits/round at 16 cores, against ~2.5
-// for the miss-heavy BARNES), so it is where lane parallelism has the most
-// work to expose. Every width produces the byte-identical result (the
-// golden grid re-runs at 2 and 4 lanes), so the only quantity that moves
-// is wall-clock.
-//
-// Read the numbers against the host: lane goroutines only engage when
-// GOMAXPROCS > 1 — speedup at 4 lanes needs idle CPUs to run them, and the
-// target is >= 1.3x over workers1 when they exist. On a single-CPU host
-// the scheduler takes the master-inline path instead, and the higher
-// widths measure the pure round machinery (footprint peeks, selection,
-// canonical commit) with no execution parallelism to pay for it — a
-// regression fence on scheduling overhead, not a speedup claim. workers1
-// must always sit within noise of BenchmarkFig7MemberUntraced because
-// Workers <= 1 takes the untouched sequential path.
-func BenchmarkFig7MemberWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run("workers"+itoa(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := lard.Run("DEDUP", lard.LocalityAware(3),
-					lard.Options{Cores: 16, OpsScale: 0.5, SimWorkers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func itoa(v int) string {
 	if v == 0 {
 		return "0"

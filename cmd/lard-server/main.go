@@ -70,7 +70,6 @@ func main() {
 		addr       = flag.String("addr", ":8347", "listen address")
 		storeDir   = flag.String("store", "lard-store", "result store directory (empty = memory only)")
 		workers    = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
-		simWorkers = flag.Int("sim-workers", 1, "intra-run worker lanes per simulation (identical results at any width; forced to 1 when the worker pool is wider than 1)")
 		queue      = flag.Int("queue", 64, "pending-job queue depth (full queue answers 429)")
 		maxEntries = flag.Int("max-entries", 0, "in-memory result bound, LRU-evicted beyond it (0 = unbounded)")
 		shards     = flag.Int("shards", 1, "consistent-hashed disk shards under the store directory")
@@ -121,10 +120,7 @@ func main() {
 	fatal(err)
 	defer st.Close()
 	ob := obs.New(obs.Options{Tracing: *trace, MaxTraces: *maxTraces, Telemetry: *telemetry, MaxTimelines: *maxTimel, Log: logger})
-	if *simWorkers < 0 {
-		fatal(fmt.Errorf("-sim-workers must be non-negative, got %d", *simWorkers))
-	}
-	svc, err := server.New(server.Config{Store: st, Workers: *workers, SimWorkers: *simWorkers, QueueDepth: *queue, Obs: ob})
+	svc, err := server.New(server.Config{Store: st, Workers: *workers, QueueDepth: *queue, Obs: ob})
 	fatal(err)
 	svc.Start()
 

@@ -16,7 +16,9 @@
 // guard works from the very first commit instead of silently passing. Plain `go test -bench` text output is accepted too: any line
 // that is not a test2json event is scanned directly.
 //
-// Output is one row per benchmark with the ns/op delta, plus — when both
+// A benchmark that repeats (-count > 1) is compared by its per-metric
+// median over every sample, so one noisy iteration cannot decide the
+// verdict. Output is one row per benchmark with the ns/op delta, plus — when both
 // artifacts carry -benchmem columns — an allocation table with the B/op
 // and allocs/op deltas. Timing regressions beyond -tolerance percent and
 // allocation regressions beyond -alloc-tolerance percent both exit 1, so
@@ -66,37 +68,60 @@ var (
 	allocsCol = regexp.MustCompile(`([0-9.]+(?:[eE][+-]?[0-9]+)?) allocs/op`)
 )
 
-// metrics is one benchmark's parsed result row.
+// metrics is one benchmark's parsed result: the median of its samples.
 type metrics struct {
 	ns            float64
 	bytes, allocs float64
-	hasMem        bool // the row carried -benchmem columns
+	hasMem        bool // the rows carried -benchmem columns
+}
+
+// samples collects every result row one benchmark name produced.
+type samples struct {
+	ns, bytes, allocs []float64
+}
+
+// median returns the middle value of xs, or the mean of the two middle
+// values for an even count. It sorts xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // parseBench extracts {benchmark name -> metrics} from r, which may be a
 // `go test -json` event stream, plain `go test -bench` text, or a mix.
 // test2json splits a result across events — the name rides in the Test
 // field while the Output holds only "  50\t 15236 ns/op" — so both the
-// combined plain-text shape and the split JSON shape are recognized. The
-// last value wins when a name repeats (e.g. -count > 1).
+// combined plain-text shape and the split JSON shape are recognized. A
+// name that repeats (-count > 1) keeps every sample; each metric reports
+// the median of its samples.
 func parseBench(r io.Reader) (map[string]metrics, error) {
-	out := make(map[string]metrics)
+	rows := make(map[string]*samples)
 	record := func(name, ns, line string) {
 		v, err := strconv.ParseFloat(ns, 64)
 		if err != nil {
 			return
 		}
-		m := metrics{ns: v}
+		name = procsSuffix.ReplaceAllString(name, "")
+		s := rows[name]
+		if s == nil {
+			s = &samples{}
+			rows[name] = s
+		}
+		s.ns = append(s.ns, v)
 		bm := bytesCol.FindStringSubmatch(line)
 		am := allocsCol.FindStringSubmatch(line)
 		if bm != nil && am != nil {
 			b, errB := strconv.ParseFloat(bm[1], 64)
 			a, errA := strconv.ParseFloat(am[1], 64)
 			if errB == nil && errA == nil {
-				m.bytes, m.allocs, m.hasMem = b, a, true
+				s.bytes = append(s.bytes, b)
+				s.allocs = append(s.allocs, a)
 			}
 		}
-		out[procsSuffix.ReplaceAllString(name, "")] = m
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -120,6 +145,14 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 				record(test, m[1], line)
 			}
 		}
+	}
+	out := make(map[string]metrics, len(rows))
+	for name, s := range rows {
+		m := metrics{ns: median(s.ns)}
+		if len(s.bytes) > 0 {
+			m.bytes, m.allocs, m.hasMem = median(s.bytes), median(s.allocs), true
+		}
+		out[name] = m
 	}
 	return out, sc.Err()
 }

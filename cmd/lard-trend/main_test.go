@@ -69,6 +69,21 @@ func TestParseBench(t *testing.T) {
 	if err != nil || got["BenchmarkShardedGet"].ns != 15236 {
 		t.Fatalf("split-event parse = %v (%v)", got, err)
 	}
+
+	// -count=3 with an outlier last sample: every sample is kept and each
+	// metric is the median, not the last value seen.
+	repeated := jsonArtifact(
+		"BenchmarkFig7Member-8 \\t 3\\t 110 ns/op\\t 2000 B/op\\t 20 allocs/op",
+		"BenchmarkFig7Member-8 \\t 3\\t 100 ns/op\\t 1000 B/op\\t 10 allocs/op",
+		"BenchmarkFig7Member-8 \\t 3\\t 5000 ns/op\\t 9000 B/op\\t 90 allocs/op",
+	)
+	got, err = parseBench(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := got["BenchmarkFig7Member"]; m.ns != 110 || m.bytes != 2000 || m.allocs != 20 || !m.hasMem {
+		t.Fatalf("repeated samples = %+v, want medians 110 ns/op, 2000 B/op, 20 allocs/op", m)
+	}
 }
 
 // TestParseBenchMem: -benchmem columns are captured, including when a

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
+	"sync"
 	"testing"
 
 	"lard/internal/sim"
@@ -110,28 +110,32 @@ func TestGoldenResults(t *testing.T) {
 				if got != want {
 					t.Errorf("simulated outcome changed:\n  pinned %s\n  got    %s", want, got)
 				}
-				// Deterministic intra-run parallelism: the same cell re-run
-				// through the conflict-aware parallel scheduler at several
-				// worker widths must hash identically to the pinned value.
-				// Sub-tests of the same test binary on purpose: CI's filter
-				// guard greps for TestGoldenResults in the output, and these
-				// must never be filterable separately from the pin they check.
-				// GOMAXPROCS is raised so the scheduler actually fans out to
-				// worker-lane goroutines — on a single-CPU machine it would
-				// otherwise take the master-inline path, and the concurrent
-				// execution machinery would go untested.
+				// Inter-run isolation: parallelism lives between runs (the
+				// matrix's -parallel, the server's worker pool), so the same
+				// cell simulated by n concurrent workers sharing one config
+				// must hash to the pin in every copy. Sub-tests of the same
+				// test binary on purpose: CI's filter guard greps for
+				// TestGoldenResults in the output, and these must never be
+				// filterable separately from the pin they check.
 				for _, workers := range []int{2, 4} {
-					workers := workers
 					t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-						popt := opt
-						popt.Workers = workers
-						pres := sim.Run(cfg, prof, popt)
-						if pres == nil {
-							t.Fatal("sim.Run returned nil without an interrupt")
+						results := make([]*sim.Result, workers)
+						var wg sync.WaitGroup
+						for i := range results {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								results[i] = sim.Run(cfg, prof, opt)
+							}()
 						}
-						if ph := goldenHash(t, pres); ph != want {
-							t.Errorf("parallel run (workers=%d) diverged from pinned outcome:\n  pinned %s\n  got    %s", workers, want, ph)
+						wg.Wait()
+						for i, r := range results {
+							if r == nil {
+								t.Fatal("sim.Run returned nil without an interrupt")
+							}
+							if h := goldenHash(t, r); h != want {
+								t.Errorf("concurrent run %d of %d diverged from pinned outcome:\n  pinned %s\n  got    %s", i, workers, want, h)
+							}
 						}
 					})
 				}

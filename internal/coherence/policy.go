@@ -100,10 +100,6 @@ type Descriptor struct {
 	// owner's slice, shared pages interleaved) over pure address
 	// interleaving.
 	RNUCAPlacement bool
-	// VictimReplicates marks schemes whose VictimReplicate hook can absorb
-	// an L1 victim into the local slice (VR, ASR). The parallel scheduler's
-	// footprint probe uses it to bound the eviction closure of an L1 fill.
-	VictimReplicates bool
 	// ThresholdRT marks schemes that consume Config.RT as their replication
 	// threshold (and typically parameterize their Label with it): variant
 	// builders must supply an explicit threshold, never the config default,

@@ -19,12 +19,11 @@ func (p asrPolicy) VictimReplicate(c mem.CoreID, victim l1Line, t mem.Cycles) bo
 
 func init() {
 	Register(Descriptor{
-		Scheme:           ASR,
-		Name:             "ASR",
-		Description:      "Adaptive Selective Replication: shared read-only L1 victims replicated with a per-run probability level",
-		UsesReplicas:     true,
-		VictimReplicates: true,
-		Columns:          []Column{{Label: "ASR", AutoTune: true}},
-		New:              func(e *Engine) Policy { return asrPolicy{basePolicy{e}} },
+		Scheme:       ASR,
+		Name:         "ASR",
+		Description:  "Adaptive Selective Replication: shared read-only L1 victims replicated with a per-run probability level",
+		UsesReplicas: true,
+		Columns:      []Column{{Label: "ASR", AutoTune: true}},
+		New:          func(e *Engine) Policy { return asrPolicy{basePolicy{e}} },
 	})
 }

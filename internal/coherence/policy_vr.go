@@ -20,12 +20,11 @@ func (p vrPolicy) VictimReplicate(c mem.CoreID, victim l1Line, t mem.Cycles) boo
 
 func init() {
 	Register(Descriptor{
-		Scheme:           VR,
-		Name:             "VR",
-		Description:      "Victim Replication: the local LLC slice acts as a victim cache for L1 evictions",
-		UsesReplicas:     true,
-		VictimReplicates: true,
-		Columns:          []Column{{Label: "VR"}},
-		New:              func(e *Engine) Policy { return vrPolicy{basePolicy{e}} },
+		Scheme:       VR,
+		Name:         "VR",
+		Description:  "Victim Replication: the local LLC slice acts as a victim cache for L1 evictions",
+		UsesReplicas: true,
+		Columns:      []Column{{Label: "VR"}},
+		New:          func(e *Engine) Policy { return vrPolicy{basePolicy{e}} },
 	})
 }

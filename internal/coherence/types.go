@@ -122,10 +122,9 @@ type tile struct {
 	l1d *cache.Cache[l1Meta]
 	llc *cache.Cache[llcMeta]
 	// busy[la] is the cycle at which this slice's home entry for la is free
-	// for the next request (the paper's "LLC home waiting time"). Keeping
-	// the map per tile (rather than engine-global keyed by (home, line))
-	// lets the parallel scheduler treat it as tile state: transactions with
-	// disjoint tile footprints never touch the same map.
+	// for the next request (the paper's "LLC home waiting time"). Instruction
+	// lines under R-NUCA have one home per cluster, so the key is only
+	// unique within a slice: the map lives with the slice it serializes.
 	busy map[mem.LineAddr]mem.Cycles
 }
 

@@ -21,11 +21,5 @@ func (o *Occupancy) Dec() {
 	}
 }
 
-// Shift adjusts the live count by a signed delta. The parallel scheduler's
-// worker clones seed their private counter with a large bias via Shift (so
-// a round executing more evictions than fills never trips Dec's zero
-// guard) and the master folds the delta back with a negative Shift.
-func (o *Occupancy) Shift(d int64) { o.live = uint64(int64(o.live) + d) }
-
 // Live returns the number of entries currently in service.
 func (o *Occupancy) Live() uint64 { return o.live }

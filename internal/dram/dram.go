@@ -85,28 +85,6 @@ func (s *Subsystem) Access(i int, at mem.Cycles) mem.Cycles {
 	return start + s.perLine + s.latency
 }
 
-// WorkerView returns a lane-private view of the subsystem for the
-// simulator's parallel scheduler: it shares the controller placement and
-// the per-controller free table (lanes with disjoint footprints never use
-// the same controller concurrently — a controller lives at a fixed tile)
-// but carries its own meter and stats, merged back via MergeWorker.
-func (s *Subsystem) WorkerView(meter *energy.Meter) *Subsystem {
-	v := *s
-	v.meter = meter
-	v.accesses = 0
-	v.queued = 0
-	return &v
-}
-
-// MergeWorker folds a worker view's stats into the parent and resets them.
-// Energy lives in the view's meter, which the caller merges separately.
-func (s *Subsystem) MergeWorker(v *Subsystem) {
-	s.accesses += v.accesses
-	s.queued += v.queued
-	v.accesses = 0
-	v.queued = 0
-}
-
 // Accesses returns the number of line transfers served.
 func (s *Subsystem) Accesses() uint64 { return s.accesses }
 

@@ -27,7 +27,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -113,13 +112,6 @@ type Config struct {
 	Store *resultstore.Store
 	// Workers is the simulation worker-pool size (default GOMAXPROCS).
 	Workers int
-	// SimWorkers is the intra-run worker-lane count every simulation runs
-	// with (lard.Options.SimWorkers; 0 or 1 = the sequential loop). The
-	// pool and the intra-run scheduler multiply into the same cores, so a
-	// pool wider than one worker guards this back to 1: widen SimWorkers
-	// only on a single-worker pool, where one run at a time should finish
-	// as fast as possible. Negative values are rejected by New.
-	SimWorkers int
 	// QueueDepth bounds the admitted-but-not-running queue (default 2x
 	// Workers); submissions beyond it are shed.
 	QueueDepth int
@@ -166,7 +158,6 @@ type Engine struct {
 	store      *resultstore.Store
 	run        RunFunc
 	workers    int
-	simWorkers int
 	maxDone    int
 	queueCap   int
 	dispatcher Dispatcher
@@ -196,9 +187,6 @@ type Engine struct {
 	runsCancelled uint64
 	campaignsSeen uint64
 	dispatch      [3]uint64 // admissions by PlacementClass
-	parRounds     uint64    // intra-run scheduler rounds across completed runs
-	parConflicts  uint64    // accesses deferred by footprint conflicts
-	parCommits    uint64    // accesses committed through parallel rounds
 }
 
 // New builds an Engine from cfg.
@@ -209,15 +197,6 @@ func New(cfg Config) (*Engine, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SimWorkers < 0 {
-		return nil, fmt.Errorf("engine: Config.SimWorkers must be non-negative, got %d", cfg.SimWorkers)
-	}
-	simWorkers := cfg.SimWorkers
-	if workers > 1 && simWorkers > 1 {
-		// Oversubscription guard: concurrent pool workers already saturate
-		// the machine; intra-run lanes on top would only contend.
-		simWorkers = 1
 	}
 	depth := cfg.QueueDepth
 	if depth <= 0 {
@@ -245,7 +224,6 @@ func New(cfg Config) (*Engine, error) {
 		store:       cfg.Store,
 		run:         run,
 		workers:     workers,
-		simWorkers:  simWorkers,
 		maxDone:     maxDone,
 		queueCap:    depth,
 		dispatcher:  disp,
@@ -270,10 +248,6 @@ func (e *Engine) Start() {
 
 // Workers returns the worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// SimWorkers returns the effective intra-run worker-lane count each
-// simulation runs with (after the oversubscription guard).
-func (e *Engine) SimWorkers() int { return e.simWorkers }
 
 // QueueCap returns the admission-queue bound.
 func (e *Engine) QueueCap() int { return e.queueCap }
@@ -356,11 +330,6 @@ func (e *Engine) worker(lane int) {
 		// simulator's phase-timing side channel — key-neutral, so the
 		// job's content address (its id) is untouched.
 		opts := j.req.Options
-		// Intra-run parallelism is an engine policy, not job identity: the
-		// effective lane width applies through the options copy, leaving
-		// the job's content address untouched (the field is key-neutral
-		// anyway, but requests cannot demand their own width either).
-		opts.SimWorkers = e.simWorkers
 		var tm lard.Timing
 		if simSpan != nil {
 			opts.Timing = &tm
@@ -692,12 +661,6 @@ func (e *Engine) finishLocked(j *job, res *lard.Result, cached bool, err error) 
 	default:
 		j.status, j.cached, j.result, j.progress = StatusDone, cached, res, 1
 		e.runsCompleted++
-		// Intra-run scheduler telemetry: zero for sequential and cached
-		// runs, so the counters meter exactly the parallel simulation work
-		// this engine performed.
-		e.parRounds += res.Parallel.Rounds
-		e.parConflicts += res.Parallel.Conflicts
-		e.parCommits += res.Parallel.Commits
 		e.publishJobLocked(j, Event{State: StatusDone, Progress: 1, Cached: cached, Terminal: true})
 	}
 	if !j.admittedAt.IsZero() {
@@ -849,13 +812,9 @@ func (e *Engine) publishEpoch(j *job, f obs.EpochFrame) {
 
 // Stats is the engine's point-in-time operational snapshot.
 type Stats struct {
-	Workers int `json:"workers"`
-	// SimWorkers is the effective intra-run worker-lane count each
-	// simulation runs with: the configured value after the
-	// oversubscription guard (forced to 1 when Workers > 1).
-	SimWorkers int `json:"sim_workers"`
-	QueueLen   int `json:"queue_len"`
-	QueueCap   int `json:"queue_cap"`
+	Workers  int `json:"workers"`
+	QueueLen int `json:"queue_len"`
+	QueueCap int `json:"queue_cap"`
 	// Busy is the number of workers currently simulating; 0 with an empty
 	// queue means the pool is idle.
 	Busy int            `json:"busy"`
@@ -877,7 +836,6 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := Stats{
 		Workers:       e.workers,
-		SimWorkers:    e.simWorkers,
 		QueueLen:      len(e.pending),
 		QueueCap:      e.queueCap,
 		Busy:          e.busy,
@@ -902,7 +860,6 @@ func (e *Engine) Stats() Stats {
 type MetricsSnapshot struct {
 	RunsStarted, RunsCompleted, RunsFailed, RunsCached, RunsCancelled uint64
 	CampaignsSeen                                                     uint64
-	ParRounds, ParConflicts, ParCommits                               uint64
 	Jobs, Members                                                     map[string]int
 	Campaigns                                                         int
 	QueueLen, QueueCap, Workers, Busy                                 int
@@ -925,7 +882,6 @@ func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	e.mu.Lock()
 	m.RunsStarted, m.RunsCompleted = e.runsStarted, e.runsCompleted
 	m.RunsFailed, m.RunsCached, m.RunsCancelled = e.runsFailed, e.runsCached, e.runsCancelled
-	m.ParRounds, m.ParConflicts, m.ParCommits = e.parRounds, e.parConflicts, e.parCommits
 	m.CampaignsSeen, m.Campaigns = e.campaignsSeen, len(e.campaigns)
 	m.QueueLen, m.QueueCap = len(e.pending), e.queueCap
 	m.Workers, m.Busy = e.workers, e.busy

@@ -269,7 +269,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 4, QueueDepth: 64, Run: instant})
 	for i := 0; i < 50; i++ {
 		key, req := smallReq(t, uint64(100+i))
-		_, sub, _ := func() ([]Event, *Subscription, bool) {
+		hist, sub, _ := func() ([]Event, *Subscription, bool) {
 			if _, shed, err := e.Submit(key, req); shed || err != nil {
 				t.Fatal(shed, err)
 			}
@@ -286,7 +286,17 @@ func TestCancelRacesCompletion(t *testing.T) {
 		if v.Status != StatusDone && v.Status != StatusCancelled {
 			t.Fatalf("iteration %d: status %q", i, v.Status)
 		}
+		// An instant run can finish before the subscription attaches; its
+		// terminal event then arrives in the replayed history instead.
 		terminals := 0
+		for _, ev := range hist {
+			if ev.Terminal {
+				terminals++
+			}
+		}
+		if terminals > 1 {
+			t.Fatalf("iteration %d: %d terminal events in history", i, terminals)
+		}
 		drain := time.After(2 * time.Second)
 		for terminals == 0 {
 			select {

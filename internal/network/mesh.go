@@ -141,28 +141,6 @@ func (m *Mesh) traverse(l int, t mem.Cycles, flits int) mem.Cycles {
 	return start + m.hopLatency
 }
 
-// WorkerView returns a lane-private view of the mesh for the simulator's
-// parallel scheduler: it shares the linkFree reservation table (the
-// scheduler guarantees concurrent lanes route over disjoint links, so no
-// two lanes touch the same entry) but carries its own meter and stats
-// accumulators, merged back per round via MergeWorker.
-func (m *Mesh) WorkerView(meter *energy.Meter) *Mesh {
-	v := *m
-	v.meter = meter
-	v.flits = 0
-	v.linkWait = 0
-	return &v
-}
-
-// MergeWorker folds a worker view's stats into the parent and resets them.
-// Energy lives in the view's meter, which the caller merges separately.
-func (m *Mesh) MergeWorker(v *Mesh) {
-	m.flits += v.flits
-	m.linkWait += v.linkWait
-	v.flits = 0
-	v.linkWait = 0
-}
-
 // FlitHops returns the cumulative flit-hop count routed so far.
 func (m *Mesh) FlitHops() uint64 { return m.flits }
 

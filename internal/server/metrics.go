@@ -124,9 +124,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("lard_runs_failed_total", "Jobs that finished in failure (including shutdown drains).", m.RunsFailed)
 	counter("lard_runs_cached_total", "Jobs answered from the result store without a worker.", m.RunsCached)
 	counter("lard_runs_cancelled_total", "Jobs cancelled before or during simulation (DELETE /v1/runs/{id}).", m.RunsCancelled)
-	counter("lard_sim_parallel_rounds_total", "Intra-run scheduler rounds across completed runs (zero for sequential and cached runs).", m.ParRounds)
-	counter("lard_sim_parallel_conflicts_total", "Accesses deferred by footprint conflicts in the intra-run scheduler.", m.ParConflicts)
-	counter("lard_sim_parallel_commits_total", "Accesses committed through parallel scheduler rounds.", m.ParCommits)
 	labeled("lard_jobs", "Jobs in the registry by status.", "status", m.Jobs)
 	counter("lard_campaigns_registered_total", "Campaigns registered (resubmissions attach, they do not count).", m.CampaignsSeen)
 	gauge("lard_campaigns", "Campaigns currently in the registry.", m.Campaigns)

@@ -45,19 +45,6 @@ type Options struct {
 	CheckInvariants bool `json:"CheckInvariants"`
 	// TrackRuns enables the Figure-1 run-length tracker.
 	TrackRuns bool `json:"TrackRuns"`
-	// Workers is the intra-run parallelism width: the number of lanes the
-	// conflict-aware scheduler may execute footprint-disjoint accesses on
-	// (see parallel.go). 0 and 1 run the classic sequential loop. The
-	// outcome is identical at every width by construction — results commit
-	// in canonical (time, core) order and only provably-commuting accesses
-	// overlap — so the knob is execution plumbing, not run identity, and is
-	// excluded from result keys like the observers above. Negative values
-	// panic: a caller that computed a width got it wrong, and silently
-	// running sequential would hide the bug. Configurations outside the
-	// footprint analysis (ASR's eviction lottery, cluster replication,
-	// TLH-LRU hints, the lookup oracle and ablations, invariant checking)
-	// fall back to the sequential loop regardless of Workers.
-	Workers int `json:"-"`
 	// Progress, when non-nil, is invoked every ProgressEvery executed
 	// memory operations with (operations retired, total operations), and
 	// once more at completion with done == total. A nil Progress costs
@@ -114,22 +101,6 @@ type Result struct {
 	Runs *stats.RunLengthHist
 	// PageReclassifications counts R-NUCA private->shared transitions.
 	PageReclassifications uint64
-	// Parallel is the intra-run scheduler's efficiency telemetry (all zero
-	// on sequential runs). Excluded from the JSON encoding on purpose: the
-	// golden suite hashes Result's canonical JSON to pin that worker count
-	// never changes a simulated outcome, and these counters describe the
-	// execution strategy, not the outcome.
-	Parallel ParallelStats `json:"-"`
-}
-
-// ParallelStats counts the parallel access scheduler's work: scheduling
-// rounds, candidate deferrals (footprint conflicts plus lookahead-guard
-// holds), and committed accesses. Commits/Rounds is the achieved per-round
-// parallelism.
-type ParallelStats struct {
-	Rounds    uint64
-	Conflicts uint64
-	Commits   uint64
 }
 
 // Clone returns an independent deep copy: mutating the clone (for example
@@ -258,16 +229,11 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 	w := trace.Generate(p, cfg, opt.OpsScale, opt.Seed)
 	lap(&tm.TraceDecode)
 
-	if opt.Workers < 0 {
-		panic("sim: Options.Workers must be non-negative")
-	}
-
 	n := cfg.Cores
 	st := &runState{
 		opt: &opt,
 		eng: eng,
 		w:   w,
-		n:   n,
 		sch: newSched(n),
 
 		breakdown: make([]stats.TimeBreakdown, n),
@@ -311,13 +277,7 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 		st.tscratch = make([]uint64, len(telemetrySeries))
 	}
 
-	var interrupted bool
-	if opt.Workers > 1 && n > 1 && eng.ParallelSafe() {
-		interrupted = st.runParallel(opt.Workers)
-	} else {
-		interrupted = st.runSequential()
-	}
-	if interrupted {
+	if st.loop() {
 		if st.rec != nil {
 			// Final sample + Flush: the partial timeline of an interrupted
 			// run stays internally consistent.
@@ -348,11 +308,6 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 		CompletionTime:        st.completion,
 		EnergyPJ:              eng.Meter().Breakdown(),
 		PageReclassifications: eng.PageReclassifications(),
-		Parallel: ParallelStats{
-			Rounds:    st.par.rounds,
-			Conflicts: st.par.conflicts,
-			Commits:   st.par.commits,
-		},
 	}
 	for c := 0; c < n; c++ {
 		r.Time.Add(st.breakdown[c])
@@ -375,15 +330,13 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 	return r
 }
 
-// runState is the mutable state of one run, shared by the sequential event
-// loop and the parallel round scheduler (parallel.go). Both drive the same
-// per-core aggregates through the same commit path, which is what makes
-// their outcomes identical by construction.
+// runState is the mutable state of one run: the scheduler, the per-core
+// aggregates the event loop drives, the trace windows and the observer
+// cadence.
 type runState struct {
 	opt *Options
 	eng *coherence.Engine
 	w   *trace.Workload
-	n   int
 
 	sch        *sched
 	breakdown  []stats.TimeBreakdown
@@ -406,14 +359,11 @@ type runState struct {
 
 	rec      *obs.Recorder
 	tscratch []uint64
-
-	par parStats
 }
 
-// runSequential is the classic single-threaded event loop: strict global
-// (time, core) order, one access at a time. It returns true when the run
-// was interrupted.
-func (st *runState) runSequential() (interrupted bool) {
+// loop is the event loop: strict global (time, core) order, one access at
+// a time. It returns true when the run was interrupted.
+func (st *runState) loop() (interrupted bool) {
 	sch, bufs, pos, cnt := st.sch, st.bufs, st.pos, st.cnt
 	for sch.active > 0 {
 		now, c := sch.pop()
@@ -466,21 +416,11 @@ func (st *runState) coreAtBarrier(c mem.CoreID, now mem.Cycles) {
 	}
 }
 
-// commit applies one executed access to the run aggregates and reschedules
-// the core. This is the single commit path of both execution modes: the
-// parallel scheduler calls it in canonical (time, core) order, so cadence
-// work (progress, interrupt polling, telemetry epochs) happens at the same
-// operation counts as a sequential run. It returns true when the run was
+// commit applies one executed access to the run aggregates, runs the
+// cadence work (progress, interrupt polling, telemetry epochs) when it is
+// due, and reschedules the core. It returns true when the run was
 // interrupted.
 func (st *runState) commit(c mem.CoreID, gap mem.Cycles, res coherence.AccessResult) (stop bool) {
-	return st.commitStep(c, gap, res, true)
-}
-
-// commitStep is commit with the reschedule made optional: the parallel
-// scheduler's L1-hit chains consume a core's intermediate wake events
-// inside one round, so only a chain's final step pushes the core's next
-// event — exactly the scheduler state a sequential run would have left.
-func (st *runState) commitStep(c mem.CoreID, gap mem.Cycles, res coherence.AccessResult, resched bool) (stop bool) {
 	st.breakdown[c][stats.Compute] += gap
 	st.breakdown[c].Add(res.Breakdown)
 	st.miss[c][res.Miss]++
@@ -504,15 +444,13 @@ func (st *runState) commitStep(c mem.CoreID, gap mem.Cycles, res coherence.Acces
 			}
 		}
 	}
-	if resched {
-		st.sch.push(res.Done, c)
-	}
+	st.sch.push(res.Done, c)
 	return false
 }
 
 // sampleTelemetry records one epoch sample from the run's live counters.
 func (st *runState) sampleTelemetry() {
-	fillTelemetry(st.tscratch, st.eng, st.totalOps, st.breakdown, st.miss, &st.par)
+	fillTelemetry(st.tscratch, st.eng, st.totalOps, st.breakdown, st.miss)
 	st.rec.Sample(st.tscratch)
 }
 

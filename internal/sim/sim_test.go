@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"lard/internal/coherence"
 	"lard/internal/config"
@@ -224,5 +225,40 @@ func TestInterrupt(t *testing.T) {
 	}
 	if !fired {
 		t.Fatal("test never armed the interrupt")
+	}
+}
+
+// TestCancelRace closes Interrupt from another goroutine while runs are
+// live: repeated runs are cut short at varying points (and sometimes not
+// at all), so the race detector sees the cadence poll in the event loop
+// read the channel while a timer goroutine closes it.
+func TestCancelRace(t *testing.T) {
+	p, err := trace.ProfileByName("DEDUP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Small()
+	cfg.RT = 3
+	for i := 0; i < 24; i++ {
+		stop := make(chan struct{})
+		if delay := time.Duration(i%8) * 150 * time.Microsecond; i%8 != 7 {
+			// i%8 == 7 leaves the run uninterrupted end to end.
+			go func() {
+				time.Sleep(delay)
+				close(stop)
+			}()
+		}
+		res := Run(cfg, p, Options{
+			Scheme:        coherence.LocalityAware,
+			OpsScale:      0.05,
+			ProgressEvery: 128,
+			Interrupt:     stop,
+		})
+		if i%8 == 7 && res == nil {
+			t.Fatal("uninterrupted run returned nil")
+		}
+		if res != nil && res.Ops == 0 {
+			t.Fatal("completed run recorded no ops")
+		}
 	}
 }

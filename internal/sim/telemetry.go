@@ -32,14 +32,6 @@ var telemetrySeries = []obs.SeriesDef{
 	{Name: "cycles_llc_home_to_sharers", Kind: obs.Counter},
 	{Name: "cycles_llc_home_to_offchip", Kind: obs.Counter},
 	{Name: "cycles_synchronization", Kind: obs.Counter},
-	// Parallel-scheduler efficiency counters (all zero on sequential runs):
-	// rounds scheduled, candidate accesses deferred by footprint conflicts,
-	// and accesses committed through parallel rounds. commits/rounds is the
-	// achieved per-round parallelism; conflicts/(commits+conflicts) the
-	// conflict rate.
-	{Name: "parallel_rounds", Kind: obs.Counter},
-	{Name: "parallel_conflicts", Kind: obs.Counter},
-	{Name: "parallel_commits", Kind: obs.Counter},
 }
 
 // fillTelemetry writes the current cumulative counter values into
@@ -47,7 +39,7 @@ var telemetrySeries = []obs.SeriesDef{
 // (the checkEvery cadence) and never allocates: scratch is preallocated
 // once per run, and everything read is either a field the engine already
 // maintains or a sum over the per-core arrays the run loop owns.
-func fillTelemetry(scratch []uint64, eng *coherence.Engine, totalOps uint64, breakdown []stats.TimeBreakdown, miss []stats.MissCounts, par *parStats) {
+func fillTelemetry(scratch []uint64, eng *coherence.Engine, totalOps uint64, breakdown []stats.TimeBreakdown, miss []stats.MissCounts) {
 	var m stats.MissCounts
 	for c := range miss {
 		m.Add(miss[c])
@@ -76,7 +68,4 @@ func fillTelemetry(scratch []uint64, eng *coherence.Engine, totalOps uint64, bre
 	scratch[15] = uint64(cyc[stats.LLCHomeToSharers])
 	scratch[16] = uint64(cyc[stats.LLCHomeToOffChip])
 	scratch[17] = uint64(cyc[stats.Synchronization])
-	scratch[18] = par.rounds
-	scratch[19] = par.conflicts
-	scratch[20] = par.commits
 }
