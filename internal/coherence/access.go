@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"math/bits"
 
 	"lard/internal/config"
@@ -13,6 +14,9 @@ import (
 // The simulator presents accesses in global event order; the engine is
 // deterministic for a given order.
 func (e *Engine) Access(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
+	if e.opts.CheckInvariants && t < e.watermark {
+		panic(fmt.Sprintf("coherence: core %d access at cycle %d, before the watermark %d", c, t, e.watermark))
+	}
 	res := e.doAccess(c, t, op)
 	// Reconcile: every cycle of the access span is attributed to exactly one
 	// component, so per-core component sums add up to completion time.
@@ -189,13 +193,16 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 	res.Breakdown[stats.L1ToLLCHome] += arrive - tstart
 
 	// Home serialization: the paper's "LLC home waiting time".
-	begin := max(arrive, e.tiles[home].busy[op.Line])
+	hl := e.homeEntry(home, op.Line)
+	begin := max(arrive, e.homeStamp(home, op.Line, hl))
+	if e.stampOracle != nil {
+		e.checkStamp(home, op.Line, arrive, begin)
+	}
 	res.Breakdown[stats.LLCHomeWaiting] += begin - arrive
 	t = begin + e.cfg.LLCTagLatency
 	e.chargeLLCTag(false)
 	e.chargeDir(false)
 
-	hl := e.homeEntry(home, op.Line)
 	if hl == nil {
 		// Off-chip fetch.
 		t0 := t
@@ -278,7 +285,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycles
 	}
 	e.chargeDir(true)
 
-	e.tiles[home].busy[la] = t // home entry free for the next request
+	e.setStamp(home, la, ent, t) // home entry free for the next request
 
 	version := ent.Version
 	sharedRO := hl.Meta.everShared && !hl.Meta.everWritten
@@ -378,7 +385,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycle
 		e.chargeLLCData(false)
 	}
 
-	e.tiles[home].busy[la] = t
+	e.setStamp(home, la, ent, t)
 
 	if home == c {
 		e.fillL1(c, op, mem.Modified, true, version, false, t)

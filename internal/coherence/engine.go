@@ -30,7 +30,8 @@ type Options struct {
 	// engine); runs are deterministic for a fixed seed.
 	Seed uint64
 	// CheckInvariants enables the single-writer/multiple-reader version
-	// check on every read (tests enable it; large runs leave it off).
+	// check on every read and the home-stamp oracle (see checkStamp); tests
+	// enable it, large runs leave it off.
 	CheckInvariants bool
 	// TrackRuns enables the Figure-1 run-length tracker.
 	TrackRuns bool
@@ -80,6 +81,16 @@ type Engine struct {
 
 	runs    *runTracker
 	rehomed uint64 // page reclassification flushes, for stats
+
+	// watermark is the latest cycle passed to Advance: no later access is
+	// issued before it. spilled counts the home stamps disposeHome moved
+	// into a slice's spill table.
+	watermark mem.Cycles
+	spilled   uint64
+	// stampOracle is the per-slice map of every home stamp ever written,
+	// kept only under CheckInvariants: atHome checks the stamp it reads
+	// from the entry or the spill table against it.
+	stampOracle []map[mem.LineAddr]mem.Cycles
 
 	// Per-class replica statistics (ground-truth classes; diagnostics).
 	replicaInserts [mem.NumDataClasses]uint64
@@ -147,11 +158,16 @@ func New(cfg *config.Config, opts Options) *Engine {
 	e.tiles = make([]*tile, cfg.Cores)
 	for i := range e.tiles {
 		e.tiles[i] = &tile{
-			id:   mem.CoreID(i),
-			l1i:  cache.New[l1Meta](cfg.L1ILines, cfg.L1IWays),
-			l1d:  cache.New[l1Meta](cfg.L1DLines, cfg.L1DWays),
-			llc:  cache.New[llcMeta](cfg.LLCSliceLines, cfg.LLCWays),
-			busy: make(map[mem.LineAddr]mem.Cycles),
+			id:  mem.CoreID(i),
+			l1i: cache.New[l1Meta](cfg.L1ILines, cfg.L1IWays),
+			l1d: cache.New[l1Meta](cfg.L1DLines, cfg.L1DWays),
+			llc: cache.New[llcMeta](cfg.LLCSliceLines, cfg.LLCWays),
+		}
+	}
+	if opts.CheckInvariants {
+		e.stampOracle = make([]map[mem.LineAddr]mem.Cycles, cfg.Cores)
+		for i := range e.stampOracle {
+			e.stampOracle[i] = make(map[mem.LineAddr]mem.Cycles)
 		}
 	}
 	if opts.TrackRuns {

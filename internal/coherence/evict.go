@@ -134,7 +134,9 @@ func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 		e.dram.Access(ctrl, arr)
 	}
 	// The entry is dead: nothing references it past this point (the home
-	// line holding it was invalidated before disposeHome was called).
+	// line holding it was invalidated before disposeHome was called). Its
+	// stamp outlives it only if a later request could still wait on it.
+	e.spillStamp(slice, la, ent)
 	e.recycleEntry(ent)
 }
 

@@ -115,17 +115,23 @@ type llcMeta struct {
 	class mem.DataClass
 }
 
-// tile is one core's slice of the memory system.
+// tile is one core's slice of the memory system: its private L1 caches and
+// its LLC slice.
+//
+// Requests to a home line serialize on its directory entry's NextFree
+// stamp (the paper's "LLC home waiting time"), so the stamp lives and dies
+// with the home copy. A home line can leave the slice (eviction, R-NUCA
+// flush) while its stamp still lies ahead of the engine's watermark (see
+// Engine.Advance); spill keeps such stamps until the line is refilled
+// here. Instruction lines under R-NUCA have one home per cluster, so a
+// line address is only unique within a slice: the table lives with the
+// slice whose entries it outlives. It stays nil until the first spill.
 type tile struct {
-	id  mem.CoreID
-	l1i *cache.Cache[l1Meta]
-	l1d *cache.Cache[l1Meta]
-	llc *cache.Cache[llcMeta]
-	// busy[la] is the cycle at which this slice's home entry for la is free
-	// for the next request (the paper's "LLC home waiting time"). Instruction
-	// lines under R-NUCA have one home per cluster, so the key is only
-	// unique within a slice: the map lives with the slice it serializes.
-	busy map[mem.LineAddr]mem.Cycles
+	id    mem.CoreID
+	l1i   *cache.Cache[l1Meta]
+	l1d   *cache.Cache[l1Meta]
+	llc   *cache.Cache[llcMeta]
+	spill map[mem.LineAddr]mem.Cycles
 }
 
 // l1For returns the L1 cache serving the access type.

@@ -141,6 +141,11 @@ type Entry struct {
 	// invariant implies a valid copy always matches the home version. The
 	// simulator checks this on every read (see DESIGN.md §2).
 	Version uint64
+	// NextFree is the cycle at which the home entry is free for the next
+	// request: requests to the line serialize on it, which is the paper's
+	// "LLC home waiting time". The coherence engine sets it at the end of
+	// every home transaction.
+	NextFree mem.Cycles
 }
 
 // NewEntry returns an entry with an ACKwise-p sharer set.
@@ -158,6 +163,7 @@ func (e *Entry) Reset(p int) {
 	e.ReplicaSlices = e.ReplicaSlices[:0]
 	e.Classifier = nil
 	e.Version = 0
+	e.NextFree = 0
 }
 
 // SetOwner records c as the E/M owner.

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -185,5 +186,29 @@ func TestEntryReplicaSlices(t *testing.T) {
 func TestEntryVersionStartsZero(t *testing.T) {
 	if NewEntry(4).Version != 0 {
 		t.Fatal("fresh entry version must be 0")
+	}
+}
+
+// TestEntryResetMatchesNew: a recycled entry is indistinguishable from a
+// fresh one, the home stamp included, so an engine's free list can never
+// leak one line's state into another.
+func TestEntryResetMatchesNew(t *testing.T) {
+	e := NewEntry(4)
+	for c := mem.CoreID(0); c < 6; c++ {
+		e.Sharers.Add(c)
+	}
+	e.SetOwner(3)
+	e.AddReplicaSlice(9)
+	e.Classifier = struct{}{}
+	e.Version = 7
+	e.NextFree = 1234
+	e.Reset(2)
+	fresh := NewEntry(2)
+	if len(e.ReplicaSlices) != 0 {
+		t.Fatalf("ReplicaSlices = %v after Reset", e.ReplicaSlices)
+	}
+	e.ReplicaSlices = nil
+	if !reflect.DeepEqual(e, fresh) {
+		t.Fatalf("Reset entry %+v, fresh entry %+v", *e, *fresh)
 	}
 }

@@ -41,7 +41,8 @@ type Options struct {
 	Seed uint64 `json:"Seed"`
 	// OpsScale scales per-core operation counts (1.0 = profile nominal).
 	OpsScale float64 `json:"OpsScale"`
-	// CheckInvariants enables the SWMR/inclusion checker.
+	// CheckInvariants enables the SWMR/inclusion checker and the home-stamp
+	// oracle.
 	CheckInvariants bool `json:"CheckInvariants"`
 	// TrackRuns enables the Figure-1 run-length tracker.
 	TrackRuns bool `json:"TrackRuns"`
@@ -125,24 +126,24 @@ func (r *Result) EnergyTotal() float64 {
 }
 
 // sched is the event scheduler. The simulated cores are the only event
-// sources and each has at most one pending wake-up, so the general
-// container/heap priority queue this loop used to run was overkill — and
-// its interface-typed Push/Pop boxed one allocation per simulated
-// operation onto the hot path (~98% of the simulator's allocations). The
-// concrete replacement keeps one next-wake time per core and selects the
-// minimum with an ascending linear scan: for the supported core counts
-// (≤64) that is a few cache lines, allocation-free, and free of virtual
-// Less/Swap dispatch. The event order is bit-identical to the heap's: the
-// heap ordered events by (time, then core id), and a strict-< scan in
-// ascending core order realizes exactly that total order.
+// sources and each has at most one pending wake-up, so the queue is a
+// tournament (winner) tree over the cores: the leaves are the cores'
+// next wake times, padded with idle leaves to a power of two, and every
+// internal node holds the earlier of its two children's winners — the
+// left one on equal times. Left subtrees hold the lower core ids, so the
+// root is the earliest pending (time, lowest core id) pair: exactly the
+// total order of the container/heap queue this loop once ran, without
+// its per-operation interface boxing. pop and push each replay one
+// leaf-to-root path, log2(n) compares (6 at 64 cores) instead of a scan
+// over every pending core.
 type sched struct {
-	next []mem.Cycles // per-core next wake time; schedIdle = no event
-	// pending has bit c set while core c has a wake-up queued, so pop's
-	// min-scan walks only the cores that can win instead of comparing
-	// every idle lane's schedIdle sentinel. Core counts are capped at 64
-	// (directory.MaxCores), so one word always suffices.
-	pending uint64
-	active  int // number of cores with a pending wake-up
+	// next is the per-leaf next wake time; schedIdle = no event. Leaves
+	// past the core count stay idle.
+	next []mem.Cycles
+	// win[i] is the leaf winning node i's subtree. Node 1 is the root, the
+	// children of node i are 2i and 2i+1, and leaf c is node len(next)+c.
+	win    []int32
+	active int // number of cores with a pending wake-up
 }
 
 // schedIdle marks a core with no pending event. Real wake times grow by
@@ -156,37 +157,52 @@ const opChunk = 256
 
 // newSched returns a scheduler with all n cores pending at time 0.
 func newSched(n int) *sched {
-	pending := ^uint64(0)
-	if n < 64 {
-		pending = uint64(1)<<uint(n) - 1
+	size := 1 << bits.Len(uint(n-1))
+	s := &sched{next: make([]mem.Cycles, size), win: make([]int32, 2*size), active: n}
+	for c := range size {
+		if c >= n {
+			s.next[c] = schedIdle
+		}
+		s.win[size+c] = int32(c)
 	}
-	return &sched{next: make([]mem.Cycles, n), pending: pending, active: n}
+	for i := size - 1; i > 0; i-- {
+		s.win[i] = s.earlier(s.win[2*i], s.win[2*i+1])
+	}
+	return s
+}
+
+// earlier returns the leaf with the earlier wake time, l on ties.
+func (s *sched) earlier(l, r int32) int32 {
+	if s.next[r] < s.next[l] {
+		return r
+	}
+	return l
+}
+
+// replay recomputes the winners on leaf c's path to the root after its
+// wake time changed.
+func (s *sched) replay(c int32) {
+	for i := (len(s.next) + int(c)) >> 1; i > 0; i >>= 1 {
+		s.win[i] = s.earlier(s.win[2*i], s.win[2*i+1])
+	}
 }
 
 // pop removes and returns the earliest pending (time, core) pair, lowest
-// core id on ties. Only valid while active > 0. Iterating the pending
-// bits in ascending order with a strict < preserves the lowest-core
-// tie-break of the full scan.
+// core id on ties. Only valid while active > 0.
 func (s *sched) pop() (mem.Cycles, mem.CoreID) {
-	b := s.pending
-	best := bits.TrailingZeros64(b)
-	t := s.next[best]
-	for b &= b - 1; b != 0; b &= b - 1 {
-		i := bits.TrailingZeros64(b)
-		if s.next[i] < t {
-			best, t = i, s.next[i]
-		}
-	}
-	s.pending &^= uint64(1) << uint(best)
-	s.next[best] = schedIdle
+	c := s.win[1]
+	t := s.next[c]
+	s.next[c] = schedIdle
+	s.replay(c)
 	s.active--
-	return t, mem.CoreID(best)
+	return t, mem.CoreID(c)
 }
 
-// push schedules core c's next wake-up at time t.
+// push schedules core c's next wake-up at time t. c must have no pending
+// wake-up.
 func (s *sched) push(t mem.Cycles, c mem.CoreID) {
 	s.next[c] = t
-	s.pending |= uint64(1) << uint(c)
+	s.replay(int32(c))
 	s.active++
 }
 
@@ -367,6 +383,15 @@ func (st *runState) loop() (interrupted bool) {
 	sch, bufs, pos, cnt := st.sch, st.bufs, st.pos, st.cnt
 	for sch.active > 0 {
 		now, c := sch.pop()
+		// Popped times never go backwards while no core waits at a
+		// barrier, so now bounds every later access from below. During a
+		// barrier the watermark stays at the first arrival: a core that
+		// finishes without reaching the barrier releases the waiting cores
+		// at their latest arrival, which may lie before the finishing
+		// core's time.
+		if st.waiting == 0 {
+			st.eng.Advance(now)
+		}
 		if pos[c] == cnt[c] {
 			cnt[c] = st.w.Streams[c].Fill(bufs[int(c)*opChunk : (int(c)+1)*opChunk])
 			pos[c] = 0
