@@ -18,7 +18,8 @@
 //
 // A benchmark that repeats (-count > 1) is compared by its per-metric
 // median over every sample, so one noisy iteration cannot decide the
-// verdict. Output is one row per benchmark with the ns/op delta, plus — when both
+// verdict. Output is one row per benchmark with the median ns/op of each
+// side, its min..max spread over the samples, and the delta, plus — when both
 // artifacts carry -benchmem columns — an allocation table with the B/op
 // and allocs/op deltas. Timing regressions beyond -tolerance percent and
 // allocation regressions beyond -alloc-tolerance percent both exit 1, so
@@ -61,6 +62,12 @@ var procsSuffix = regexp.MustCompile(`-\d+$`)
 // has split the name into the event's Test field: iterations, then ns/op.
 var timingLine = regexp.MustCompile(`^\d+\s+([0-9.]+(?:[eE][+-]?[0-9]+)?) ns/op`)
 
+// benchName matches a benchmark name alone on its line. Under -count > 1
+// test2json emits the repeats of a group's last sub-benchmark without a
+// Test field, the name in one event and the timing in the next; the name
+// is held until that timing line arrives.
+var benchName = regexp.MustCompile(`^Benchmark\S+$`)
+
 // bytesCol and allocsCol match the -benchmem columns, which trail the
 // ns/op value (custom b.ReportMetric units may sit between them).
 var (
@@ -68,9 +75,11 @@ var (
 	allocsCol = regexp.MustCompile(`([0-9.]+(?:[eE][+-]?[0-9]+)?) allocs/op`)
 )
 
-// metrics is one benchmark's parsed result: the median of its samples.
+// metrics is one benchmark's parsed result: the median of its samples,
+// plus the spread of the ns/op samples.
 type metrics struct {
 	ns            float64
+	nsMin, nsMax  float64
 	bytes, allocs float64
 	hasMem        bool // the rows carried -benchmem columns
 }
@@ -94,10 +103,10 @@ func median(xs []float64) float64 {
 // parseBench extracts {benchmark name -> metrics} from r, which may be a
 // `go test -json` event stream, plain `go test -bench` text, or a mix.
 // test2json splits a result across events — the name rides in the Test
-// field while the Output holds only "  50\t 15236 ns/op" — so both the
-// combined plain-text shape and the split JSON shape are recognized. A
-// name that repeats (-count > 1) keeps every sample; each metric reports
-// the median of its samples.
+// field, or in the preceding output event, while the Output holds only
+// "  50\t 15236 ns/op" — so both the combined plain-text shape and the
+// split JSON shapes are recognized. A name that repeats (-count > 1) keeps
+// every sample; each metric reports the median of its samples.
 func parseBench(r io.Reader) (map[string]metrics, error) {
 	rows := make(map[string]*samples)
 	record := func(name, ns, line string) {
@@ -125,6 +134,7 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	pending := "" // a bare benchmark name awaiting its timing event
 	for sc.Scan() {
 		line := sc.Text()
 		test := ""
@@ -140,15 +150,24 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 		line = strings.TrimSpace(line)
 		if m := benchLine.FindStringSubmatch(line); m != nil {
 			record(m[1], m[2], line)
-		} else if test != "" && strings.HasPrefix(test, "Benchmark") {
-			if m := timingLine.FindStringSubmatch(line); m != nil {
-				record(test, m[1], line)
+		} else if m := timingLine.FindStringSubmatch(line); m != nil {
+			name := test
+			if name == "" {
+				name = pending
 			}
+			if strings.HasPrefix(name, "Benchmark") {
+				record(name, m[1], line)
+			}
+		}
+		pending = ""
+		if benchName.MatchString(line) {
+			pending = line
 		}
 	}
 	out := make(map[string]metrics, len(rows))
 	for name, s := range rows {
 		m := metrics{ns: median(s.ns)}
+		m.nsMin, m.nsMax = s.ns[0], s.ns[len(s.ns)-1] // median sorted them
 		if len(s.bytes) > 0 {
 			m.bytes, m.allocs, m.hasMem = median(s.bytes), median(s.allocs), true
 		}
@@ -244,6 +263,11 @@ func latestTwoFallback(dir, fallback string) (string, string, error) {
 	return matches[len(matches)-2], matches[len(matches)-1], nil
 }
 
+// spread renders the min..max range of a benchmark's ns/op samples.
+func spread(m metrics) string {
+	return fmt.Sprintf("%.0f..%.0f", m.nsMin, m.nsMax)
+}
+
 // run is main minus os.Exit, for tests: it renders the comparison to w
 // and reports whether any timing regression exceeded tolerancePct or any
 // allocation regression (B/op or allocs/op, where both artifacts carry
@@ -266,7 +290,7 @@ func run(w io.Writer, oldPath, newPath string, tolerancePct, allocTolerancePct f
 
 	both, added, removed := diff(oldBench, newBench)
 	fmt.Fprintf(w, "baseline  %s\ncandidate %s\n\n", oldPath, newPath)
-	fmt.Fprintf(w, "%-44s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Fprintf(w, "%-44s %14s %14s %9s %23s %23s\n", "benchmark", "old ns/op", "new ns/op", "delta", "old min..max", "new min..max")
 	timingRegressed, allocRegressed := false, false
 	for _, d := range both {
 		flag := ""
@@ -274,13 +298,13 @@ func run(w io.Writer, oldPath, newPath string, tolerancePct, allocTolerancePct f
 			flag = "  REGRESSION"
 			timingRegressed = true
 		}
-		fmt.Fprintf(w, "%-44s %14.0f %14.0f %+8.1f%%%s\n", d.name, d.old.ns, d.new.ns, d.pct, flag)
+		fmt.Fprintf(w, "%-44s %14.0f %14.0f %+8.1f%% %23s %23s%s\n", d.name, d.old.ns, d.new.ns, d.pct, spread(d.old), spread(d.new), flag)
 	}
 	for _, name := range added {
-		fmt.Fprintf(w, "%-44s %14s %14.0f %9s\n", name, "-", newBench[name].ns, "new")
+		fmt.Fprintf(w, "%-44s %14s %14.0f %9s %23s %23s\n", name, "-", newBench[name].ns, "new", "-", spread(newBench[name]))
 	}
 	for _, name := range removed {
-		fmt.Fprintf(w, "%-44s %14.0f %14s %9s\n", name, oldBench[name].ns, "-", "gone")
+		fmt.Fprintf(w, "%-44s %14.0f %14s %9s %23s %23s\n", name, oldBench[name].ns, "-", "gone", spread(oldBench[name]), "-")
 	}
 
 	// Allocation table for pairs where both sides carried -benchmem rows.

@@ -70,6 +70,23 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("split-event parse = %v (%v)", got, err)
 	}
 
+	// Under -count > 1 test2json emits the repeats of a group's last
+	// sub-benchmark with no Test field: the name in one event, the timing
+	// in the next. Every repeat is a sample.
+	untagged := strings.Join([]string{
+		`{"Action":"output","Test":"BenchmarkLookup/miss","Output":"BenchmarkLookup/miss-2    \t"}`,
+		`{"Action":"output","Test":"BenchmarkLookup/miss","Output":"    1000\t       183.4 ns/op\n"}`,
+		`{"Action":"output","Output":"BenchmarkLookup/miss-2    \t"}`,
+		`{"Action":"output","Output":"    1000\t        98.71 ns/op\n"}`,
+		`{"Action":"output","Output":"BenchmarkLookup/miss-2    \t"}`,
+		`{"Action":"output","Output":"    1000\t       103.4 ns/op\n"}`,
+		`{"Action":"output","Output":"    1000\t       7 ns/op\n"}`,
+	}, "\n")
+	got, err = parseBench(strings.NewReader(untagged))
+	if m := got["BenchmarkLookup/miss"]; err != nil || m.ns != 103.4 || m.nsMin != 98.71 || m.nsMax != 183.4 {
+		t.Fatalf("untagged repeats = %+v (%v), want median 103.4 over 98.71..183.4", m, err)
+	}
+
 	// -count=3 with an outlier last sample: every sample is kept and each
 	// metric is the median, not the last value seen.
 	repeated := jsonArtifact(
@@ -83,6 +100,38 @@ func TestParseBench(t *testing.T) {
 	}
 	if m := got["BenchmarkFig7Member"]; m.ns != 110 || m.bytes != 2000 || m.allocs != 20 || !m.hasMem {
 		t.Fatalf("repeated samples = %+v, want medians 110 ns/op, 2000 B/op, 20 allocs/op", m)
+	}
+	// The ns/op spread spans every sample, outlier included.
+	if m := got["BenchmarkFig7Member"]; m.nsMin != 100 || m.nsMax != 5000 {
+		t.Fatalf("repeated samples spread = %v..%v, want 100..5000", m.nsMin, m.nsMax)
+	}
+}
+
+// TestRunPrintsSpread: each row shows the min..max ns/op spread of both
+// sides next to their medians; a single sample spans one value.
+func TestRunPrintsSpread(t *testing.T) {
+	dir := t.TempDir()
+	oldP := write(t, dir, "BENCH_old.json", jsonArtifact(
+		"BenchmarkSched-8 \\t 1000 \\t 90 ns/op",
+		"BenchmarkSched-8 \\t 1000 \\t 100 ns/op",
+		"BenchmarkSched-8 \\t 1000 \\t 130 ns/op",
+	), 2*time.Hour)
+	newP := write(t, dir, "BENCH_new.json", jsonArtifact(
+		"BenchmarkSched-8 \\t 1000 \\t 95 ns/op",
+	), time.Hour)
+	var out strings.Builder
+	regressed, err := run(&out, oldP, newP, 10, 10)
+	if err != nil || regressed {
+		t.Fatalf("run = %v, %v; want a pass:\n%s", regressed, err, out.String())
+	}
+	var row string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(l, "BenchmarkSched ") {
+			row = l
+		}
+	}
+	if f := strings.Fields(row); len(f) != 6 || f[1] != "100" || f[2] != "95" || f[4] != "90..130" || f[5] != "95..95" {
+		t.Fatalf("row %q, want medians 100 and 95 with spreads 90..130 and 95..95", row)
 	}
 }
 

@@ -49,7 +49,7 @@ func benchWorkload(tb testing.TB, cfg *config.Config) []benchAccess {
 // coherence engine (directory lookups, sharer bookkeeping, invalidation
 // fan-out) under the locality-aware scheme. The engine is warmed with one
 // full pass before timing so the directory population — and therefore the
-// entry/classifier free pools — has stabilized; the timed passes exercise
+// free list of home records — has stabilized; the timed passes exercise
 // the alloc-free hot path.
 func BenchmarkCoherenceAccess(b *testing.B) {
 	cfg := config.Small()
@@ -69,8 +69,9 @@ func BenchmarkCoherenceAccess(b *testing.B) {
 
 // TestEnginesRaceFree drives several independent engines concurrently, the
 // way the harness runs AutoASR's five pressure levels in parallel. Engines
-// must share no mutable state (free pools, fan-out scratch buffers and
-// classifier recycling are all per-engine); `go test -race` verifies it.
+// must share no mutable state (the free list of directory entries and their
+// classifiers, and the fan-out scratch buffers, are all per-engine);
+// `go test -race` verifies it.
 func TestEnginesRaceFree(t *testing.T) {
 	cfg := config.Small()
 	accs := benchWorkload(t, cfg)

@@ -67,17 +67,20 @@ type Engine struct {
 	rng   *rand.Rand
 
 	clfParams core.Params
+	// limitedRecords reports that directory entries are born in home
+	// records with an inline Limited-k classifier: the locality-aware
+	// scheme with k > 0, the only configuration that consults one.
+	limitedRecords bool
 
-	// Hot-path scratch and free lists. fanout and rsnap are reusable
+	// Hot-path scratch and the free list. fanout and rsnap are reusable
 	// iteration buffers for the invalidation fan-outs (sized to Cores at
-	// construction, so steady-state fan-out allocates nothing); entFree and
-	// clfFree recycle directory entries and locality classifiers, whose
-	// only death point is disposeHome — after it returns no reference to
-	// the entry survives, so reuse is safe.
+	// construction, so steady-state fan-out allocates nothing); entFree
+	// recycles directory entries together with their per-line policy
+	// state. An entry's only death point is disposeHome — after it returns
+	// no reference to the entry survives, so reuse is safe.
 	fanout  []mem.CoreID
 	rsnap   []mem.CoreID
 	entFree []*dirEntry
-	clfFree []coreClassifier
 
 	runs    *runTracker
 	rehomed uint64 // page reclassification flushes, for stats
@@ -146,6 +149,7 @@ func New(cfg *config.Config, opts Options) *Engine {
 			Cores: cfg.Cores,
 			K:     cfg.ClassifierK,
 		},
+		limitedRecords: opts.Scheme == LocalityAware && cfg.ClassifierK > 0,
 	}
 	e.policy = desc.New(e)
 	e.usesReplicas = desc.UsesReplicas

@@ -27,26 +27,39 @@ func satReuse(v uint8, rt int) uint8 {
 	return v + 1
 }
 
-// classifierOf returns (lazily creating) the locality classifier attached to
-// a directory entry. Every line starts in the Initial state of Figure 3:
-// all cores in non-replica mode — a recycled classifier was Reset to exactly
-// that state when its previous entry died, so pool hits and fresh
-// allocations are indistinguishable.
+// homeRecord is a home line's directory state in one allocation: the
+// in-cache directory entry and the Limited-k locality list the paper keeps
+// inside that entry (§2.2.5, Figure 5; §2.4.1). Under RT with k > 0 every
+// directory entry is born in a record, with Classifier pointing at the
+// record's own lim, so a home access follows one pointer from the LLC line
+// instead of three. A record is never copied: the engine hands out
+// &rec.dirEntry, and that pointer keeps the whole record alive on the free
+// list.
+type homeRecord struct {
+	dirEntry
+	lim core.Limited
+}
+
+// lineState is the per-line policy state an entry's Classifier slot holds:
+// a locality classifier, or EHC's hit counter. It is reset and kept when
+// its entry is recycled.
+type lineState interface{ Reset() }
+
+// classifierOf returns the locality classifier attached to a directory
+// entry. A Limited-k classifier was attached at the entry's birth; the
+// Complete classifier (k = 0) is created on first use and then stays with
+// its entry through every recycle. Either way it starts in the Initial state
+// of Figure 3: all cores in non-replica mode.
 func (e *Engine) classifierOf(ent *dirEntry) coreClassifier {
 	if ent.Classifier == nil {
-		if n := len(e.clfFree); n > 0 {
-			ent.Classifier = e.clfFree[n-1]
-			e.clfFree = e.clfFree[:n-1]
-		} else {
-			ent.Classifier = core.New(e.clfParams)
-		}
+		ent.Classifier = core.New(e.clfParams)
 	}
 	return ent.Classifier.(coreClassifier)
 }
 
 // newDirEntry returns a directory entry for a fresh home fill, recycled
-// from the free list when one is available. A pooled entry was Reset on
-// recycle, so it is indistinguishable from directory.NewEntry's result.
+// from the free list when one is available. A pooled entry was reset on
+// recycle, so it is indistinguishable from a newly built one.
 func (e *Engine) newDirEntry() *dirEntry {
 	e.dirOcc.Inc()
 	if n := len(e.entFree); n > 0 {
@@ -54,22 +67,29 @@ func (e *Engine) newDirEntry() *dirEntry {
 		e.entFree = e.entFree[:n-1]
 		return ent
 	}
-	return directory.NewEntry(e.cfg.AckwisePointers)
+	if !e.limitedRecords {
+		return directory.NewEntry(e.cfg.AckwisePointers)
+	}
+	rec := &homeRecord{dirEntry: directory.Entry{Sharers: directory.NewSharerSet(e.cfg.AckwisePointers)}}
+	rec.lim.Init(e.clfParams)
+	rec.Classifier = &rec.lim
+	return &rec.dirEntry
 }
 
-// recycleEntry returns a dead home entry — and the locality classifier it
-// carried — to the engine free lists. Only disposeHome may call it: that is
-// the single point where a directory entry leaves the simulated machine,
-// and after it returns no live reference to the entry remains (home lines
-// are the only holders of entry pointers, and the holder was just
-// invalidated).
+// recycleEntry returns a dead home entry to the engine free list, with its
+// per-line policy state reset and still attached. Only disposeHome may call
+// it: that is the single point where a directory entry leaves the simulated
+// machine, and after it returns no live reference to the entry remains
+// (home lines are the only holders of entry pointers, and the holder was
+// just invalidated).
 func (e *Engine) recycleEntry(ent *dirEntry) {
 	e.dirOcc.Dec()
-	if clf, ok := ent.Classifier.(coreClassifier); ok {
-		clf.Reset()
-		e.clfFree = append(e.clfFree, clf)
-	}
+	st, _ := ent.Classifier.(lineState)
 	ent.Reset(e.cfg.AckwisePointers)
+	if st != nil {
+		st.Reset()
+		ent.Classifier = st
+	}
 	e.entFree = append(e.entFree, ent)
 }
 

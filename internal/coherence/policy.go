@@ -16,7 +16,8 @@ import (
 // decides placement, replication and classifier bookkeeping. Implementations
 // are constructed per engine (Descriptor.New) and may keep run-local state;
 // per-line state belongs in the directory entry's opaque Classifier slot so
-// it dies with the home line.
+// it dies with the home line. State with a Reset method is reset and kept
+// when the engine recycles the entry; other state is dropped.
 //
 // The five paper schemes and any additional scheme register a Descriptor
 // via Register (typically from an init in the scheme's own policy file);

@@ -33,10 +33,14 @@ const ExpectedHitCount Scheme = 5
 type ehcPolicy struct{ basePolicy }
 
 // ehcState is the per-line policy state, stored in the directory entry's
-// opaque Classifier slot so it lives and dies with the home copy.
+// opaque Classifier slot so it lives and dies with the home copy, and is
+// recycled with the entry.
 type ehcState struct {
 	homeReads uint8
 }
+
+// Reset clears the counter; the state is recycled with its entry.
+func (s *ehcState) Reset() { *s = ehcState{} }
 
 func (p ehcPolicy) stateOf(ent *dirEntry) *ehcState {
 	if ent.Classifier == nil {

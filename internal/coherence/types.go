@@ -94,7 +94,8 @@ type l1Meta struct {
 type llcMeta struct {
 	// home marks the home copy (it carries the directory entry).
 	home bool
-	// dir is the in-cache directory entry of a home line.
+	// dir is the in-cache directory entry of a home line; under RT with
+	// k > 0 it is the entry of a homeRecord.
 	dir *directory.Entry
 	// replicaReuse is the saturating reuse counter of a replica line
 	// (initialized to 1 on creation, incremented per replica hit, §2.2.1).

@@ -7,6 +7,7 @@ package config
 import (
 	"fmt"
 
+	"lard/internal/directory"
 	"lard/internal/mem"
 )
 
@@ -160,6 +161,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("config: Cores must be positive, got %d", c.Cores)
+	case c.Cores > directory.MaxCores:
+		return fmt.Errorf("config: %d cores exceed the %d-core directory sharer bitset", c.Cores, directory.MaxCores)
 	case c.MeshW*c.MeshH != c.Cores:
 		return fmt.Errorf("config: mesh %dx%d does not cover %d cores", c.MeshW, c.MeshH, c.Cores)
 	case c.L1ILines <= 0 || c.L1IWays <= 0 || c.L1ILines%c.L1IWays != 0:

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"lard/internal/mem"
@@ -81,6 +82,9 @@ func TestValidateErrors(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"zero cores", func(c *Config) { c.Cores = 0 }},
+		// Only the sharer-bitset bound rejects this one: the 16x8 mesh
+		// covers 128 cores and every other field stays in range.
+		{"more cores than the sharer bitset", func(c *Config) { c.Cores, c.MeshW, c.MeshH = 128, 16, 8 }},
 		{"mesh mismatch", func(c *Config) { c.MeshW = 7 }},
 		{"bad L1I ways", func(c *Config) { c.L1IWays = 5 }},
 		{"zero L1D", func(c *Config) { c.L1DLines = 0 }},
@@ -100,6 +104,18 @@ func TestValidateErrors(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate must fail", m.name)
 		}
+	}
+}
+
+// TestValidateRejectsCoresBeyondSharerBitset: a machine wider than the
+// directory's sharer bitset fails validation up front instead of panicking
+// mid-run on the first sharer above core 63.
+func TestValidateRejectsCoresBeyondSharerBitset(t *testing.T) {
+	c := Default64()
+	c.Cores, c.MeshW, c.MeshH = 128, 16, 8
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "sharer bitset") {
+		t.Fatalf("Validate() = %v, want the sharer-bitset error", err)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestNewSelectsImplementation(t *testing.T) {
 	if _, ok := New(Params{RT: 3, Cores: 4, K: 0}).(*complete); !ok {
 		t.Error("K=0 must build the Complete classifier")
 	}
-	if _, ok := New(Params{RT: 3, Cores: 4, K: 3}).(*limited); !ok {
+	if _, ok := New(Params{RT: 3, Cores: 4, K: 3}).(*Limited); !ok {
 		t.Error("K=3 must build the Limited classifier")
 	}
 }

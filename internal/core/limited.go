@@ -1,6 +1,10 @@
 package core
 
-import "lard/internal/mem"
+import (
+	"math"
+
+	"lard/internal/mem"
+)
 
 // limEntry is one slot of the limited locality list (Figure 5): core ID,
 // replication mode bit and home-reuse counter, plus the active flag used for
@@ -13,23 +17,64 @@ type limEntry struct {
 	valid  bool
 }
 
-// limited is the Limited-k locality classifier (§2.2.5). It keeps locality
+// limitedInline is the number of tracked-core slots a Limited holds in
+// place. It covers the paper's default k=3; a larger k (Figure 9 sweeps up
+// to 64) keeps its slots in a heap slice instead.
+const limitedInline = 4
+
+// Limited is the Limited-k locality classifier (§2.2.5). It keeps locality
 // information for at most k cores; other cores are classified by a majority
 // vote of the modes of the tracked cores.
-type limited struct {
-	rt      int
-	entries []limEntry
+//
+// It is a value type so the locality list can live inside the structure
+// that holds the directory entry, as it does in hardware (§2.4.1): for
+// k <= limitedInline the slots need no allocation of their own. The zero
+// value is unusable; Init prepares one. A Limited must not be copied after
+// Init.
+type Limited struct {
+	rt     int32
+	k      int32
+	inline [limitedInline]limEntry
+	// heap holds the slots when k > limitedInline, else nil. A pointer
+	// rather than a slice keeps a Limited at 48 bytes, so a home record
+	// (80-byte directory entry plus classifier) fills one 128-byte size
+	// class, two whole host cache lines.
+	heap *[]limEntry
 }
 
-func newLimited(p Params) *limited {
-	return &limited{rt: p.RT, entries: make([]limEntry, p.K)}
+// Init makes k a fresh Limited-k classifier for p (p.K >= 1): every core in
+// the Initial state of Figure 3.
+func (k *Limited) Init(p Params) {
+	if p.RT < 1 || p.RT > math.MaxInt32 {
+		panic("core: RT must be in 1..MaxInt32")
+	}
+	*k = Limited{rt: int32(p.RT), k: int32(p.K)}
+	if p.K > limitedInline {
+		slots := make([]limEntry, p.K)
+		k.heap = &slots
+	}
+}
+
+func newLimited(p Params) *Limited {
+	k := &Limited{}
+	k.Init(p)
+	return k
+}
+
+// slots returns the locality list: k entries, valid or free.
+func (k *Limited) slots() []limEntry {
+	if k.heap != nil {
+		return *k.heap
+	}
+	return k.inline[:k.k]
 }
 
 // find returns the entry tracking c, or nil.
-func (k *limited) find(c mem.CoreID) *limEntry {
-	for i := range k.entries {
-		if k.entries[i].valid && k.entries[i].core == c {
-			return &k.entries[i]
+func (k *Limited) find(c mem.CoreID) *limEntry {
+	es := k.slots()
+	for i := range es {
+		if es[i].valid && es[i].core == c {
+			return &es[i]
 		}
 	}
 	return nil
@@ -38,12 +83,12 @@ func (k *limited) find(c mem.CoreID) *limEntry {
 // majority returns the majority vote of the modes of the tracked cores;
 // ties (including an empty list) resolve to non-replica, the Initial mode of
 // Figure 3.
-func (k *limited) majority() bool {
+func (k *Limited) majority() bool {
 	replica, valid := 0, 0
-	for i := range k.entries {
-		if k.entries[i].valid {
+	for _, e := range k.slots() {
+		if e.valid {
 			valid++
-			if k.entries[i].mode {
+			if e.mode {
 				replica++
 			}
 		}
@@ -59,28 +104,29 @@ func (k *limited) majority() bool {
 //
 // If no replacement candidate exists it returns nil and the caller falls
 // back to the majority vote without modifying the list.
-func (k *limited) acquire(c mem.CoreID) *limEntry {
+func (k *Limited) acquire(c mem.CoreID) *limEntry {
 	if e := k.find(c); e != nil {
 		e.active = true
 		return e
 	}
-	for i := range k.entries {
-		if !k.entries[i].valid {
-			k.entries[i] = limEntry{core: c, active: true, valid: true}
-			return &k.entries[i]
+	es := k.slots()
+	for i := range es {
+		if !es[i].valid {
+			es[i] = limEntry{core: c, active: true, valid: true}
+			return &es[i]
 		}
 	}
-	for i := range k.entries {
-		if !k.entries[i].active {
-			k.entries[i] = limEntry{core: c, mode: k.majority(), active: true, valid: true}
-			return &k.entries[i]
+	for i := range es {
+		if !es[i].active {
+			es[i] = limEntry{core: c, mode: k.majority(), active: true, valid: true}
+			return &es[i]
 		}
 	}
 	return nil
 }
 
 // OnReadHome implements Classifier.
-func (k *limited) OnReadHome(c mem.CoreID) bool {
+func (k *Limited) OnReadHome(c mem.CoreID) bool {
 	e := k.acquire(c)
 	if e == nil {
 		// Untracked: classify by majority vote; no reuse can be accumulated,
@@ -91,8 +137,8 @@ func (k *limited) OnReadHome(c mem.CoreID) bool {
 	if e.mode {
 		return true
 	}
-	e.reuse = satIncr(e.reuse, k.rt)
-	if int(e.reuse) >= k.rt {
+	e.reuse = satIncr(e.reuse, int(k.rt))
+	if int32(e.reuse) >= k.rt {
 		e.mode = true
 		return true
 	}
@@ -100,7 +146,7 @@ func (k *limited) OnReadHome(c mem.CoreID) bool {
 }
 
 // OnWriteHome implements Classifier.
-func (k *limited) OnWriteHome(c mem.CoreID, soleSharer bool) bool {
+func (k *Limited) OnWriteHome(c mem.CoreID, soleSharer bool) bool {
 	e := k.acquire(c)
 	if e == nil {
 		return k.majority()
@@ -109,11 +155,11 @@ func (k *limited) OnWriteHome(c mem.CoreID, soleSharer bool) bool {
 		return true
 	}
 	if soleSharer {
-		e.reuse = satIncr(e.reuse, k.rt)
+		e.reuse = satIncr(e.reuse, int(k.rt))
 	} else {
 		e.reuse = 1
 	}
-	if int(e.reuse) >= k.rt {
+	if int32(e.reuse) >= k.rt {
 		e.mode = true
 		return true
 	}
@@ -121,9 +167,10 @@ func (k *limited) OnWriteHome(c mem.CoreID, soleSharer bool) bool {
 }
 
 // OnOthersReset implements Classifier.
-func (k *limited) OnOthersReset(writer mem.CoreID) {
-	for i := range k.entries {
-		e := &k.entries[i]
+func (k *Limited) OnOthersReset(writer mem.CoreID) {
+	es := k.slots()
+	for i := range es {
+		e := &es[i]
 		if e.valid && e.core != writer && !e.mode {
 			e.reuse = 0
 			e.active = false
@@ -132,7 +179,7 @@ func (k *limited) OnOthersReset(writer mem.CoreID) {
 }
 
 // OnReplicaGone implements Classifier.
-func (k *limited) OnReplicaGone(c mem.CoreID, replicaReuse uint8, invalidation bool) {
+func (k *Limited) OnReplicaGone(c mem.CoreID, replicaReuse uint8, invalidation bool) {
 	e := k.find(c)
 	if e == nil {
 		return // untracked replicas carry no classifier state
@@ -141,7 +188,7 @@ func (k *limited) OnReplicaGone(c mem.CoreID, replicaReuse uint8, invalidation b
 	if invalidation {
 		x += int(e.reuse)
 	}
-	if x < k.rt {
+	if x < int(k.rt) {
 		e.mode = false
 	}
 	e.reuse = 0
@@ -149,7 +196,7 @@ func (k *limited) OnReplicaGone(c mem.CoreID, replicaReuse uint8, invalidation b
 }
 
 // ModeOf implements Classifier.
-func (k *limited) ModeOf(c mem.CoreID) bool {
+func (k *Limited) ModeOf(c mem.CoreID) bool {
 	if e := k.find(c); e != nil {
 		return e.mode
 	}
@@ -157,11 +204,9 @@ func (k *limited) ModeOf(c mem.CoreID) bool {
 }
 
 // Tracked implements Classifier.
-func (k *limited) Tracked(c mem.CoreID) bool { return k.find(c) != nil }
+func (k *Limited) Tracked(c mem.CoreID) bool { return k.find(c) != nil }
 
 // Reset implements Classifier.
-func (k *limited) Reset() {
-	for i := range k.entries {
-		k.entries[i] = limEntry{}
-	}
+func (k *Limited) Reset() {
+	clear(k.slots())
 }

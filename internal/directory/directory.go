@@ -9,7 +9,11 @@
 // The locality classifier of the paper is deliberately NOT part of this
 // package: the paper stresses that reuse tracking is decoupled from sharer
 // tracking (§2.2.5). Entries carry an opaque classifier reference owned by
-// internal/core.
+// internal/core. Under the locality-aware scheme with a Limited-k
+// classifier the coherence engine embeds each Entry in a home record that
+// also holds the line's locality list, so one allocation carries the whole
+// hardware entry. The engine recycles a dead entry (Entry.Reset), record
+// and classifier state included, instead of allocating a new one.
 package directory
 
 import (
@@ -40,19 +44,24 @@ const MaxCores = 64
 // precise after overflow; timing/energy still pay broadcast), so core ids
 // must be below MaxCores.
 type SharerSet struct {
-	p        int
 	bits     uint64
+	p        uint8
 	overflow bool
 }
 
 // NewSharerSet returns a sharer set with p ACKwise pointers, or a full-map
-// set when p == 0.
+// set when p == 0. A p above MaxCores is stored as MaxCores: the set never
+// holds more than MaxCores sharers, so neither pointer count can overflow
+// and the two behave alike.
 func NewSharerSet(p int) SharerSet {
-	return SharerSet{p: p}
+	if p < 0 {
+		panic(fmt.Sprintf("directory: %d ACKwise pointers", p))
+	}
+	return SharerSet{p: uint8(min(p, MaxCores))}
 }
 
-// Pointers returns p (0 for full-map).
-func (s *SharerSet) Pointers() int { return s.p }
+// Pointers returns p (0 for full-map), clamped to MaxCores.
+func (s *SharerSet) Pointers() int { return int(s.p) }
 
 // Count returns the number of sharers.
 func (s *SharerSet) Count() int { return bits.OnesCount64(s.bits) }
@@ -80,7 +89,7 @@ func (s *SharerSet) Add(c mem.CoreID) {
 	// Pointer overflow: a p-pointer set switches to broadcast mode when a
 	// new sharer arrives with all p pointers occupied. Sticky, as in
 	// hardware.
-	if !s.overflow && s.p != 0 && bits.OnesCount64(s.bits) >= s.p {
+	if !s.overflow && s.p != 0 && bits.OnesCount64(s.bits) >= int(s.p) {
 		s.overflow = true
 	}
 	s.bits |= m
@@ -120,7 +129,9 @@ func (s *SharerSet) Clear() {
 	s.overflow = false
 }
 
-// Entry is the directory state attached to a home LLC line.
+// Entry is the directory state attached to a home LLC line. The fields a
+// home access reads and writes come first, so they share a host cache line;
+// the cluster-replica set, touched only under cluster replication, is last.
 type Entry struct {
 	// Sharers tracks cores with copies (L1 and/or local LLC replica).
 	Sharers SharerSet
@@ -128,14 +139,6 @@ type Entry struct {
 	// HasOwner. The owner is also a member of Sharers.
 	Owner    mem.CoreID
 	HasOwner bool
-	// ReplicaSlices tracks, for cluster-level replication (§2.3.4), the LLC
-	// slices (other than L1 sharers' own) currently holding a replica. For
-	// cluster size 1 the replica slice equals the requesting core and is
-	// covered by Sharers; this set stays empty.
-	ReplicaSlices []mem.CoreID
-	// Classifier is the opaque per-line locality classifier state owned by
-	// internal/core; nil for schemes that do not classify.
-	Classifier any
 	// Version counts writes serialized at this home. Every valid copy of the
 	// line records the version it read; the single-writer-multiple-reader
 	// invariant implies a valid copy always matches the home version. The
@@ -146,6 +149,14 @@ type Entry struct {
 	// "LLC home waiting time". The coherence engine sets it at the end of
 	// every home transaction.
 	NextFree mem.Cycles
+	// Classifier is the opaque per-line locality classifier state owned by
+	// internal/core; nil for schemes that do not classify.
+	Classifier any
+	// ReplicaSlices tracks, for cluster-level replication (§2.3.4), the LLC
+	// slices (other than L1 sharers' own) currently holding a replica. For
+	// cluster size 1 the replica slice equals the requesting core and is
+	// covered by Sharers; this set stays empty.
+	ReplicaSlices []mem.CoreID
 }
 
 // NewEntry returns an entry with an ACKwise-p sharer set.
@@ -155,15 +166,9 @@ func NewEntry(p int) *Entry {
 
 // Reset returns the entry to its NewEntry(p) state, retaining the
 // ReplicaSlices capacity. It exists so an engine can recycle dead entries
-// through a free list instead of allocating one per off-chip fill.
+// instead of allocating one per off-chip fill.
 func (e *Entry) Reset(p int) {
-	e.Sharers = NewSharerSet(p)
-	e.Owner = 0
-	e.HasOwner = false
-	e.ReplicaSlices = e.ReplicaSlices[:0]
-	e.Classifier = nil
-	e.Version = 0
-	e.NextFree = 0
+	*e = Entry{Sharers: NewSharerSet(p), ReplicaSlices: e.ReplicaSlices[:0]}
 }
 
 // SetOwner records c as the E/M owner.

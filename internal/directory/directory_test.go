@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"lard/internal/mem"
 )
@@ -191,7 +192,8 @@ func TestEntryVersionStartsZero(t *testing.T) {
 
 // TestEntryResetMatchesNew: a recycled entry is indistinguishable from a
 // fresh one, the home stamp included, so an engine's free list can never
-// leak one line's state into another.
+// leak one line's state into another. Every field of Entry is dirtied
+// before the Reset, so a field added later is covered or fails the test.
 func TestEntryResetMatchesNew(t *testing.T) {
 	e := NewEntry(4)
 	for c := mem.CoreID(0); c < 6; c++ {
@@ -202,13 +204,68 @@ func TestEntryResetMatchesNew(t *testing.T) {
 	e.Classifier = struct{}{}
 	e.Version = 7
 	e.NextFree = 1234
+	v := reflect.ValueOf(e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("field %s left zero: the test must dirty every Entry field", v.Type().Field(i).Name)
+		}
+	}
 	e.Reset(2)
 	fresh := NewEntry(2)
-	if len(e.ReplicaSlices) != 0 {
-		t.Fatalf("ReplicaSlices = %v after Reset", e.ReplicaSlices)
+	if len(e.ReplicaSlices) != 0 || cap(e.ReplicaSlices) == 0 {
+		t.Fatalf("ReplicaSlices = %v (cap %d) after Reset, want empty with capacity kept", e.ReplicaSlices, cap(e.ReplicaSlices))
 	}
 	e.ReplicaSlices = nil
 	if !reflect.DeepEqual(e, fresh) {
 		t.Fatalf("Reset entry %+v, fresh entry %+v", *e, *fresh)
+	}
+}
+
+// TestEntryHotFieldsShareACacheLine: the fields every home access touches
+// lie in the first 64 bytes of the entry, ahead of the classifier reference
+// and the cluster-replica set.
+func TestEntryHotFieldsShareACacheLine(t *testing.T) {
+	var e Entry
+	hot := []struct {
+		name     string
+		off, len uintptr
+	}{
+		{"Sharers", unsafe.Offsetof(e.Sharers), unsafe.Sizeof(e.Sharers)},
+		{"Owner", unsafe.Offsetof(e.Owner), unsafe.Sizeof(e.Owner)},
+		{"HasOwner", unsafe.Offsetof(e.HasOwner), unsafe.Sizeof(e.HasOwner)},
+		{"Version", unsafe.Offsetof(e.Version), unsafe.Sizeof(e.Version)},
+		{"NextFree", unsafe.Offsetof(e.NextFree), unsafe.Sizeof(e.NextFree)},
+	}
+	for _, f := range hot {
+		if f.off+f.len > 64 {
+			t.Errorf("%s ends at byte %d, past the first 64-byte line", f.name, f.off+f.len)
+		}
+		if f.off > unsafe.Offsetof(e.Classifier) || f.off > unsafe.Offsetof(e.ReplicaSlices) {
+			t.Errorf("%s lies behind a cold field", f.name)
+		}
+	}
+}
+
+// TestSharerSetPointerClamp: a pointer count at or above MaxCores is stored
+// as MaxCores and, like the full map, never overflows.
+func TestSharerSetPointerClamp(t *testing.T) {
+	for _, p := range []int{MaxCores, MaxCores + 1, 1000} {
+		s := NewSharerSet(p)
+		if s.Pointers() != MaxCores {
+			t.Fatalf("NewSharerSet(%d).Pointers() = %d, want %d", p, s.Pointers(), MaxCores)
+		}
+		for c := mem.CoreID(0); c < MaxCores; c++ {
+			s.Add(c)
+		}
+		if s.Overflowed() || s.Count() != MaxCores {
+			t.Fatalf("p=%d: overflowed=%v count=%d with every core added", p, s.Overflowed(), s.Count())
+		}
+	}
+	s := NewSharerSet(MaxCores - 1)
+	for c := mem.CoreID(0); c < MaxCores; c++ {
+		s.Add(c)
+	}
+	if !s.Overflowed() {
+		t.Fatalf("p=%d must overflow on the %dth sharer", MaxCores-1, MaxCores)
 	}
 }
