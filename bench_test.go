@@ -14,6 +14,7 @@ package lard_test
 
 import (
 	"testing"
+	"time"
 
 	"lard"
 	"lard/internal/harness"
@@ -223,49 +224,53 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // fig7Member times one Figure-7 member run (BARNES under RT-3 on the
-// 16-core machine) through the public facade, with or without the
-// phase-timing side channel wired.
-func fig7Member(b *testing.B, tm *lard.Timing) {
+// 16-core machine) through the public facade, with or without an
+// observer wired.
+func fig7Member(b *testing.B, ob obs.RunObserver) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		if _, err := lard.Run("BARNES", lard.LocalityAware(3),
-			lard.Options{Cores: 16, OpsScale: 0.5, Timing: tm}); err != nil {
+			lard.Options{Cores: 16, OpsScale: 0.5, Observer: ob}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFig7MemberUntraced is the baseline: no observers wired, the
+// BenchmarkFig7MemberUntraced is the baseline: no observer wired, the
 // configuration every pre-observability run used.
 func BenchmarkFig7MemberUntraced(b *testing.B) { fig7Member(b, nil) }
 
-// BenchmarkFig7MemberTraced wires the sim.Timing phase breakdown — the
-// full per-run cost of the tracing side channel. Compare its ns/op against
-// BenchmarkFig7MemberUntraced: the delta is the observability overhead,
-// and the acceptance bar for the disabled path is < 2%. It also reports
-// the coherence loop's share of the run, the quantity the trace endpoint's
-// waterfall visualizes.
+// BenchmarkFig7MemberTraced wires an observer that sums the phase times —
+// the full per-run cost of the phase and epoch calls. Compare its ns/op
+// against BenchmarkFig7MemberUntraced: the delta is the observability
+// overhead, and the acceptance bar for the disabled path is < 2%. It also
+// reports the coherence loop's share of the run, the quantity the trace
+// endpoint's waterfall visualizes.
 func BenchmarkFig7MemberTraced(b *testing.B) {
-	var tm lard.Timing
-	fig7Member(b, &tm)
-	if total := tm.Total(); total > 0 {
-		b.ReportMetric(float64(tm.CoherenceLoop)/float64(total), "coherence-loop-share")
+	var w watch
+	fig7Member(b, &w)
+	var total time.Duration
+	for _, d := range w.phases {
+		total += d
+	}
+	if total > 0 {
+		b.ReportMetric(float64(w.phases["coherence_loop"])/float64(total), "coherence-loop-share")
 	}
 }
 
-// BenchmarkFig7MemberTelemetry wires the epoch flight recorder — the full
-// per-run cost of the telemetry side channel. Compare its ns/op against
-// BenchmarkFig7MemberUntraced: sampling happens only at the checkEvery
-// cadence into preallocated rows, so the acceptance bar for the overhead
-// is < 5% with bounded allocations (the recorder itself plus its fixed
-// sample matrix). It also reports epochs recorded per run, pinning the
-// decimation arithmetic to a visible number.
+// BenchmarkFig7MemberTelemetry wires the epoch flight recorder as the
+// observer. Compare its ns/op against BenchmarkFig7MemberUntraced:
+// sampling happens only at the epoch cadence into preallocated rows, so
+// the acceptance bar for the overhead is < 5% with bounded allocations
+// (the recorder itself plus its fixed sample matrix). It also reports
+// epochs recorded per run, pinning the decimation arithmetic to a
+// visible number.
 func BenchmarkFig7MemberTelemetry(b *testing.B) {
 	var epochs float64
 	for i := 0; i < b.N; i++ {
 		rec := obs.NewRecorder(0)
 		if _, err := lard.Run("BARNES", lard.LocalityAware(3),
-			lard.Options{Cores: 16, OpsScale: 0.5, Telemetry: rec}); err != nil {
+			lard.Options{Cores: 16, OpsScale: 0.5, Observer: rec}); err != nil {
 			b.Fatal(err)
 		}
 		epochs = float64(rec.Epochs())

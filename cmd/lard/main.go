@@ -70,7 +70,7 @@ func main() {
 	var rec *obs.Recorder
 	if *tlOut != "" {
 		rec = obs.NewRecorder(0)
-		opt.Telemetry = rec
+		opt.Observer = rec
 	}
 	res, err := lard.Run(*bench, s, opt)
 	if err != nil {

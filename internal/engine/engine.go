@@ -55,9 +55,9 @@ func terminal(status string) bool {
 }
 
 // RunFunc executes one simulation through a store, honoring ctx
-// cancellation and reporting instructions-retired progress. It is a seam
-// for tests; production engines use lard.RunWithStoreProgress.
-type RunFunc func(ctx context.Context, st *resultstore.Store, benchmark string, s lard.Scheme, o lard.Options, progress lard.ProgressFunc) (*lard.Result, bool, error)
+// cancellation and reporting to o.Observer. It is a seam for tests;
+// production engines use lard.RunWithStoreProgress.
+type RunFunc func(ctx context.Context, st *resultstore.Store, benchmark string, s lard.Scheme, o lard.Options) (*lard.Result, bool, error)
 
 // Request identifies one run: the wire shape of POST /v1/runs.
 type Request struct {
@@ -204,9 +204,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	run := cfg.Run
 	if run == nil {
-		run = func(ctx context.Context, st *resultstore.Store, benchmark string, s lard.Scheme, o lard.Options, p lard.ProgressFunc) (*lard.Result, bool, error) {
-			return lard.RunWithStoreProgress(ctx, st, benchmark, s, o, p)
-		}
+		run = lard.RunWithStoreProgress
 	}
 	maxDone := cfg.MaxCompletedJobs
 	if maxDone <= 0 {
@@ -326,28 +324,21 @@ func (e *Engine) worker(lane int) {
 		e.publishJobLocked(j, Event{State: StatusRunning, Progress: j.progress})
 		e.mu.Unlock()
 
-		// When tracing, run through an options copy carrying the
-		// simulator's phase-timing side channel — key-neutral, so the
-		// job's content address (its id) is untouched.
-		opts := j.req.Options
-		var tm lard.Timing
-		if simSpan != nil {
-			opts.Timing = &tm
-		}
-		// When telemetry is on, attach a flight recorder the same way:
-		// through the options copy, never the keyed request. Epoch frames
-		// flow onto the run's event topic as they commit.
+		// The job's observer rides on an options copy, never the keyed
+		// request: it is key-neutral, so the job's content address (its
+		// id) is untouched.
+		ob := &jobObserver{e: e, j: j, span: simSpan}
 		if e.obs.Timelines.Enabled() {
-			rec := e.obs.Timelines.Attach(j.id)
-			rec.OnEpoch(func(f obs.EpochFrame) { e.publishEpoch(j, f) })
-			opts.Telemetry = rec
+			ob.rec = e.obs.Timelines.Attach(j.id)
+			ob.rec.OnEpoch(func(f obs.EpochFrame) { e.publishEpoch(j, f) })
 		}
-		progress := func(done, total uint64) { e.reportProgress(j, done, total) }
+		opts := j.req.Options
+		opts.Observer = ob
 		callStart := time.Now()
-		res, cached, err := e.run(ctx, e.store, j.req.Benchmark, j.req.Scheme, opts, progress)
+		res, cached, err := e.run(ctx, e.store, j.req.Benchmark, j.req.Scheme, opts)
 		callDur := time.Since(callStart)
 		cancel()
-		e.graftSimPhases(j, simSpan, &tm, callStart, callDur, cached)
+		ob.stored(callStart, callDur, cached)
 		e.finish(j, res, cached, err)
 		e.mu.Lock()
 		e.busy--
@@ -356,38 +347,45 @@ func (e *Engine) worker(lane int) {
 	}
 }
 
-// graftSimPhases attaches the simulator's measured phase breakdown as
-// children of the "simulating" span and adds the "stored" span covering
+// jobObserver is a running job's one simulation observer. Each phase
+// ends as a child of the "simulating" span, and each epoch feeds the
+// job's timeline recorder (whose commits stream as SSE epoch frames) and
+// its progress events. Cancellation needs nothing here: the run call
+// stops the simulation once ctx is done.
+type jobObserver struct {
+	e    *Engine
+	j    *job
+	span *obs.Span     // "simulating"; nil when tracing is disabled
+	rec  *obs.Recorder // nil when telemetry is disabled
+	sim  time.Duration // summed phase time
+}
+
+func (o *jobObserver) Phase(name string, start time.Time, d time.Duration) {
+	o.span.ChildAt(name, start, d)
+	o.sim += d
+}
+
+func (o *jobObserver) Epoch(ep *obs.RunEpoch) bool {
+	o.rec.Epoch(ep)
+	o.e.reportProgress(o.j, ep.Done, ep.Total)
+	return false
+}
+
+// stored ends the "simulating" span and adds the "stored" span covering
 // the residual of the run call (store write, encode, singleflight
 // coordination). Runs served from the store mid-call — or executed by a
-// stub RunFunc that never fills the side channel — get a single "stored"
-// span over the whole call. No-op when tracing is disabled.
-func (e *Engine) graftSimPhases(j *job, simSpan *obs.Span, tm *lard.Timing, callStart time.Time, callDur time.Duration, cached bool) {
-	if simSpan == nil {
+// stub RunFunc that reports no phases — get a single "stored" span over
+// the whole call. No-op when tracing is disabled.
+func (o *jobObserver) stored(callStart time.Time, callDur time.Duration, cached bool) {
+	if o.span == nil {
 		return
 	}
-	simulated := tm.Total() > 0
-	if simulated {
-		t := tm.Start
-		for _, ph := range []struct {
-			name string
-			d    time.Duration
-		}{
-			{"setup", tm.Setup},
-			{"trace_decode", tm.TraceDecode},
-			{"coherence_loop", tm.CoherenceLoop},
-			{"finalize", tm.Finalize},
-		} {
-			simSpan.ChildAt(ph.name, t, ph.d)
-			t = t.Add(ph.d)
-		}
-	}
-	simSpan.End()
+	o.span.End()
 	var stored *obs.Span
-	if simulated && callDur > tm.Total() {
-		stored = j.root.ChildAt("stored", callStart.Add(tm.Total()), callDur-tm.Total())
+	if o.sim > 0 && callDur > o.sim {
+		stored = o.j.root.ChildAt("stored", callStart.Add(o.sim), callDur-o.sim)
 	} else {
-		stored = j.root.ChildAt("stored", callStart, callDur)
+		stored = o.j.root.ChildAt("stored", callStart, callDur)
 	}
 	if cached {
 		stored.SetAttr("cached", "true")
@@ -574,7 +572,7 @@ func (e *Engine) attachLocked(j *job) (JobView, bool, error) {
 
 // Cancel requests cancellation of the job with the given id. A queued job
 // cancels immediately; a running one has its context cancelled, which
-// interrupts the simulation at its next progress check and reports the
+// stops the simulation at its next observer epoch and reports the
 // terminal cancelled event asynchronously. Terminal jobs return
 // ErrTerminal, unknown ids ErrUnknownJob.
 func (e *Engine) Cancel(id string) (JobView, error) {
@@ -611,8 +609,9 @@ func (e *Engine) Cancel(id string) (JobView, error) {
 	return viewOf(j), nil
 }
 
-// reportProgress is the engine-side simulator progress callback: it
-// updates the job record and publishes a throttled progress event.
+// reportProgress updates the job record from a simulator epoch and
+// publishes a throttled progress event; a job being cancelled reports
+// nothing more.
 func (e *Engine) reportProgress(j *job, done, total uint64) {
 	if total == 0 {
 		return
@@ -623,7 +622,7 @@ func (e *Engine) reportProgress(j *job, done, total uint64) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if j.status != StatusRunning || frac <= j.progress {
+	if j.status != StatusRunning || j.cancelReq || frac <= j.progress {
 		return
 	}
 	if frac < 1 && frac-j.progress < progressDelta {

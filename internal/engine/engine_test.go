@@ -139,7 +139,7 @@ func TestLifecycleEvents(t *testing.T) {
 // blockingRun is a fake RunFunc that signals start, then waits for release
 // or cancellation.
 func blockingRun(started chan<- string, release <-chan struct{}) RunFunc {
-	return func(ctx context.Context, st *resultstore.Store, bench string, s lard.Scheme, o lard.Options, p lard.ProgressFunc) (*lard.Result, bool, error) {
+	return func(ctx context.Context, st *resultstore.Store, bench string, s lard.Scheme, o lard.Options) (*lard.Result, bool, error) {
 		if started != nil {
 			started <- s.Label()
 		}
@@ -260,7 +260,7 @@ func TestCancelRunningRealSim(t *testing.T) {
 // terminal state with exactly one terminal event, and the engine survives
 // -race.
 func TestCancelRacesCompletion(t *testing.T) {
-	instant := func(ctx context.Context, st *resultstore.Store, bench string, s lard.Scheme, o lard.Options, p lard.ProgressFunc) (*lard.Result, bool, error) {
+	instant := func(ctx context.Context, st *resultstore.Store, bench string, s lard.Scheme, o lard.Options) (*lard.Result, bool, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
@@ -326,7 +326,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 func TestDispatchPriority(t *testing.T) {
 	started := make(chan string, 8)
 	release := make(chan struct{}, 8)
-	run := func(ctx context.Context, st *resultstore.Store, bench string, s lard.Scheme, o lard.Options, p lard.ProgressFunc) (*lard.Result, bool, error) {
+	run := func(ctx context.Context, st *resultstore.Store, bench string, s lard.Scheme, o lard.Options) (*lard.Result, bool, error) {
 		started <- bench
 		<-release
 		return &lard.Result{Benchmark: bench, Scheme: s.Label(), CompletionCycles: 1}, false, nil

@@ -35,113 +35,6 @@ type Base struct {
 	// repeated campaigns over the same (config, scheme, benchmark, seed,
 	// scale) reuse stored results instead of re-simulating.
 	Store *resultstore.Store
-	// Progress, when non-nil, observes the campaign live: every few
-	// thousand simulated operations of every member, plus one observation
-	// per finished member. Under RunMatrix the observations carry
-	// campaign-level aggregation (members finished, overall fraction);
-	// standalone Run reports the single member alone. Observations may
-	// arrive concurrently from the matrix workers but are serialized — the
-	// callback is never invoked twice at once.
-	Progress func(CampaignProgress)
-
-	// agg is the matrix-level aggregator RunMatrix installs; standalone
-	// runs leave it nil and report member-only progress.
-	agg *matrixAgg
-}
-
-// CampaignProgress is one observation of a running campaign.
-type CampaignProgress struct {
-	// Bench and Label identify the member that advanced.
-	Bench, Label string
-	// MemberDone/MemberTotal are the member's simulated-operation progress
-	// (done == total on completion; a store-cached member reports only its
-	// completion, with the stored run's operation count on both sides).
-	MemberDone, MemberTotal uint64
-	// MembersFinished and Members count whole member runs at campaign
-	// level (1 total for a standalone Run).
-	MembersFinished, Members int
-	// Overall is the aggregate campaign fraction in [0,1]: finished
-	// members count 1, in-flight members their current fraction.
-	Overall float64
-}
-
-// matrixAgg aggregates per-member fractions into one campaign fraction.
-type matrixAgg struct {
-	mu       sync.Mutex
-	members  int
-	finished int
-	inflight map[string]float64
-}
-
-func newMatrixAgg(members int) *matrixAgg {
-	return &matrixAgg{members: members, inflight: make(map[string]float64)}
-}
-
-func (a *matrixAgg) overallLocked() float64 {
-	s := float64(a.finished)
-	for _, f := range a.inflight {
-		s += f
-	}
-	return s / float64(a.members)
-}
-
-// observe records an in-flight member fraction; finish retires a member.
-// Both fill the campaign-level fields of cp and invoke emit under the
-// aggregator lock, so observers see a serialized, consistent stream.
-func (a *matrixAgg) observe(key string, frac float64, cp CampaignProgress, emit func(CampaignProgress)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.inflight[key] = frac
-	cp.MembersFinished, cp.Members, cp.Overall = a.finished, a.members, a.overallLocked()
-	emit(cp)
-}
-
-func (a *matrixAgg) finish(key string, cp CampaignProgress, emit func(CampaignProgress)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.inflight, key)
-	a.finished++
-	cp.MembersFinished, cp.Members, cp.Overall = a.finished, a.members, a.overallLocked()
-	emit(cp)
-}
-
-// report routes one member observation through the matrix aggregator when
-// RunMatrix installed one, or straight to the observer for standalone runs.
-func (b Base) report(bench, label string, done, total uint64, finished bool) {
-	if b.Progress == nil {
-		return
-	}
-	cp := CampaignProgress{Bench: bench, Label: label, MemberDone: done, MemberTotal: total, Members: 1}
-	frac := 0.0
-	if total > 0 {
-		frac = float64(done) / float64(total)
-	}
-	key := bench + "\x00" + label
-	switch {
-	case b.agg == nil:
-		if finished {
-			cp.MembersFinished = 1
-		}
-		cp.Overall = frac
-		b.Progress(cp)
-	case finished:
-		b.agg.finish(key, cp, b.Progress)
-	default:
-		b.agg.observe(key, frac, cp, b.Progress)
-	}
-}
-
-// memberObserver is the sim-level progress callback for one member.
-func (b Base) memberObserver(bench, label string) func(done, total uint64) {
-	if b.Progress == nil {
-		return nil
-	}
-	// Completion at campaign level is reported separately when the member
-	// truly retires (a member may span several simulations, as AutoASR
-	// does), so even done == total reports here as in-flight.
-	return func(done, total uint64) {
-		b.report(bench, label, done, total, false)
-	}
 }
 
 // StoreSummary renders the campaign's cache effectiveness after a run —
@@ -280,13 +173,11 @@ func Run(base Base, bench string, v Variant) (*sim.Result, error) {
 		Seed:      base.Seed,
 		OpsScale:  base.OpsScale,
 		TrackRuns: v.TrackRuns,
-		Progress:  base.memberObserver(bench, v.Label),
 	})
 	if err != nil {
 		return nil, err
 	}
 	res.Scheme = v.Label
-	base.report(bench, v.Label, res.Ops, res.Ops, true)
 	return res, nil
 }
 
@@ -307,47 +198,21 @@ func runAutoASR(base Base, prof trace.Profile, v Variant) (*sim.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: %w", prof.Name, v.Label, err)
 	}
-	levels := uint64(len(ASRLevels))
-
-	// The member's progress spans the five level evaluations. Levels now
-	// advance concurrently, so the member fraction is the mutex-guarded sum
-	// of per-level done counts — monotonic even though per-level reports
-	// interleave arbitrarily.
-	var pmu sync.Mutex
-	doneByLevel := make([]uint64, len(ASRLevels))
-	observe := func(lvl int, done, total uint64) {
-		pmu.Lock()
-		defer pmu.Unlock()
-		doneByLevel[lvl] = done
-		var sum uint64
-		for _, d := range doneByLevel {
-			sum += d
-		}
-		// Reported under pmu so the observer stays serialized even for
-		// standalone runs, where report calls it directly.
-		base.report(prof.Name, v.Label, sum, levels*total, false)
-	}
-
 	results := make([]*sim.Result, len(ASRLevels))
 	errs := make([]error, len(ASRLevels))
 	var wg sync.WaitGroup
 	for i, level := range ASRLevels {
-		opt := sim.Options{
-			Scheme:    coherence.ASR,
-			ASRLevel:  level,
-			Seed:      base.Seed,
-			OpsScale:  base.OpsScale,
-			TrackRuns: v.TrackRuns,
-		}
-		if base.Progress != nil {
-			lvl := i
-			opt.Progress = func(done, total uint64) { observe(lvl, done, total) }
-		}
 		wg.Add(1)
-		go func(i int, opt sim.Options) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = base.simulate(cfg, prof, opt)
-		}(i, opt)
+			results[i], errs[i] = base.simulate(cfg, prof, sim.Options{
+				Scheme:    coherence.ASR,
+				ASRLevel:  level,
+				Seed:      base.Seed,
+				OpsScale:  base.OpsScale,
+				TrackRuns: v.TrackRuns,
+			})
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -364,7 +229,6 @@ func runAutoASR(base Base, prof trace.Profile, v Variant) (*sim.Result, error) {
 		}
 	}
 	best.Scheme = v.Label
-	base.report(prof.Name, v.Label, best.Ops, best.Ops, true)
 	return best, nil
 }
 
@@ -434,11 +298,6 @@ func RunMatrix(base Base, variants []Variant) (*Matrix, error) {
 		v     Variant
 	}
 	jobs := make(chan job)
-	if base.Progress != nil {
-		// Matrix-level aggregation: every member observation from here on
-		// carries (finished, total, overall) across the whole matrix.
-		base.agg = newMatrixAgg(len(benches) * len(variants))
-	}
 	par := base.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)

@@ -332,70 +332,3 @@ func TestOracleAblation(t *testing.T) {
 		}
 	}
 }
-
-// TestMatrixProgress pins the campaign-level progress aggregation: a 2x2
-// matrix reports serialized observations whose overall fraction starts
-// below 1, never decreases, retires exactly 4 members, and ends at 1.0.
-func TestMatrixProgress(t *testing.T) {
-	base := smallBase("DEDUP", "BARNES")
-	base.Parallelism = 2
-	var (
-		obs        []CampaignProgress
-		interior   bool
-		lastFinish int
-	)
-	base.Progress = func(p CampaignProgress) {
-		obs = append(obs, p)
-		if p.Overall > 0 && p.Overall < 1 {
-			interior = true
-		}
-		if p.MembersFinished < lastFinish {
-			t.Errorf("members finished went backwards: %d after %d", p.MembersFinished, lastFinish)
-		}
-		lastFinish = p.MembersFinished
-	}
-	variants := []Variant{
-		{Label: "S-NUCA", Scheme: coherence.SNUCA},
-		{Label: "RT-3", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1},
-	}
-	if _, err := RunMatrix(base, variants); err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) == 0 {
-		t.Fatal("no progress observations")
-	}
-	last := obs[len(obs)-1]
-	if last.MembersFinished != 4 || last.Members != 4 || last.Overall != 1.0 {
-		t.Fatalf("final observation = %+v, want 4/4 members at overall 1.0", last)
-	}
-	if !interior {
-		t.Fatal("no interior overall fraction observed")
-	}
-	for _, p := range obs {
-		if p.Bench != "DEDUP" && p.Bench != "BARNES" {
-			t.Fatalf("observation names foreign bench %q", p.Bench)
-		}
-		if p.Label != "S-NUCA" && p.Label != "RT-3" {
-			t.Fatalf("observation names foreign label %q", p.Label)
-		}
-	}
-}
-
-// TestStandaloneRunProgress pins single-run progress: member-only frames
-// with a final finished observation.
-func TestStandaloneRunProgress(t *testing.T) {
-	base := smallBase()
-	var last CampaignProgress
-	n := 0
-	base.Progress = func(p CampaignProgress) { last, n = p, n+1 }
-	res, err := Run(base, "BARNES", Variant{Label: "S-NUCA", Scheme: coherence.SNUCA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 || last.MembersFinished != 1 || last.Members != 1 || last.Overall != 1.0 {
-		t.Fatalf("final standalone observation = %+v (n=%d)", last, n)
-	}
-	if last.MemberDone != res.Ops || last.MemberTotal != res.Ops {
-		t.Fatalf("final member ops = %d/%d, want %d", last.MemberDone, last.MemberTotal, res.Ops)
-	}
-}

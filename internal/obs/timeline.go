@@ -5,12 +5,14 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"time"
 )
 
-// This file is the epoch-resolved telemetry layer: a Recorder is a
-// fixed-capacity flight recorder the simulator feeds at its existing
-// checkEvery cadence, and Timelines is the bounded per-run registry the
-// engine and server share (the timeline sibling of trace.go's Tracer).
+// This file is the epoch-resolved telemetry layer: RunObserver is the
+// one hook through the simulator's run loop, a Recorder is a
+// fixed-capacity flight recorder fed by its epoch calls, and Timelines
+// is the bounded per-run registry the engine and server share (the
+// timeline sibling of trace.go's Tracer).
 //
 // The core constraint is PR 8's: the simulator hot path stays
 // allocation-free. The Recorder preallocates one flat []uint64 sample
@@ -67,11 +69,42 @@ type EpochFrame struct {
 	Series map[string]uint64 `json:"series"`
 }
 
-// Recorder is a fixed-capacity epoch ring for one run. The simulator
-// calls Start once (per-run setup may allocate), then Sample at every
-// checkEvery boundary (never allocates), then Flush at the end. All
-// methods are nil-receiver safe, so a nil *Recorder is the disabled
-// recorder, the same contract as the nil *Tracer.
+// RunObserver watches one simulation (sim.Run). It is execution
+// plumbing, not run identity: wiring one never changes a run's content
+// address or its simulated outcome. The simulator makes two calls, both
+// on its own goroutine, so implementations must be fast:
+//
+//   - Phase at each phase boundary (setup, trace_decode, coherence_loop,
+//     finalize) with the phase's wall-clock start and duration. A
+//     stopped run reports the phases it began, coherence_loop holding
+//     the partial loop time.
+//   - Epoch every few thousand executed operations, and once more with
+//     Final set on every exit path. Returning true stops the run, which
+//     then returns no result. The argument is reused between calls.
+type RunObserver interface {
+	Phase(name string, start time.Time, d time.Duration)
+	Epoch(e *RunEpoch) (stop bool)
+}
+
+// RunEpoch is one Epoch observation of a running simulation.
+type RunEpoch struct {
+	// Done is the number of operations retired so far, Total the run's
+	// full operation count.
+	Done, Total uint64
+	// Series declares Values: the current cumulative counter values and
+	// gauge levels, one per series.
+	Series []SeriesDef
+	Values []uint64
+	// Final marks the run's last call, completed or stopped.
+	Final bool
+}
+
+// Recorder is a fixed-capacity epoch ring for one run. As a RunObserver
+// it starts on a run's first epoch (per-run setup may allocate), samples
+// every epoch (never allocates) and flushes on the final one; Start,
+// Sample and Flush are those three steps. All methods are nil-receiver
+// safe, so a nil *Recorder is the disabled recorder, the same contract
+// as the nil *Tracer.
 type Recorder struct {
 	mu   sync.Mutex
 	defs []SeriesDef
@@ -222,6 +255,29 @@ func (r *Recorder) decimateLocked() {
 		r.n = half
 	}
 	r.scale *= 2
+}
+
+// Phase ignores phase boundaries: a Recorder keeps epoch series only.
+func (r *Recorder) Phase(string, time.Time, time.Duration) {}
+
+// Epoch samples e, starting the timeline on a run's first epoch (or
+// restarting a finished one, as a retried run does) and flushing it on
+// the final one. It never stops the run.
+func (r *Recorder) Epoch(e *RunEpoch) bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	fresh := r.pend == nil || r.finished
+	r.mu.Unlock()
+	if fresh {
+		r.Start(e.Series)
+	}
+	r.Sample(e.Values)
+	if e.Final {
+		r.Flush()
+	}
+	return false
 }
 
 // Flush commits any partial pending epoch and marks the timeline

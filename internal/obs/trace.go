@@ -162,9 +162,9 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
-// ChildAt starts a child span with an explicit start time and duration —
-// used to graft the simulator's own phase breakdown, measured inside
-// sim.Run, into the tree after the fact.
+// ChildAt adds a finished child span with an explicit start time and
+// duration — used to write each of the simulator's phases, measured
+// inside sim.Run, into the tree as the phase ends.
 func (s *Span) ChildAt(name string, start time.Time, d time.Duration) *Span {
 	if s == nil {
 		return nil

@@ -63,15 +63,13 @@ type Spec struct {
 // SpecFor builds the canonical Spec for simulating benchmark bench on cfg
 // with opt. It normalizes defaulted fields (OpsScale 0 means 1.0, exactly
 // as sim.Run treats it) so equivalent requests share one address, and
-// strips the execution-only observer fields (progress callback, interrupt
-// channel): a spec is run identity, and two runs that differ only in who
-// is watching are the same run.
+// strips the execution-only Observer: a spec is run identity, and two
+// runs that differ only in who is watching are the same run.
 func SpecFor(bench string, cfg *config.Config, opt sim.Options) Spec {
 	if opt.OpsScale == 0 {
 		opt.OpsScale = 1
 	}
-	opt.Progress, opt.ProgressEvery, opt.Interrupt, opt.Timing = nil, 0, nil, nil
-	opt.Telemetry = nil
+	opt.Observer = nil
 	return Spec{Benchmark: bench, Config: *cfg, Options: opt}
 }
 

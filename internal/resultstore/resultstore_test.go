@@ -13,6 +13,7 @@ import (
 
 	"lard/internal/config"
 	"lard/internal/mem"
+	"lard/internal/obs"
 	"lard/internal/sim"
 	"lard/internal/stats"
 	"lard/internal/trace"
@@ -389,23 +390,17 @@ func TestEnvelopeIsSelfDescribing(t *testing.T) {
 	}
 }
 
-// TestObserverFieldsAreKeyNeutral pins that progress callbacks and
-// interrupt channels never change a run's content address — and are
-// stripped from the canonical spec entirely.
+// TestObserverFieldsAreKeyNeutral pins that an observer never changes a
+// run's content address — and is stripped from the canonical spec
+// entirely.
 func TestObserverFieldsAreKeyNeutral(t *testing.T) {
 	bare := SpecFor("BARNES", config.Small(), sim.Options{Seed: 3})
-	ch := make(chan struct{})
-	watched := SpecFor("BARNES", config.Small(), sim.Options{
-		Seed:          3,
-		Progress:      func(done, total uint64) {},
-		ProgressEvery: 7,
-		Interrupt:     ch,
-	})
+	watched := SpecFor("BARNES", config.Small(), sim.Options{Seed: 3, Observer: obs.NewRecorder(0)})
 	if bare.Key() != watched.Key() {
-		t.Fatal("observer fields changed the content address")
+		t.Fatal("observer field changed the content address")
 	}
-	if watched.Options.Progress != nil || watched.Options.Interrupt != nil || watched.Options.ProgressEvery != 0 {
-		t.Fatalf("SpecFor must strip observer fields, got %+v", watched.Options)
+	if watched.Options.Observer != nil {
+		t.Fatalf("SpecFor must strip the observer, got %+v", watched.Options)
 	}
 }
 

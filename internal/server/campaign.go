@@ -27,7 +27,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -46,10 +45,7 @@ type CampaignView = engine.CampaignView
 // handleCampaignSubmit implements POST /v1/campaigns.
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec lard.CampaignSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode campaign: %w", err))
+	if !decodeBody(w, r, "campaign", &spec) {
 		return
 	}
 	for _, sch := range spec.Schemes {

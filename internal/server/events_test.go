@@ -422,7 +422,7 @@ func TestResultsKeysPaging(t *testing.T) {
 func TestRunEventsReplayAfterRetry(t *testing.T) {
 	release := make(chan struct{})
 	attempts := 0
-	flaky := func(ctx context.Context, st *resultstore.Store, bench string, sc lard.Scheme, o lard.Options, p lard.ProgressFunc) (*lard.Result, bool, error) {
+	flaky := func(ctx context.Context, st *resultstore.Store, bench string, sc lard.Scheme, o lard.Options) (*lard.Result, bool, error) {
 		attempts++
 		if attempts == 1 {
 			return nil, false, errBoom

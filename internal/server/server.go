@@ -228,13 +228,38 @@ func validateScheme(sch lard.Scheme) error {
 	return lard.ValidateScheme(sch)
 }
 
+// maxRequestBody bounds a POST /v1/runs or /v1/campaigns body; a
+// campaign over every benchmark and scheme is a few KiB.
+const maxRequestBody = 1 << 20
+
+// decodeBody strictly decodes the request body into v: unknown fields and
+// any data after the one JSON value are rejected (400), and a body past
+// maxRequestBody is cut off unread (413). On failure it has written the
+// error response and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("decode %s: %w", what, err))
+	return false
+}
+
 // handleSubmit implements POST /v1/runs.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, "request", &req) {
 		return
 	}
 	if err := validateScheme(req.Scheme); err != nil {

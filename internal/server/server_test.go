@@ -163,7 +163,7 @@ func TestCacheHitAcrossRestart(t *testing.T) {
 // blockingTestRun is a RunFunc that parks until release fires (or the run
 // is cancelled), optionally announcing each start on started.
 func blockingTestRun(started chan<- string, release <-chan struct{}) RunFunc {
-	return func(ctx context.Context, st *resultstore.Store, benchmark string, s lard.Scheme, o lard.Options, p lard.ProgressFunc) (*lard.Result, bool, error) {
+	return func(ctx context.Context, st *resultstore.Store, benchmark string, s lard.Scheme, o lard.Options) (*lard.Result, bool, error) {
 		if started != nil {
 			started <- s.Label()
 		}

@@ -4,6 +4,11 @@
 // accesses), implements the barrier synchronization of the parallel region,
 // and aggregates the §3.4 metrics: completion time and its breakdown, the
 // energy breakdown, L1 miss types, and the Figure-1 run-length histogram.
+//
+// One optional hook watches a run: Options.Observer (an obs.RunObserver)
+// hears the four phase boundaries and an epoch every
+// DefaultProgressEvery operations. Progress, cancellation, timelines and
+// trace spans are all built on it, above this package.
 package sim
 
 import (
@@ -21,11 +26,10 @@ import (
 
 // Options configure one simulation run.
 //
-// The Progress/ProgressEvery/Interrupt/Timing fields are execution
-// plumbing, not run identity: they are excluded from JSON encoding (and
-// therefore from every resultstore content address — two runs that differ
-// only in their observers are the same run) and must never change the
-// simulated outcome.
+// Observer is execution plumbing, not run identity: it is excluded from
+// JSON encoding (and therefore from every resultstore content address —
+// two runs that differ only in their observer are the same run) and must
+// never change the simulated outcome.
 //
 // Identity fields carry explicit json tags spelling their Go names: the
 // encoding predates the tags and existing content addresses are frozen,
@@ -46,37 +50,19 @@ type Options struct {
 	CheckInvariants bool `json:"CheckInvariants"`
 	// TrackRuns enables the Figure-1 run-length tracker.
 	TrackRuns bool `json:"TrackRuns"`
-	// Progress, when non-nil, is invoked every ProgressEvery executed
-	// memory operations with (operations retired, total operations), and
-	// once more at completion with done == total. A nil Progress costs
-	// nothing on the hot path.
-	Progress func(done, total uint64) `json:"-"`
-	// ProgressEvery is the Progress/Interrupt check cadence in executed
-	// operations (0 = DefaultProgressEvery). Only consulted when Progress
-	// or Interrupt is set.
-	ProgressEvery uint64 `json:"-"`
-	// Interrupt, when non-nil, aborts the run early: it is polled at the
-	// ProgressEvery cadence and, once it is closed (or delivers), Run
-	// returns nil instead of a Result. Wire a context's Done channel here
-	// to make a simulation cancellable.
-	Interrupt <-chan struct{} `json:"-"`
-	// Timing, when non-nil, receives the run's wall-clock phase breakdown
-	// (see Timing). Like the other observers it is key-neutral and costs
-	// nothing on the per-operation hot path: phases are stamped only at
-	// the four phase boundaries.
-	Timing *Timing `json:"-"`
-	// Telemetry, when non-nil, receives epoch-resolved counter samples at
-	// the same checkEvery cadence as Progress/Interrupt (plus one final
-	// sample, then Flush, on every exit path). Key-neutral like the other
-	// observers, and result-neutral: sampling only reads counters the
-	// engine and run loop already maintain.
-	Telemetry *obs.Recorder `json:"-"`
+	// Observer, when non-nil, watches the run: its Phase call fires at
+	// the four phase boundaries (setup, trace_decode, coherence_loop,
+	// finalize), its Epoch call every DefaultProgressEvery executed
+	// operations and once more on every exit path, carrying the
+	// telemetrySeries values. An Epoch that returns true stops the run.
+	// A nil Observer costs one predictable branch per operation.
+	Observer obs.RunObserver `json:"-"`
 }
 
-// DefaultProgressEvery is the default Progress/Interrupt polling cadence,
-// in executed memory operations: frequent enough that even scaled-down
-// test runs report intermediate fractions, rare enough to stay invisible
-// next to the per-operation simulation cost.
+// DefaultProgressEvery is the Observer's epoch cadence, in executed
+// memory operations: frequent enough that even scaled-down test runs
+// report intermediate fractions, rare enough to stay invisible next to
+// the per-operation simulation cost.
 const DefaultProgressEvery = 4096
 
 // Result is the outcome of one (benchmark, scheme) run.
@@ -207,31 +193,26 @@ func (s *sched) push(t mem.Cycles, c mem.CoreID) {
 }
 
 // Run simulates profile p on configuration cfg and returns the aggregated
-// result. Runs are deterministic for fixed inputs. When opt.Interrupt
-// fires mid-run, Run stops at the next cadence check and returns nil — the
-// only condition under which it does.
+// result. Runs are deterministic for fixed inputs. When an Observer epoch
+// asks to stop, Run returns nil — the only condition under which it does.
 func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 	if opt.OpsScale == 0 {
 		opt.OpsScale = 1
 	}
 	// Phase stamps touch the clock only at the four phase boundaries, so
-	// an unset Timing costs nothing and a set one stays invisible next to
-	// the per-operation simulation cost. Phases accumulate in a local
-	// scratch copied out on every exit path, so an interrupted run still
-	// reports the phases it completed.
-	var tm Timing
-	track := opt.Timing != nil
+	// an unset Observer costs nothing here and a set one stays invisible
+	// next to the per-operation simulation cost.
+	ob := opt.Observer
 	var phaseStart time.Time
-	if track {
+	if ob != nil {
 		phaseStart = time.Now()
-		tm.Start = phaseStart
 	}
-	lap := func(d *time.Duration) {
-		if !track {
+	phase := func(name string) {
+		if ob == nil {
 			return
 		}
 		now := time.Now()
-		*d = now.Sub(phaseStart)
+		ob.Phase(name, phaseStart, now.Sub(phaseStart))
 		phaseStart = now
 	}
 	eng := coherence.New(cfg, coherence.Options{
@@ -241,16 +222,16 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 		CheckInvariants: opt.CheckInvariants,
 		TrackRuns:       opt.TrackRuns,
 	})
-	lap(&tm.Setup)
+	phase("setup")
 	w := trace.Generate(p, cfg, opt.OpsScale, opt.Seed)
-	lap(&tm.TraceDecode)
+	phase("trace_decode")
 
 	n := cfg.Cores
 	st := &runState{
-		opt: &opt,
 		eng: eng,
 		w:   w,
 		sch: newSched(n),
+		ob:  ob,
 
 		breakdown: make([]stats.TimeBreakdown, n),
 		miss:      make([]stats.MissCounts, n),
@@ -269,51 +250,31 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 		cnt:  make([]int, n),
 	}
 
-	// Progress/interrupt/telemetry cadence: checkEvery stays 0 when no
-	// observer is wired, so the steady-state cost of this feature is one
-	// predictable branch per operation (checkLeft counts down and resets,
-	// sparing the hot path a modulo). Remaining() is exact here — the chunk
-	// windows above are filled lazily, after this count.
-	if opt.Progress != nil || opt.Interrupt != nil || opt.Telemetry != nil {
-		st.checkEvery = opt.ProgressEvery
-		if st.checkEvery == 0 {
-			st.checkEvery = DefaultProgressEvery
-		}
-		st.checkLeft = st.checkEvery
+	// Epoch setup happens once per run (allocation is fine here); the
+	// per-epoch path reuses st.ep and never allocates. Remaining() is
+	// exact here — the chunk windows above are filled lazily, after this
+	// count.
+	if ob != nil {
+		st.checkLeft = DefaultProgressEvery
+		st.ep.Series = telemetrySeries
+		st.ep.Values = make([]uint64, len(telemetrySeries))
 		for c := 0; c < n; c++ {
-			st.targetOps += uint64(w.Streams[c].Remaining())
+			st.ep.Total += uint64(w.Streams[c].Remaining())
 		}
 	}
 
-	// Telemetry setup happens once per run (allocation is fine here); the
-	// per-sample path reuses tscratch and never allocates.
-	if opt.Telemetry != nil {
-		st.rec = opt.Telemetry
-		st.rec.Start(telemetrySeries)
-		st.tscratch = make([]uint64, len(telemetrySeries))
+	stopped := st.loop()
+	phase("coherence_loop")
+	if ob != nil {
+		// The final epoch, on every exit path (a zero-delta epoch when the
+		// op count landed exactly on the cadence): after it, a recorder's
+		// every counter series sums to its final cumulative value — "ops"
+		// to Result.Ops, the miss series to Result.Miss — which is the
+		// conservation the timeline tests pin, for stopped runs too.
+		st.epoch(true)
 	}
-
-	if st.loop() {
-		if st.rec != nil {
-			// Final sample + Flush: the partial timeline of an interrupted
-			// run stays internally consistent.
-			st.sampleTelemetry()
-			st.rec.Flush()
-		}
-		if track {
-			lap(&tm.CoherenceLoop)
-			*opt.Timing = tm
-		}
+	if stopped {
 		return nil
-	}
-	lap(&tm.CoherenceLoop)
-	if st.rec != nil {
-		// Final sample (a zero-delta epoch when the op count landed exactly
-		// on the cadence) + Flush: after this, every counter series sums to
-		// its final cumulative value — "ops" to Result.Ops, the miss series
-		// to Result.Miss — which is the conservation the timeline tests pin.
-		st.sampleTelemetry()
-		st.rec.Flush()
 	}
 
 	r := &Result{
@@ -336,13 +297,7 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 	if opt.TrackRuns {
 		r.Runs = eng.RunHistogram()
 	}
-	if opt.Progress != nil {
-		opt.Progress(st.totalOps, st.targetOps)
-	}
-	if track {
-		lap(&tm.Finalize)
-		*opt.Timing = tm
-	}
+	phase("finalize")
 	return r
 }
 
@@ -350,7 +305,6 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 // aggregates the event loop drives, the trace windows and the observer
 // cadence.
 type runState struct {
-	opt *Options
 	eng *coherence.Engine
 	w   *trace.Workload
 
@@ -369,17 +323,14 @@ type runState struct {
 	pos  []int
 	cnt  []int
 
-	checkEvery uint64
-	checkLeft  uint64
-	targetOps  uint64
-
-	rec      *obs.Recorder
-	tscratch []uint64
+	ob        obs.RunObserver
+	checkLeft uint64
+	ep        obs.RunEpoch
 }
 
 // loop is the event loop: strict global (time, core) order, one access at
-// a time. It returns true when the run was interrupted.
-func (st *runState) loop() (interrupted bool) {
+// a time. It returns true when the observer stopped the run.
+func (st *runState) loop() (stopped bool) {
 	sch, bufs, pos, cnt := st.sch, st.bufs, st.pos, st.cnt
 	for sch.active > 0 {
 		now, c := sch.pop()
@@ -441,31 +392,20 @@ func (st *runState) coreAtBarrier(c mem.CoreID, now mem.Cycles) {
 	}
 }
 
-// commit applies one executed access to the run aggregates, runs the
-// cadence work (progress, interrupt polling, telemetry epochs) when it is
-// due, and reschedules the core. It returns true when the run was
-// interrupted.
+// commit applies one executed access to the run aggregates, delivers the
+// observer's epoch when one is due, and reschedules the core. It returns
+// true when the observer stopped the run.
 func (st *runState) commit(c mem.CoreID, gap mem.Cycles, res coherence.AccessResult) (stop bool) {
 	st.breakdown[c][stats.Compute] += gap
 	st.breakdown[c].Add(res.Breakdown)
 	st.miss[c][res.Miss]++
 	st.totalOps++
-	if st.checkEvery != 0 {
+	if st.ob != nil {
 		st.checkLeft--
 		if st.checkLeft == 0 {
-			st.checkLeft = st.checkEvery
-			if st.opt.Interrupt != nil {
-				select {
-				case <-st.opt.Interrupt:
-					return true
-				default:
-				}
-			}
-			if st.opt.Progress != nil {
-				st.opt.Progress(st.totalOps, st.targetOps)
-			}
-			if st.rec != nil {
-				st.sampleTelemetry()
+			st.checkLeft = DefaultProgressEvery
+			if st.epoch(false) {
+				return true
 			}
 		}
 	}
@@ -473,10 +413,12 @@ func (st *runState) commit(c mem.CoreID, gap mem.Cycles, res coherence.AccessRes
 	return false
 }
 
-// sampleTelemetry records one epoch sample from the run's live counters.
-func (st *runState) sampleTelemetry() {
-	fillTelemetry(st.tscratch, st.eng, st.totalOps, st.breakdown, st.miss)
-	st.rec.Sample(st.tscratch)
+// epoch delivers one observer epoch from the run's live counters and
+// reports whether the observer asked to stop.
+func (st *runState) epoch(final bool) bool {
+	fillTelemetry(st.ep.Values, st.eng, st.totalOps, st.breakdown, st.miss)
+	st.ep.Done, st.ep.Final = st.totalOps, final
+	return st.ob.Epoch(&st.ep)
 }
 
 // releaseBarrier wakes every parked core at the latest arrival time,

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"testing"
-	"time"
 
 	"lard/internal/coherence"
 	"lard/internal/config"
@@ -150,115 +149,6 @@ func TestSchemesSameOps(t *testing.T) {
 	for i := 1; i < len(ops); i++ {
 		if ops[i] != ops[0] {
 			t.Fatalf("op counts differ across schemes: %v", ops)
-		}
-	}
-}
-
-// TestProgressCallback pins the progress contract: monotone non-decreasing
-// done counts at the configured cadence, at least one strictly-interior
-// report, a final done == total report, and a result identical to the same
-// run without an observer (progress must never perturb the simulation).
-func TestProgressCallback(t *testing.T) {
-	type report struct{ done, total uint64 }
-	var reports []report
-	opt := Options{
-		OpsScale:      0.05,
-		ProgressEvery: 64,
-		Progress:      func(done, total uint64) { reports = append(reports, report{done, total}) },
-	}
-	r := runSmall(t, coherence.SNUCA, "BARNES", opt)
-	if r == nil {
-		t.Fatal("run with progress returned nil")
-	}
-	if len(reports) < 2 {
-		t.Fatalf("got %d progress reports, want at least an interior one and a final one", len(reports))
-	}
-	total := reports[0].total
-	if total == 0 {
-		t.Fatal("progress total is zero")
-	}
-	interior := false
-	for i, rep := range reports {
-		if rep.total != total {
-			t.Fatalf("report %d changed total: %d -> %d", i, total, rep.total)
-		}
-		if i > 0 && rep.done < reports[i-1].done {
-			t.Fatalf("report %d went backwards: %d after %d", i, rep.done, reports[i-1].done)
-		}
-		if rep.done > 0 && rep.done < total {
-			interior = true
-		}
-	}
-	if !interior {
-		t.Fatal("no strictly-interior progress report")
-	}
-	last := reports[len(reports)-1]
-	if last.done != total || last.done != r.Ops {
-		t.Fatalf("final report %d/%d, want done == total == Ops (%d)", last.done, total, r.Ops)
-	}
-
-	bare := runSmall(t, coherence.SNUCA, "BARNES", Options{OpsScale: 0.05})
-	if bare.CompletionTime != r.CompletionTime || bare.Ops != r.Ops {
-		t.Fatalf("progress observer changed the run: %d/%d vs %d/%d ops/cycles",
-			r.Ops, r.CompletionTime, bare.Ops, bare.CompletionTime)
-	}
-}
-
-// TestInterrupt pins cancellation: a fired Interrupt channel makes Run
-// return nil at the next cadence check instead of finishing the workload.
-func TestInterrupt(t *testing.T) {
-	stop := make(chan struct{})
-	fired := false
-	opt := Options{
-		OpsScale:      0.05,
-		ProgressEvery: 64,
-		Interrupt:     stop,
-		Progress: func(done, total uint64) {
-			if !fired && done >= 64 && done < total {
-				fired = true
-				close(stop)
-			}
-		},
-	}
-	if r := runSmall(t, coherence.SNUCA, "BARNES", opt); r != nil {
-		t.Fatalf("interrupted run returned a result (%d ops)", r.Ops)
-	}
-	if !fired {
-		t.Fatal("test never armed the interrupt")
-	}
-}
-
-// TestCancelRace closes Interrupt from another goroutine while runs are
-// live: repeated runs are cut short at varying points (and sometimes not
-// at all), so the race detector sees the cadence poll in the event loop
-// read the channel while a timer goroutine closes it.
-func TestCancelRace(t *testing.T) {
-	p, err := trace.ProfileByName("DEDUP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := config.Small()
-	cfg.RT = 3
-	for i := 0; i < 24; i++ {
-		stop := make(chan struct{})
-		if delay := time.Duration(i%8) * 150 * time.Microsecond; i%8 != 7 {
-			// i%8 == 7 leaves the run uninterrupted end to end.
-			go func() {
-				time.Sleep(delay)
-				close(stop)
-			}()
-		}
-		res := Run(cfg, p, Options{
-			Scheme:        coherence.LocalityAware,
-			OpsScale:      0.05,
-			ProgressEvery: 128,
-			Interrupt:     stop,
-		})
-		if i%8 == 7 && res == nil {
-			t.Fatal("uninterrupted run returned nil")
-		}
-		if res != nil && res.Ops == 0 {
-			t.Fatal("completed run recorded no ops")
 		}
 	}
 }

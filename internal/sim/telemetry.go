@@ -6,11 +6,11 @@ import (
 	"lard/internal/stats"
 )
 
-// telemetrySeries declares the epoch series every run records when
-// Options.Telemetry is wired: the operation count and per-service-point
-// miss counts the simulator already aggregates, the coherence engine's
-// replica/classifier counters, the live directory population, and the
-// per-component cycle totals behind the Figure-7 breakdown. All are
+// telemetrySeries declares the values every Observer epoch carries: the
+// operation count and per-service-point miss counts the simulator
+// already aggregates, the coherence engine's replica/classifier counters,
+// the live directory population, and the per-component cycle totals
+// behind the Figure-7 breakdown. All are
 // cumulative at sampling time (directory_entries is a level); the
 // Recorder differences counters into per-epoch deltas.
 var telemetrySeries = []obs.SeriesDef{
@@ -36,7 +36,7 @@ var telemetrySeries = []obs.SeriesDef{
 
 // fillTelemetry writes the current cumulative counter values into
 // scratch, in telemetrySeries order. It runs at epoch boundaries only
-// (the checkEvery cadence) and never allocates: scratch is preallocated
+// and never allocates: scratch is preallocated
 // once per run, and everything read is either a field the engine already
 // maintains or a sum over the per-core arrays the run loop owns.
 func fillTelemetry(scratch []uint64, eng *coherence.Engine, totalOps uint64, breakdown []stats.TimeBreakdown, miss []stats.MissCounts) {

@@ -14,6 +14,10 @@
 //	res, err := lard.Run("BARNES", lard.LocalityAware(3), lard.Options{})
 //	fmt.Println(res.CompletionCycles, res.EnergyTotalPJ())
 //
+// Options.Observer is the one way to watch a run: phase timing, progress,
+// an epoch timeline (an *obs.Recorder) and stopping all go through it,
+// and RunWithStoreProgress adds context cancellation on top.
+//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every figure and table.
 package lard
@@ -21,6 +25,7 @@ package lard
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"lard/internal/config"
 	"lard/internal/energy"
@@ -106,20 +111,15 @@ type Options struct {
 	CheckInvariants bool `json:"check_invariants,omitempty"`
 	// TrackRuns collects the Figure-1 run-length histogram.
 	TrackRuns bool `json:"track_runs,omitempty"`
-	// Timing, when non-nil, receives the simulator's wall-clock phase
-	// breakdown (setup, trace decode, coherence loop, finalize). Like a
-	// ProgressFunc it is execution plumbing, not run identity: it is
-	// excluded from JSON encoding and from content addresses, and a store
-	// hit returns without filling it (nothing was simulated).
-	Timing *Timing `json:"-"`
-	// Telemetry, when non-nil, records an epoch-resolved counter timeline
-	// for the run (see obs.Recorder). Execution plumbing like Timing:
-	// key-neutral, result-neutral, and left untouched on a store hit.
-	Telemetry *obs.Recorder `json:"-"`
+	// Observer, when non-nil, watches the simulation: its phase
+	// boundaries (setup, trace decode, coherence loop, finalize) and an
+	// epoch every few thousand operations carrying progress and the
+	// counter series (see obs.RunObserver; an *obs.Recorder records the
+	// epochs as a timeline). It is execution plumbing, not run identity:
+	// excluded from JSON encoding and from content addresses, and never
+	// called on a store hit (nothing was simulated).
+	Observer obs.RunObserver `json:"-"`
 }
-
-// Timing is the simulator's phase breakdown; see Options.Timing.
-type Timing = sim.Timing
 
 // Result is the outcome of one run, in plain exportable types.
 type Result struct {
@@ -163,13 +163,17 @@ func (r *Result) TotalTime() uint64 {
 // Benchmarks returns the 21 benchmark names in figure order.
 func Benchmarks() []string { return trace.Names() }
 
-// Run simulates one benchmark under one scheme and returns the result.
+// Run simulates one benchmark under one scheme and returns the result. A
+// run its Observer stops returns context.Canceled.
 func Run(benchmark string, s Scheme, o Options) (*Result, error) {
 	prof, cfg, opt, _, err := plan(benchmark, s, o)
 	if err != nil {
 		return nil, err
 	}
 	res := sim.Run(cfg, prof, opt)
+	if res == nil {
+		return nil, context.Canceled
+	}
 	return export(res), nil
 }
 
@@ -219,52 +223,26 @@ func LookupStored(st *resultstore.Store, benchmark string, s Scheme, o Options) 
 // simulating, and a fresh run is stored before returning. The bool reports
 // whether the result came from cache.
 func RunWithStore(st *resultstore.Store, benchmark string, s Scheme, o Options) (*Result, bool, error) {
-	return RunWithStoreProgress(context.Background(), st, benchmark, s, o, nil)
-}
-
-// ProgressFunc observes a running simulation: done is the number of memory
-// operations retired so far, total the run's full operation count. It is
-// called every few thousand simulated operations and once at completion
-// with done == total; implementations must be fast and must not block.
-type ProgressFunc func(done, total uint64)
-
-// RunWithProgress is Run with a live progress observer. Progress is
-// execution plumbing, not run identity: the result (and, under a store,
-// its content address) is identical to an unobserved run.
-func RunWithProgress(benchmark string, s Scheme, o Options, p ProgressFunc) (*Result, error) {
-	prof, cfg, opt, _, err := plan(benchmark, s, o)
-	if err != nil {
-		return nil, err
-	}
-	if p != nil {
-		opt.Progress = p
-	}
-	res := sim.Run(cfg, prof, opt)
-	return export(res), nil
+	return RunWithStoreProgress(context.Background(), st, benchmark, s, o)
 }
 
 // RunWithStoreProgress is the execution engine's run primitive:
-// RunWithStore plus a progress observer and context cancellation. A
-// cancelled ctx interrupts the simulation at its next progress-cadence
-// check and returns ctx's error; nothing is stored for an interrupted
-// run, so a later resubmission simulates afresh. Store hits return
-// instantly (with no intermediate progress callbacks — there is nothing
-// to watch).
-func RunWithStoreProgress(ctx context.Context, st *resultstore.Store, benchmark string, s Scheme, o Options, p ProgressFunc) (*Result, bool, error) {
+// RunWithStore plus context cancellation. A cancelled ctx stops the
+// simulation at its next observer epoch and returns ctx's error; nothing
+// is stored for a stopped run, so a later resubmission simulates afresh.
+// Store hits return instantly, without calling o.Observer.
+func RunWithStoreProgress(ctx context.Context, st *resultstore.Store, benchmark string, s Scheme, o Options) (*Result, bool, error) {
 	prof, cfg, opt, spec, err := plan(benchmark, s, o)
 	if err != nil {
 		return nil, false, err
 	}
-	if p != nil {
-		opt.Progress = p
-	}
-	if ctx != nil && ctx.Done() != nil {
-		opt.Interrupt = ctx.Done()
+	if ctx.Done() != nil {
+		opt.Observer = ctxObserver{ctx, opt.Observer}
 	}
 	res, cached, err := st.GetOrCompute(spec, func() (*sim.Result, error) {
 		r := sim.Run(cfg, prof, opt)
 		if r == nil {
-			// The only way sim.Run returns nil is the interrupt firing.
+			// sim.Run returns nil only when an observer stops it.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -276,6 +254,24 @@ func RunWithStoreProgress(ctx context.Context, st *resultstore.Store, benchmark 
 		return nil, false, err
 	}
 	return export(res), cached, nil
+}
+
+// ctxObserver forwards to the caller's observer (nil allowed) and stops
+// the run once ctx is done.
+type ctxObserver struct {
+	ctx  context.Context
+	next obs.RunObserver
+}
+
+func (c ctxObserver) Phase(name string, start time.Time, d time.Duration) {
+	if c.next != nil {
+		c.next.Phase(name, start, d)
+	}
+}
+
+func (c ctxObserver) Epoch(e *obs.RunEpoch) bool {
+	stop := c.next != nil && c.next.Epoch(e)
+	return stop || c.ctx.Err() != nil
 }
 
 // buildConfig translates the public Scheme/Options into the internal
@@ -303,8 +299,7 @@ func buildConfig(s Scheme, o Options) (*config.Config, sim.Options, error) {
 		OpsScale:        o.OpsScale,
 		CheckInvariants: o.CheckInvariants,
 		TrackRuns:       o.TrackRuns,
-		Timing:          o.Timing,
-		Telemetry:       o.Telemetry,
+		Observer:        o.Observer,
 	}
 	if def.apply != nil {
 		def.apply(s, cfg, &opt)

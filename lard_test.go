@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"lard"
+	"lard/internal/obs"
 	"lard/internal/resultstore"
 )
 
@@ -175,28 +178,48 @@ func TestBarnesOrdering(t *testing.T) {
 	}
 }
 
-// TestRunWithProgress pins the facade progress contract: interior reports
-// arrive, the final report is done == total, and the observed run's result
+// watch is a test observer: it sums phase times per name, counts epochs
+// and keeps the latest one. stop, when set, decides each epoch's return.
+type watch struct {
+	phases map[string]time.Duration
+	epochs int
+	last   obs.RunEpoch
+	stop   func(*obs.RunEpoch) bool
+}
+
+func (w *watch) Phase(name string, _ time.Time, d time.Duration) {
+	if w.phases == nil {
+		w.phases = make(map[string]time.Duration)
+	}
+	w.phases[name] += d
+}
+
+func (w *watch) Epoch(e *obs.RunEpoch) bool {
+	w.epochs++
+	w.last = *e
+	return w.stop != nil && w.stop(e)
+}
+
+// TestRunWithProgress pins the facade progress contract: interior epochs
+// arrive, the final one is done == total, and the observed run's result
 // matches an unobserved one.
 func TestRunWithProgress(t *testing.T) {
 	o := lard.Options{Cores: 16, OpsScale: 0.02}
-	var reports int
-	var last, total uint64
-	res, err := lard.RunWithProgress("BARNES", lard.SNUCA(), o, func(d, tot uint64) {
-		reports++
-		last, total = d, tot
-	})
+	var w watch
+	o.Observer = &w
+	res, err := lard.Run("BARNES", lard.SNUCA(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reports == 0 || last != total || total == 0 {
-		t.Fatalf("reports=%d last=%d total=%d", reports, last, total)
+	if w.epochs < 2 || !w.last.Final || w.last.Done != w.last.Total || w.last.Total != res.Ops {
+		t.Fatalf("epochs=%d last=%+v ops=%d", w.epochs, w.last, res.Ops)
 	}
+	o.Observer = nil
 	bare, err := lard.Run("BARNES", lard.SNUCA(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.CompletionCycles != res.CompletionCycles {
+	if !reflect.DeepEqual(bare, res) {
 		t.Fatal("progress observer changed the result")
 	}
 }
@@ -211,11 +234,13 @@ func TestRunWithStoreProgressCancel(t *testing.T) {
 	}
 	o := lard.Options{Cores: 16, OpsScale: 0.05}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, err = lard.RunWithStoreProgress(ctx, st, "BARNES", lard.SNUCA(), o, func(d, tot uint64) {
-		if d < tot {
+	o.Observer = &watch{stop: func(e *obs.RunEpoch) bool {
+		if e.Done < e.Total {
 			cancel()
 		}
-	})
+		return false
+	}}
+	_, _, err = lard.RunWithStoreProgress(ctx, st, "BARNES", lard.SNUCA(), o)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -226,12 +251,20 @@ func TestRunWithStoreProgressCancel(t *testing.T) {
 		t.Fatal("cancelled run must not be stored")
 	}
 
-	// The same run completes normally afterwards, with progress flowing.
-	var final bool
-	res, cached, err := lard.RunWithStoreProgress(context.Background(), st, "BARNES", lard.SNUCA(), o, func(d, tot uint64) {
-		final = d == tot
-	})
-	if err != nil || cached || res == nil || !final {
-		t.Fatalf("rerun = (%v, cached=%v, final=%v)", err, cached, final)
+	// The same run completes normally afterwards, with epochs flowing.
+	w := &watch{}
+	o.Observer = w
+	res, cached, err := lard.RunWithStoreProgress(context.Background(), st, "BARNES", lard.SNUCA(), o)
+	if err != nil || cached || res == nil || w.last.Done != w.last.Total {
+		t.Fatalf("rerun = (%v, cached=%v, last=%+v)", err, cached, w.last)
+	}
+}
+
+// TestRunStoppedByObserver pins the facade's stop contract: an observer
+// that stops the run makes Run return context.Canceled, not a result.
+func TestRunStoppedByObserver(t *testing.T) {
+	o := lard.Options{Cores: 16, OpsScale: 0.02, Observer: &watch{stop: func(*obs.RunEpoch) bool { return true }}}
+	if res, err := lard.Run("BARNES", lard.SNUCA(), o); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Run = (%v, %v), want context.Canceled", res, err)
 	}
 }
