@@ -12,10 +12,10 @@
 //
 // Observability:
 //
-//	-trace       records a span tree per run (admitted -> dispatched ->
-//	             queued -> simulating with the simulator's phase
-//	             breakdown -> stored), served by GET /v1/runs/{id}/trace
-//	             and carried as span ids on the SSE event streams.
+//	-trace       records a span tree per run (admitted -> queued ->
+//	             simulating with the simulator's phase breakdown ->
+//	             stored), served by GET /v1/runs/{id}/trace and carried
+//	             as span ids on the SSE event streams.
 //	-telemetry   records an epoch-resolved timeline per run (coherence
 //	             counter deltas, cycle components), served by
 //	             GET /v1/runs/{id}/timeline and streamed live as epoch

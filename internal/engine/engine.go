@@ -11,13 +11,10 @@
 // already happened, then the live feed — the contract the server's SSE
 // endpoints expose.
 //
-// Scheduling is locality-aware and pluggable: a Dispatcher classifies each
-// admitted job by where its result key already lives (local replica >
-// owner shard > any worker, the serving-tier analogue of the paper's
-// locality-aware replication) and workers drain the hottest class first,
-// preferring their own lane but stealing freely. Admission is bounded:
-// beyond QueueDepth the engine sheds (the server's 429), byte-compatible
-// with the channel-based pool it replaces.
+// Scheduling is FIFO: a store hit is answered inside Submit, so every
+// queued job is a miss that needs a full simulation, and any idle worker
+// takes the oldest one. Admission is bounded: beyond QueueDepth the engine
+// sheds (the server's 429).
 //
 // Jobs are content-addressed and deduplicated exactly as before: an id is
 // its run's canonical store key, resubmission attaches, completed results
@@ -28,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -91,10 +87,9 @@ type job struct {
 	result    *lard.Result
 	err       string
 	progress  float64
-	placement Placement
-	enq       uint64             // admission order within the queue
 	cancel    context.CancelFunc // set while running
 	cancelReq bool               // cancellation requested
+	enrolled  int                // entries in Engine.done naming this job
 
 	// Observability. admittedAt is the queue-admission instant (zero for
 	// jobs answered from the store without queueing); root is the job's
@@ -121,9 +116,6 @@ type Config struct {
 	// 4096). Results live on in the store — an evicted id answers unknown
 	// here, but the store still resolves it by content address.
 	MaxCompletedJobs int
-	// Dispatcher overrides the placement policy (default: locality-aware
-	// over Store).
-	Dispatcher Dispatcher
 	// EventQueue bounds each subscriber's event channel (default 256).
 	EventQueue int
 	// EventHistory bounds each topic's replayable history (default 512).
@@ -155,19 +147,17 @@ var ErrTerminal = errors.New("job already terminal")
 // Engine is the execution engine. Create with New, start the worker pool
 // with Start, and stop with Shutdown.
 type Engine struct {
-	store      *resultstore.Store
-	run        RunFunc
-	workers    int
-	maxDone    int
-	queueCap   int
-	dispatcher Dispatcher
-	bus        *bus
-	obs        *obs.Observer
+	store    *resultstore.Store
+	run      RunFunc
+	workers  int
+	maxDone  int
+	queueCap int
+	bus      *bus
+	obs      *obs.Observer
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signals queue pushes and shutdown
-	pending []*job     // admitted, waiting for a worker
-	enqSeq  uint64
+	pending []*job     // admitted, waiting for a worker, oldest first
 	jobs    map[string]*job
 	done    []*job // completed jobs, oldest first, for eviction
 	busy    int    // workers currently simulating
@@ -186,7 +176,6 @@ type Engine struct {
 	runsCached    uint64
 	runsCancelled uint64
 	campaignsSeen uint64
-	dispatch      [3]uint64 // admissions by PlacementClass
 }
 
 // New builds an Engine from cfg.
@@ -210,10 +199,6 @@ func New(cfg Config) (*Engine, error) {
 	if maxDone <= 0 {
 		maxDone = maxCompletedJobs
 	}
-	disp := cfg.Dispatcher
-	if disp == nil {
-		disp = NewLocalityDispatcher(cfg.Store)
-	}
 	ob := cfg.Obs
 	if ob == nil {
 		ob = obs.Nop()
@@ -224,7 +209,6 @@ func New(cfg Config) (*Engine, error) {
 		workers:     workers,
 		maxDone:     maxDone,
 		queueCap:    depth,
-		dispatcher:  disp,
 		obs:         ob,
 		bus:         newBus(cfg.EventQueue, cfg.EventHistory),
 		jobs:        make(map[string]*job),
@@ -240,7 +224,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Start() {
 	for i := 0; i < e.workers; i++ {
 		e.wg.Add(1)
-		go e.worker(i)
+		go e.worker()
 	}
 }
 
@@ -293,12 +277,11 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// worker drains the queue until Shutdown, hottest placement class first,
-// preferring its own lane.
-func (e *Engine) worker(lane int) {
+// worker drains the queue, oldest job first, until Shutdown.
+func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
-		j := e.pop(lane)
+		j := e.pop()
 		if j == nil {
 			return
 		}
@@ -392,11 +375,9 @@ func (o *jobObserver) stored(callStart time.Time, callDur time.Duration, cached 
 	}
 }
 
-// pop blocks until a job is available (returning the best one for lane) or
-// shutdown begins (returning nil). Selection order: hottest placement
-// class, then own-lane before stolen, then admission order. The scan is
-// linear over the bounded queue.
-func (e *Engine) pop(lane int) *job {
+// pop blocks until a job is available (returning the oldest) or shutdown
+// begins (returning nil).
+func (e *Engine) pop() *job {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
@@ -404,37 +385,20 @@ func (e *Engine) pop(lane int) *job {
 			return nil
 		}
 		if len(e.pending) > 0 {
-			best := 0
-			for i := 1; i < len(e.pending); i++ {
-				if e.better(e.pending[i], e.pending[best], lane) {
-					best = i
-				}
-			}
-			j := e.pending[best]
-			e.pending = append(e.pending[:best], e.pending[best+1:]...)
+			j := e.pending[0]
+			e.pending[0] = nil
+			e.pending = e.pending[1:]
 			return j
 		}
 		e.cond.Wait()
 	}
 }
 
-// better reports whether a should run before b from lane's perspective.
-func (e *Engine) better(a, b *job, lane int) bool {
-	if a.placement.Class != b.placement.Class {
-		return a.placement.Class < b.placement.Class
-	}
-	am, bm := a.placement.Lane == lane, b.placement.Lane == lane
-	if am != bm {
-		return am
-	}
-	return a.enq < b.enq
-}
-
 // Submit guarantees the run with content address key is progressing,
 // whether submitted directly or fanned out by a campaign: an existing job
 // is attached to (failed ones re-enqueued for retry), a previously stored
 // result materializes a completed job without touching the queue, and a
-// novel run is admitted through the dispatcher. It returns a snapshot view
+// novel run joins the back of the queue. It returns a snapshot view
 // (Cached set when this caller got the result without simulating),
 // shed=true when the queue is full (nothing enrolled), or an error
 // (shutdown, or a store fault).
@@ -451,16 +415,11 @@ func (e *Engine) Submit(key string, req Request) (view JobView, shed bool, err e
 	e.mu.Unlock()
 
 	// Off the lock: a previously computed run answers from the store,
-	// synchronously and without simulating; a miss classifies placement
-	// for the dispatcher (both probe the same store).
+	// synchronously and without simulating.
 	res, hit, err := lard.LookupStored(e.store, req.Benchmark, req.Scheme, req.Options)
 	if err != nil {
 		return JobView{}, false, err
 	}
-	dispatchStart := time.Now()
-	placement := e.dispatcher.Place(key, e.workers)
-	dispatchDur := time.Since(dispatchStart)
-	e.obs.Dispatch.ObserveDuration(dispatchDur, placement.Class.String())
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -472,12 +431,12 @@ func (e *Engine) Submit(key string, req Request) (view JobView, shed bool, err e
 	if j, raced := e.jobs[key]; raced {
 		return e.attachLocked(j)
 	}
-	j := &job{id: key, req: req, status: StatusQueued, placement: placement}
+	j := &job{id: key, req: req, status: StatusQueued}
 	if hit {
 		j.status, j.cached, j.result, j.progress = StatusDone, true, res, 1
 		e.runsCached++
 		e.jobs[key] = j
-		e.beginTraceLocked(j, dispatchStart, dispatchDur, false)
+		e.beginTraceLocked(j, false)
 		stored := j.root.Child("stored")
 		stored.SetAttr("cached", "true")
 		stored.End()
@@ -492,19 +451,19 @@ func (e *Engine) Submit(key string, req Request) (view JobView, shed bool, err e
 		return JobView{}, true, nil
 	}
 	e.jobs[key] = j
-	e.beginTraceLocked(j, dispatchStart, dispatchDur, false)
+	e.beginTraceLocked(j, false)
 	e.obs.Log.Debug("run admitted", "run", j.id, "benchmark", req.Benchmark,
-		"scheme", req.Scheme.Label(), "class", placement.Class.String(), "lane", placement.Lane)
+		"scheme", req.Scheme.Label())
 	e.publishJobLocked(j, Event{State: StatusQueued})
 	return viewOf(j), false, nil
 }
 
 // beginTraceLocked starts (or, on retry, restarts) j's trace: the root
-// "run" span with identity attributes, an "admitted" span containing the
-// measured "dispatched" placement decision, and — for a job actually
-// entering the queue — an open "queued" phase span ended at worker
-// pickup. No-ops entirely when tracing is disabled. Callers hold e.mu.
-func (e *Engine) beginTraceLocked(j *job, dispatchStart time.Time, dispatchDur time.Duration, retry bool) {
+// "run" span with identity attributes, an "admitted" span, and — for a job
+// actually entering the queue — an open "queued" phase span ended at
+// worker pickup. No-ops entirely when tracing is disabled. Callers hold
+// e.mu.
+func (e *Engine) beginTraceLocked(j *job, retry bool) {
 	if j.status == StatusQueued {
 		j.admittedAt = time.Now() // queue-wait baseline, tracing or not
 	}
@@ -518,27 +477,19 @@ func (e *Engine) beginTraceLocked(j *job, dispatchStart time.Time, dispatchDur t
 	if retry {
 		adm.SetAttr("retry", "true")
 	}
-	if !dispatchStart.IsZero() {
-		d := adm.ChildAt("dispatched", dispatchStart, dispatchDur)
-		d.SetAttr("class", j.placement.Class.String())
-		d.SetAttr("lane", strconv.Itoa(j.placement.Lane))
-	}
 	adm.End()
 	if j.status == StatusQueued {
 		j.phase = j.root.Child("queued")
 	}
 }
 
-// admitLocked places j on the bounded queue, false when full. Callers hold
-// e.mu.
+// admitLocked appends j to the bounded queue, false when full. Callers
+// hold e.mu.
 func (e *Engine) admitLocked(j *job) bool {
 	if len(e.pending) >= e.queueCap {
 		return false
 	}
-	e.enqSeq++
-	j.enq = e.enqSeq
 	e.pending = append(e.pending, j)
-	e.dispatch[j.placement.Class]++
 	e.cond.Signal()
 	return true
 }
@@ -560,7 +511,7 @@ func (e *Engine) attachLocked(j *job) (JobView, bool, error) {
 		j.status, j.err, j.cancelReq, j.progress = StatusQueued, "", false, 0
 		// A retry restarts the trace: the tree always describes the
 		// attempt that produced the job's current state.
-		e.beginTraceLocked(j, time.Time{}, 0, true)
+		e.beginTraceLocked(j, true)
 		e.obs.Log.Debug("run re-enqueued for retry", "run", j.id, "benchmark", j.req.Benchmark)
 		e.publishJobLocked(j, Event{State: StatusQueued})
 		e.campaignReopenLocked(j.id)
@@ -685,14 +636,16 @@ func (e *Engine) finishLocked(j *job, res *lard.Result, cached bool, err error) 
 // Evicted ids release their event topic (once unobserved). Callers hold
 // e.mu.
 func (e *Engine) completedLocked(j *job) {
+	j.enrolled++
 	e.done = append(e.done, j)
 	for len(e.done) > e.maxDone {
 		old := e.done[0]
 		e.done = e.done[1:]
-		// The id may since have been re-enqueued (failed retry) or taken
-		// by a newer job; only evict the record this enrollment refers to,
-		// and only while it is still terminal.
-		if cur, ok := e.jobs[old.id]; ok && cur == old && terminal(old.status) {
+		old.enrolled--
+		// A retried job enrolls each time it finishes, and the id may
+		// since have been taken by a newer job: only the job's latest
+		// enrollment evicts it, and only while it is still terminal.
+		if old.enrolled == 0 && e.jobs[old.id] == old && terminal(old.status) {
 			delete(e.jobs, old.id)
 			e.bus.release(old.id)
 		}
@@ -820,10 +773,6 @@ type Stats struct {
 	Jobs map[string]int `json:"jobs"`
 	// Campaigns is the registered-campaign count.
 	Campaigns int `json:"campaigns"`
-	// Dispatcher names the placement policy; Dispatch counts admissions
-	// by placement class.
-	Dispatcher string            `json:"dispatcher"`
-	Dispatch   map[string]uint64 `json:"dispatch"`
 	// Cancellations counts jobs that reached the cancelled state.
 	Cancellations uint64 `json:"cancellations"`
 	// Events is the bus snapshot.
@@ -840,15 +789,10 @@ func (e *Engine) Stats() Stats {
 		Busy:          e.busy,
 		Jobs:          map[string]int{StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0, StatusCancelled: 0},
 		Campaigns:     len(e.campaigns),
-		Dispatcher:    e.dispatcher.Name(),
-		Dispatch:      map[string]uint64{},
 		Cancellations: e.runsCancelled,
 	}
 	for _, j := range e.jobs {
 		s.Jobs[j.status]++
-	}
-	for c := ClassReplica; c <= ClassCold; c++ {
-		s.Dispatch[c.String()] = e.dispatch[c]
 	}
 	e.mu.Unlock()
 	s.Events = e.bus.stats()
@@ -862,8 +806,6 @@ type MetricsSnapshot struct {
 	Jobs, Members                                                     map[string]int
 	Campaigns                                                         int
 	QueueLen, QueueCap, Workers, Busy                                 int
-	Dispatcher                                                        string
-	Dispatch                                                          map[string]uint64
 	Events                                                            EventStats
 }
 
@@ -874,9 +816,8 @@ type MetricsSnapshot struct {
 // here, exactly as the campaign view renders them.
 func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	m := MetricsSnapshot{
-		Jobs:     map[string]int{StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0, StatusCancelled: 0},
-		Members:  map[string]int{StatusPending: 0, StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0, StatusCancelled: 0},
-		Dispatch: map[string]uint64{},
+		Jobs:    map[string]int{StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0, StatusCancelled: 0},
+		Members: map[string]int{StatusPending: 0, StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0, StatusCancelled: 0},
 	}
 	e.mu.Lock()
 	m.RunsStarted, m.RunsCompleted = e.runsStarted, e.runsCompleted
@@ -884,10 +825,6 @@ func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	m.CampaignsSeen, m.Campaigns = e.campaignsSeen, len(e.campaigns)
 	m.QueueLen, m.QueueCap = len(e.pending), e.queueCap
 	m.Workers, m.Busy = e.workers, e.busy
-	m.Dispatcher = e.dispatcher.Name()
-	for c := ClassReplica; c <= ClassCold; c++ {
-		m.Dispatch[c.String()] = e.dispatch[c]
-	}
 	for _, j := range e.jobs {
 		m.Jobs[j.status]++
 	}

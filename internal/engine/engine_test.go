@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -320,25 +321,17 @@ func TestCancelRacesCompletion(t *testing.T) {
 	}
 }
 
-// TestDispatchPriority pins the locality-aware drain order: with the
-// single worker pinned, a replica-class job admitted after two cold ones
-// still runs first.
-func TestDispatchPriority(t *testing.T) {
-	started := make(chan string, 8)
+// TestFIFOOrder pins the drain order: with the single worker pinned,
+// queued jobs run in admission order.
+func TestFIFOOrder(t *testing.T) {
+	started := make(chan uint64, 8)
 	release := make(chan struct{}, 8)
 	run := func(ctx context.Context, st *resultstore.Store, bench string, s lard.Scheme, o lard.Options) (*lard.Result, bool, error) {
-		started <- bench
+		started <- o.Seed
 		<-release
 		return &lard.Result{Benchmark: bench, Scheme: s.Label(), CompletionCycles: 1}, false, nil
 	}
-	// classed dispatcher: DEDUP is replica-class, everything else cold.
-	classed := dispatcherFunc(func(key string, lanes int) Placement {
-		if key == dedupKey {
-			return Placement{Class: ClassReplica}
-		}
-		return Placement{Class: ClassCold}
-	})
-	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8, Run: run, Dispatcher: classed})
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8, Run: run})
 
 	blocker, blockReq := smallReq(t, 1)
 	if _, shed, err := e.Submit(blocker, blockReq); shed || err != nil {
@@ -346,46 +339,78 @@ func TestDispatchPriority(t *testing.T) {
 	}
 	<-started // worker pinned
 
-	cold1, coldReq1 := smallReq(t, 2)
-	cold2, coldReq2 := smallReq(t, 3)
-	hotReq := Request{Benchmark: "DEDUP", Scheme: lard.SNUCA(), Options: lard.Options{Cores: 16, OpsScale: 0.02}}
-	hot, err := lard.KeyFor(hotReq.Benchmark, hotReq.Scheme, hotReq.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dedupKey = hot
-	for _, s := range []struct {
-		k string
-		r Request
-	}{{cold1, coldReq1}, {cold2, coldReq2}, {hot, hotReq}} {
-		if _, shed, err := e.Submit(s.k, s.r); shed || err != nil {
+	seeds := []uint64{4, 2, 3}
+	keys := make([]string, len(seeds))
+	for i, seed := range seeds {
+		k, r := smallReq(t, seed)
+		keys[i] = k
+		if _, shed, err := e.Submit(k, r); shed || err != nil {
 			t.Fatal(shed, err)
 		}
 	}
-
-	release <- struct{}{} // finish the blocker
-	if next := <-started; next != "DEDUP" {
-		t.Fatalf("worker drained %q first, want the replica-class DEDUP job", next)
-	}
-	for i := 0; i < 3; i++ {
+	for _, want := range seeds {
 		release <- struct{}{}
+		if got := <-started; got != want {
+			t.Fatalf("worker ran seed %d, want %d (admission order %v)", got, want, seeds)
+		}
 	}
-	for _, k := range []string{cold1, cold2, hot} {
+	release <- struct{}{}
+	for _, k := range keys {
 		await(t, e, k)
-	}
-	if st := e.Stats(); st.Dispatch["replica"] != 1 || st.Dispatch["cold"] != 3 {
-		t.Fatalf("dispatch counters = %+v", st.Dispatch)
 	}
 }
 
-// dedupKey is set by TestDispatchPriority before submission.
-var dedupKey string
+// TestRetryKeepsRegistryEntry pins the eviction queue against retries: a
+// failed job retried into a full registry stays in it after failing
+// again, and the bound still evicts the oldest other job.
+func TestRetryKeepsRegistryEntry(t *testing.T) {
+	run := func(ctx context.Context, st *resultstore.Store, bench string, s lard.Scheme, o lard.Options) (*lard.Result, bool, error) {
+		if o.Seed == 1 {
+			return nil, false, errors.New("boom")
+		}
+		return &lard.Result{Benchmark: bench, Scheme: s.Label(), CompletionCycles: 1}, false, nil
+	}
+	e := newTestEngine(t, Config{Workers: 1, MaxCompletedJobs: 3, Run: run})
+	submit := func(seed uint64) string {
+		t.Helper()
+		k, r := smallReq(t, seed)
+		if _, shed, err := e.Submit(k, r); shed || err != nil {
+			t.Fatal(shed, err)
+		}
+		return k
+	}
+	// awaitFailures waits until n runs have failed; the registry is
+	// trimmed under the same lock hold that counts the failure.
+	awaitFailures := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for e.MetricsSnapshot().RunsFailed < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("never saw %d failed runs", n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
-// dispatcherFunc adapts a function to the Dispatcher interface.
-type dispatcherFunc func(key string, lanes int) Placement
+	a := submit(1)
+	awaitFailures(1)
+	b := submit(2)
+	await(t, e, b)
+	await(t, e, submit(3))
+	submit(1) // retry: fails again into a full registry
+	awaitFailures(2)
+	if v, ok := e.Job(a); !ok || v.Status != StatusFailed || v.Error != "boom" {
+		t.Fatalf("retried job after its second failure = %+v, ok=%v; want failed with its error", v, ok)
+	}
 
-func (f dispatcherFunc) Name() string                          { return "test" }
-func (f dispatcherFunc) Place(key string, lanes int) Placement { return f(key, lanes) }
+	await(t, e, submit(4))
+	if _, ok := e.Job(b); ok {
+		t.Error("oldest finished job survived a registry over its bound")
+	}
+	if _, ok := e.Job(a); !ok {
+		t.Error("retried job evicted ahead of older jobs")
+	}
+}
 
 // TestShedByteCompat pins the 429 contract: with 1 worker busy and a
 // 1-deep queue, the third distinct submission sheds.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -26,7 +25,7 @@ func spanNames(v obs.SpanView, into map[string]obs.SpanView) {
 }
 
 // TestTraceLifecycle runs one real simulation under tracing and checks the
-// finished span tree: admitted -> dispatched -> queued -> simulating (with
+// finished span tree: admitted -> queued -> simulating (with
 // the simulator's phase breakdown, coherence loop non-zero) -> stored.
 func TestTraceLifecycle(t *testing.T) {
 	e := tracedEngine(t, Config{Workers: 1})
@@ -48,7 +47,7 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 	spans := map[string]obs.SpanView{}
 	spanNames(tree.Root, spans)
-	for _, name := range []string{"admitted", "dispatched", "queued", "simulating",
+	for _, name := range []string{"admitted", "queued", "simulating",
 		"setup", "trace_decode", "coherence_loop", "finalize", "stored"} {
 		if _, ok := spans[name]; !ok {
 			t.Errorf("trace missing span %q (have %v)", name, keysOf(spans))
@@ -56,9 +55,6 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 	if cl := spans["coherence_loop"]; cl.DurationMS <= 0 {
 		t.Errorf("coherence_loop duration = %v, want > 0", cl.DurationMS)
-	}
-	if d := spans["dispatched"]; len(d.Attrs) == 0 {
-		t.Error("dispatched span carries no placement attrs")
 	}
 	for name, s := range spans {
 		if s.End == nil {
@@ -139,8 +135,8 @@ func TestEventsNoSpanWhenTracingOff(t *testing.T) {
 }
 
 // TestTraceHistogramsObserve checks the engine feeds its latency families:
-// after one real run, queue-wait, run-duration and dispatch histograms
-// all have observations.
+// after one real run, the queue-wait and run-duration histograms both
+// have observations.
 func TestTraceHistogramsObserve(t *testing.T) {
 	ob := obs.New(obs.Options{Tracing: true})
 	e := tracedEngine(t, Config{Workers: 1, Obs: ob})
@@ -154,11 +150,6 @@ func TestTraceHistogramsObserve(t *testing.T) {
 	}
 	if n := ob.RunDuration.With().Count(); n == 0 {
 		t.Error("run-duration histogram has no observations")
-	}
-	var b strings.Builder
-	ob.Dispatch.Write(&b)
-	if !strings.Contains(b.String(), "lard_dispatch_seconds_count") {
-		t.Error("dispatch histogram rendered no children after a placement")
 	}
 }
 

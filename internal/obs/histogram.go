@@ -19,8 +19,8 @@ var DurationBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// FastBuckets are bounds for sub-millisecond operations (dispatch
-// decisions, in-memory store ops): one microsecond up to a second.
+// FastBuckets are bounds for sub-millisecond operations (in-memory and
+// single-file store ops): one microsecond up to a second.
 var FastBuckets = []float64{
 	1e-6, 5e-6, 2.5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 2.5e-2, 0.1, 0.5, 1,
 }

@@ -14,14 +14,13 @@
 // The three concerns compose through Observer, one bundle the engine and
 // server share:
 //
-//   - Tracer (trace.go): a span tree per run — admitted, dispatched,
-//     queued, simulating (with the simulator's own phase breakdown),
-//     stored — kept in a bounded registry and served by
+//   - Tracer (trace.go): a span tree per run — admitted, queued,
+//     simulating (with the simulator's own phase breakdown), stored —
+//     kept in a bounded registry and served by
 //     GET /v1/runs/{id}/trace. A nil Tracer disables tracing at zero
 //     cost: every Tracer and Span method is nil-receiver safe.
 //   - Histograms (histogram.go): fixed-bucket latency distributions for
-//     run duration, queue wait, dispatch, store operations and HTTP
-//     requests.
+//     run duration, queue wait, store operations and HTTP requests.
 //   - Logging: NewLogger builds the slog.Logger all layers share, with
 //     run/campaign/span correlation ids carried as attributes.
 package obs
@@ -52,9 +51,6 @@ type Observer struct {
 	RunDuration *HistogramVec
 	// QueueWait observes admitted->worker-pickup latency.
 	QueueWait *HistogramVec
-	// Dispatch observes the dispatcher's placement decision latency,
-	// labeled by placement class.
-	Dispatch *HistogramVec
 	// StoreOp observes result-store operation latency, labeled by
 	// operation (get, put, delete, index) and backend kind.
 	StoreOp *HistogramVec
@@ -96,9 +92,6 @@ func New(o Options) *Observer {
 		QueueWait: NewHistogramVec("lard_queue_wait_seconds",
 			"Job latency from queue admission to worker pickup.",
 			nil, DurationBuckets),
-		Dispatch: NewHistogramVec("lard_dispatch_seconds",
-			"Dispatcher placement-decision latency by placement class.",
-			[]string{"class"}, FastBuckets),
 		StoreOp: NewHistogramVec("lard_store_op_seconds",
 			"Result-store operation latency by operation and backend kind.",
 			[]string{"op", "backend"}, FastBuckets),
@@ -130,7 +123,6 @@ func (o *Observer) StartedAt() time.Time { return o.start }
 func (o *Observer) WriteHistograms(w io.Writer) {
 	o.RunDuration.Write(w)
 	o.QueueWait.Write(w)
-	o.Dispatch.Write(w)
 	o.StoreOp.Write(w)
 	o.HTTP.Write(w)
 }

@@ -35,8 +35,7 @@ func TestHistogramVecRendersWithoutTraffic(t *testing.T) {
 	text := b.String()
 	for _, fam := range []string{
 		"lard_run_duration_seconds", "lard_queue_wait_seconds",
-		"lard_dispatch_seconds", "lard_store_op_seconds",
-		"lard_http_request_seconds",
+		"lard_store_op_seconds", "lard_http_request_seconds",
 	} {
 		if !strings.Contains(text, "# TYPE "+fam+" histogram") {
 			t.Errorf("zero-traffic exposition missing family %s", fam)
@@ -138,7 +137,7 @@ func TestTracerTreeLifecycle(t *testing.T) {
 	root := tr.StartTrace("run-1", "run")
 	root.SetAttr("benchmark", "BARNES")
 	adm := root.Child("admitted")
-	adm.Child("dispatched").End()
+	adm.Child("child").End()
 	adm.End()
 	simSpan := root.Child("simulating")
 	base := time.Now()

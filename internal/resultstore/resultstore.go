@@ -544,29 +544,6 @@ func (s *Store) PutRaw(key string, b []byte) error {
 	return s.writeBackend(key, e.Spec, e.Result)
 }
 
-// Locate is the execution engine's placement probe: where does key's
-// result currently live, as far as this store can tell for free? The
-// in-memory decoded layer counts as the hottest placement (Held+Replica —
-// the result is already next to this process, decoded), then the backend's
-// own Locator refinement answers for disk shards and replica tiers. The
-// probe is side-effect-free: no counters move, no LRU order changes, no
-// reuse is recorded.
-func (s *Store) Locate(key string) store.Location {
-	if !validKey(key) {
-		return store.Location{Shard: -1}
-	}
-	s.mu.Lock()
-	_, inMem := s.mem[key]
-	s.mu.Unlock()
-	if inMem {
-		return store.Location{Held: true, Replica: true, Shard: -1}
-	}
-	if l, ok := s.backend.(store.Locator); ok {
-		return l.Locate(key)
-	}
-	return store.Location{Shard: -1}
-}
-
 // GCStats summarizes one garbage-collection sweep.
 type GCStats struct {
 	// Scanned is the number of index entries examined.

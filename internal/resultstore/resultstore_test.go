@@ -404,44 +404,6 @@ func TestObserverFieldsAreKeyNeutral(t *testing.T) {
 	}
 }
 
-// TestLocateStore covers the store-level placement probe: memory residency
-// is the hottest class, backend-held entries answer through the backend's
-// Locator, and the probe never perturbs store counters.
-func TestLocateStore(t *testing.T) {
-	st, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := spec(1)
-	if err := st.Put(sp, fakeResult(1)); err != nil {
-		t.Fatal(err)
-	}
-	key := sp.Key()
-	if loc := st.Locate(key); !loc.Held || !loc.Replica {
-		t.Fatalf("memory-resident key = %+v, want held replica-class", loc)
-	}
-	if loc := st.Locate(spec(2).Key()); loc.Held {
-		t.Fatalf("absent key = %+v", loc)
-	}
-	if loc := st.Locate("not a key"); loc.Held {
-		t.Fatalf("malformed key = %+v", loc)
-	}
-
-	// A fresh store over the same directory holds the key on disk only:
-	// held, but not replica-class.
-	st2, err := New(st.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := st2.Stats()
-	if loc := st2.Locate(key); !loc.Held || loc.Replica {
-		t.Fatalf("disk-held key = %+v, want held non-replica", loc)
-	}
-	if after := st2.Stats(); !reflect.DeepEqual(before, after) {
-		t.Fatalf("Locate moved store counters: %+v -> %+v", before, after)
-	}
-}
-
 // TestGC covers the age-based sweep: old entries die through the full
 // Delete path, young and foreign-benchmark entries survive, dry runs
 // delete nothing, and memory-only stores refuse rather than guess.

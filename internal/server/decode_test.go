@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"lard"
 )
 
 // submitBodies are one valid body per submission endpoint.
@@ -137,6 +139,53 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		req2, code := decode(again)
 		if code != 0 || !reflect.DeepEqual(req, req2) {
 			t.Fatalf("re-encoded request %s decodes to %+v (code %d), want %+v", again, req2, code, req)
+		}
+	})
+}
+
+// FuzzDecodeCampaignRequest drives decodeBody with arbitrary
+// POST /v1/campaigns bodies, under the contract of FuzzDecodeRunRequest.
+// An empty benchmark list and an absent one are the same campaign (every
+// benchmark); the re-encode drops the empty list, so the comparison
+// treats the two alike.
+func FuzzDecodeCampaignRequest(f *testing.F) {
+	f.Add([]byte(submitBodies["/v1/campaigns"]))
+	f.Add([]byte(submitBodies["/v1/campaigns"] + "]"))
+	f.Add([]byte(`{"benchmarks":["BARNES","DEDUP"],"schemes":[{"kind":"S-NUCA"},{"kind":"RT","rt":3,"classifier_k":3,"cluster_size":1}],"options":{"cores":16,"ops_scale":0.05}}`))
+	f.Add([]byte(`{"benchmarks":[],"schemes":[]}`))
+	f.Add([]byte(`{"schemes":null}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		decode := func(b []byte) (lard.CampaignSpec, int) {
+			var spec lard.CampaignSpec
+			w := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(b))
+			if !decodeBody(w, r, "campaign", &spec) {
+				return spec, w.Code
+			}
+			if len(spec.Benchmarks) == 0 {
+				spec.Benchmarks = nil
+			}
+			return spec, 0
+		}
+		spec, code := decode(body)
+		switch code {
+		case 0:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("failure code %d, want 400 or 413", code)
+		}
+		if len(body) > maxRequestBody || !json.Valid(body) {
+			t.Fatalf("accepted a body that is not one JSON value within the bound: %q", body)
+		}
+		again, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec2, code := decode(again)
+		if code != 0 || !reflect.DeepEqual(spec, spec2) {
+			t.Fatalf("re-encoded campaign %s decodes to %+v (code %d), want %+v", again, spec2, code, spec)
 		}
 	})
 }

@@ -2,8 +2,8 @@
 // exposition format (version 0.0.4), hand-rendered so the service stays
 // dependency-free. The families cover the run lifecycle (started, completed,
 // failed, cached, cancelled), the job and campaign-member state gauges, the
-// engine's event bus (events emitted/dropped, live subscribers) and
-// dispatcher ledger, the result store's traffic counters, and the worker
+// engine's event bus (events emitted/dropped, live subscribers), the
+// result store's traffic counters, and the worker
 // pool's depth — everything needed to alert on a wedged pool, a cold store,
 // a failing campaign or a stalled event feed.
 package server
@@ -144,18 +144,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("lard_timeline_samples", "Raw telemetry samples folded into held timelines.", int(ts.Samples))
 		counter("lard_timeline_epoch_frames_dropped_total", "Live epoch frames discarded by event-history compaction.", m.Events.EpochDropped)
 	}
-	{
-		name := "lard_engine_dispatch_total"
-		fmt.Fprintf(&b, "# HELP %s Jobs admitted to the queue by placement class (dispatcher %q).\n# TYPE %s counter\n", name, m.Dispatcher, name)
-		classes := make([]string, 0, len(m.Dispatch))
-		for c := range m.Dispatch {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, c := range classes {
-			fmt.Fprintf(&b, "%s{class=%q} %d\n", name, c, m.Dispatch[c])
-		}
-	}
 	counter("lard_store_mem_hits_total", "Store lookups served from the in-memory layer.", st.MemHits)
 	counter("lard_store_disk_hits_total", "Store lookups served from the disk backend.", st.DiskHits)
 	counter("lard_store_misses_total", "Store lookups that found nothing and went on to compute.", st.Misses)
@@ -168,7 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		renderBackendMetrics(&b, bs)
 	}
 	// The observability layer's latency histograms (run duration, queue
-	// wait, dispatch, store ops, HTTP) and the process-level families
+	// wait, store ops, HTTP) and the process-level families
 	// (build info, goroutines, heap, GC, uptime).
 	s.obs.WriteHistograms(&b)
 	s.obs.WriteRuntimeMetrics(&b)

@@ -23,13 +23,13 @@ func tracedTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // requires the full /metrics body to pass the Prometheus text-format
 // linter: HELP before TYPE, contiguous families, no duplicates, and for
 // every histogram ascending cumulative buckets with a +Inf bucket equal
-// to _count. All five latency families plus the process-level families
+// to _count. All four latency families plus the process-level families
 // must be present.
 func TestMetricsConformance(t *testing.T) {
 	_, ts := tracedTestServer(t, Config{Workers: 2})
 
 	// Generate traffic on several routes so the histograms hold samples:
-	// a real run (run-duration, queue-wait, dispatch, store-op), its poll
+	// a real run (run-duration, queue-wait, store-op), its poll
 	// (http), and a 404 (the error-path code label).
 	_, v := post(t, ts, smallRun(1))
 	poll(t, ts, v.ID)
@@ -61,7 +61,6 @@ func TestMetricsConformance(t *testing.T) {
 	for _, family := range []string{
 		"lard_run_duration_seconds",
 		"lard_queue_wait_seconds",
-		"lard_dispatch_seconds",
 		"lard_store_op_seconds",
 		"lard_http_request_seconds",
 		"lard_build_info",

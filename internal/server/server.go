@@ -17,10 +17,10 @@
 //	                                 history, then live lifecycle + progress
 //	                                 events, heartbeats between
 //	GET  /v1/runs/{id}/trace         the run's finished (or in-flight) span
-//	                                 tree: admitted -> dispatched -> queued
-//	                                 -> simulating (with the simulator's
-//	                                 phase breakdown) -> stored; 404 unless
-//	                                 the server runs with tracing enabled
+//	                                 tree: admitted -> queued -> simulating
+//	                                 (with the simulator's phase
+//	                                 breakdown) -> stored; 404 unless the
+//	                                 server runs with tracing enabled
 //	GET  /v1/runs/{id}/timeline      the run's epoch-resolved telemetry
 //	                                 (per-epoch coherence counters, cycle
 //	                                 components); ?format=csv for a flat
@@ -54,11 +54,11 @@
 // so resubmitting an identical request while it is queued or running
 // attaches to the existing job instead of enqueueing a duplicate, and
 // resubmitting after completion is served straight from the store. The
-// engine's bounded worker pool executes jobs; when its queue is full the
-// server sheds load with 429 rather than buffering unboundedly. The
-// lifecycle machinery itself — job registry, worker pool, dispatcher,
-// event bus — lives entirely in internal/engine; this package only
-// translates HTTP.
+// engine's bounded worker pool executes jobs in admission order; when its
+// queue is full the server sheds load with 429 rather than buffering
+// unboundedly. The lifecycle machinery itself — job registry, worker pool,
+// FIFO queue, event bus — lives entirely in internal/engine; this package
+// only translates HTTP.
 package server
 
 import (
@@ -120,9 +120,6 @@ type Config struct {
 	// the same request body is served from the store — so the registry
 	// only needs to cover polling windows.
 	MaxCompletedJobs int
-	// Dispatcher overrides the engine's placement policy (default:
-	// locality-aware over Store).
-	Dispatcher engine.Dispatcher
 	// SSEHeartbeat is the keep-alive comment interval on event streams
 	// (default 15s; tests shorten it).
 	SSEHeartbeat time.Duration
@@ -164,7 +161,6 @@ func New(cfg Config) (*Server, error) {
 		QueueDepth:       cfg.QueueDepth,
 		Run:              cfg.Run,
 		MaxCompletedJobs: cfg.MaxCompletedJobs,
-		Dispatcher:       cfg.Dispatcher,
 		Obs:              ob,
 	})
 	if err != nil {
@@ -318,10 +314,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRunTrace implements GET /v1/runs/{id}/trace: the run's span tree
-// (admitted -> dispatched -> queued -> simulating with the simulator's
-// phase breakdown -> stored), finished or in flight. 404 covers three
-// cases the body distinguishes: tracing disabled on this server, an id
-// never seen, and a trace evicted from the bounded registry.
+// (admitted -> queued -> simulating with the simulator's phase breakdown
+// -> stored), finished or in flight. 404 covers three cases the body
+// distinguishes: tracing disabled on this server, an id never seen, and a
+// trace evicted from the bounded registry.
 func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tree, ok := s.engine.Trace(id)
@@ -548,11 +544,9 @@ type statsView struct {
 	Telemetry bool `json:"telemetry"`
 }
 
-// engineStatsView is the engine subtree of /stats: the event bus and the
-// dispatcher's placement ledger.
+// engineStatsView is the engine subtree of /stats: cancellations and the
+// event bus.
 type engineStatsView struct {
-	Dispatcher    string            `json:"dispatcher"`
-	Dispatch      map[string]uint64 `json:"dispatch"`
 	Cancellations uint64            `json:"cancellations"`
 	Events        engine.EventStats `json:"events"`
 }
@@ -568,8 +562,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Jobs:      es.Jobs,
 		Campaigns: es.Campaigns,
 		Engine: engineStatsView{
-			Dispatcher:    es.Dispatcher,
-			Dispatch:      es.Dispatch,
 			Cancellations: es.Cancellations,
 			Events:        es.Events,
 		},
