@@ -7,21 +7,22 @@ import (
 )
 
 // Per-line metadata of the sizes the coherence engine attaches, so a
-// benchmark cache has the engine's footprint: 40-byte L1 lines and 72-byte
+// benchmark cache has the engine's footprint: 40-byte L1 lines and 56-byte
 // LLC lines.
 type (
 	l1BenchMeta  struct{ _ [16]byte }
-	llcBenchMeta struct{ _ [48]byte }
+	llcBenchMeta struct{ _ [32]byte }
 )
 
 // BenchmarkCacheLookup measures Lookup, hit and miss, at the Table-1 L1-D
 // geometry (512 lines x 4 ways) and LLC-slice geometry (4096 x 8). Each
 // iteration probes the next of 64 caches, as a 64-core run spreads its
-// accesses over 64 tiles, so the working set (~2.6 MB of L1 lines, ~19 MB
-// of LLC lines) exceeds the host's caches and a lookup pays the host cache
-// misses a real run pays. Within a cache the probes step through a
-// permutation of the resident lines (hit) or of absent addresses that map
-// onto full sets (miss, every way compared).
+// accesses over 64 tiles, so the working set (~1.3 MB of L1 lines, ~15 MB
+// of LLC lines, plus one fingerprint byte per way) exceeds the host's
+// caches and a lookup pays the host cache misses a real run pays. Within a
+// cache the probes step through a permutation of the resident lines (hit)
+// or of absent addresses that map onto full sets (miss: every fingerprint
+// is compared, and only a fingerprint match reads a line).
 func BenchmarkCacheLookup(b *testing.B) {
 	b.Run("L1", func(b *testing.B) { benchLookup[l1BenchMeta](b, 512, 4) })
 	b.Run("LLC", func(b *testing.B) { benchLookup[llcBenchMeta](b, 4096, 8) })

@@ -5,6 +5,21 @@
 // them. Victim selection is pluggable; the two policies from the paper
 // (plain LRU and the modified LRU of §2.2.4 that first minimizes the number
 // of L1 copies) are provided.
+//
+// Every way has a one-byte tag fingerprint in an array beside the line
+// array: 0 for an invalid way, otherwise a nonzero byte of the address hash
+// that the set index does not use. Insert and Invalidate are the only
+// operations that make a way valid or invalid, and they keep the
+// fingerprint in step, so Lookup compares the address of a way only when
+// its fingerprint matches, and a miss reads the set's fingerprints and no
+// line at all. Callers may change a resident line's State between valid
+// states in place, never to Invalid.
+//
+// A line's index (Index, Insert) is its position in the set-major line
+// array, set×ways + way. A resident line never moves: its index names it
+// until Invalidate removes it or Insert evicts it, and At turns the index
+// back into the line. The coherence engine keeps such indexes as
+// back-handles to lines it already found once.
 package cache
 
 import (
@@ -13,18 +28,20 @@ import (
 	"lard/internal/mem"
 )
 
-// Line is one cache line. A Line with State Invalid is a free way.
+// Line is one cache line. A Line with State Invalid is a free way. The
+// fields are ordered widest first so the two one-byte fields share the
+// tail padding with whatever Meta leaves over.
 type Line[M any] struct {
 	// Addr is the line address stored in the tag.
 	Addr mem.LineAddr
-	// State is the MESI state of this copy.
-	State mem.MESI
-	// Dirty reports whether the copy differs from the next level.
-	Dirty bool
 	// LastUse is the LRU timestamp (monotonic per cache).
 	LastUse uint64
 	// Meta is caller-defined per-line metadata.
 	Meta M
+	// State is the MESI state of this copy.
+	State mem.MESI
+	// Dirty reports whether the copy differs from the next level.
+	Dirty bool
 }
 
 // VictimSelector picks the index of the way to evict among a full set. Every
@@ -35,6 +52,7 @@ type VictimSelector[M any] func(ways []Line[M]) int
 type Cache[M any] struct {
 	sets, ways int
 	lines      []Line[M] // sets*ways, set-major
+	fps        []uint8   // per-way tag fingerprint, 0 for an invalid way
 	clock      uint64
 	size       int // number of valid lines
 }
@@ -50,7 +68,7 @@ func New[M any](totalLines, ways int) *Cache[M] {
 	if bits.OnesCount(uint(sets)) != 1 {
 		panic("cache: number of sets must be a power of two")
 	}
-	return &Cache[M]{sets: sets, ways: ways, lines: make([]Line[M], totalLines)}
+	return &Cache[M]{sets: sets, ways: ways, lines: make([]Line[M], totalLines), fps: make([]uint8, totalLines)}
 }
 
 // Sets returns the number of sets.
@@ -72,24 +90,53 @@ func (c *Cache[M]) Len() int { return c.size }
 // Hashed indexing is applied uniformly to every cache so all schemes see the
 // same placement behaviour.
 func (c *Cache[M]) SetOf(a mem.LineAddr) int {
-	h := uint64(a) * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return int(h & uint64(c.sets-1))
+	return int(hash(a) & uint64(c.sets-1))
 }
 
-func (c *Cache[M]) set(a mem.LineAddr) []Line[M] {
-	s := c.SetOf(a)
-	return c.lines[s*c.ways : (s+1)*c.ways]
+// hash is the address fold behind SetOf. Its low bits pick the set; its top
+// byte, which no set count up to 2^56 reaches, is the tag fingerprint.
+func hash(a mem.LineAddr) uint64 {
+	h := uint64(a) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
 }
+
+// fingerprint returns the nonzero tag fingerprint of hash h.
+func fingerprint(h uint64) uint8 {
+	f := uint8(h >> 56)
+	if f == 0 {
+		f = 1
+	}
+	return f
+}
+
+// locate returns the index of the first way of a's set and a's
+// fingerprint.
+func (c *Cache[M]) locate(a mem.LineAddr) (base int, fp uint8) {
+	h := hash(a)
+	return int(h&uint64(c.sets-1)) * c.ways, fingerprint(h)
+}
+
+// Index returns the index of the valid line holding a, or -1 on a miss.
+// Only ways whose fingerprint matches have their address compared.
+func (c *Cache[M]) Index(a mem.LineAddr) int {
+	base, fp := c.locate(a)
+	for i, f := range c.fps[base : base+c.ways] {
+		if f == fp && c.lines[base+i].Addr == a {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// At returns the line at index i, as Index or Insert reported it. The line
+// is the one they named for as long as it stays resident.
+func (c *Cache[M]) At(i int) *Line[M] { return &c.lines[i] }
 
 // Lookup returns the valid line holding a, or nil on miss. It does not touch
 // LRU state; callers decide when a lookup counts as a use (Touch).
 func (c *Cache[M]) Lookup(a mem.LineAddr) *Line[M] {
-	set := c.set(a)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == a {
-			return &set[i]
-		}
+	if i := c.Index(a); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
@@ -100,29 +147,29 @@ func (c *Cache[M]) Touch(l *Line[M]) {
 	l.LastUse = c.clock
 }
 
-// Insert places line a into the cache in the given state and returns a
-// pointer to the inserted line. If the set is full, sel chooses the victim;
-// the evicted line is returned with evicted=true. Inserting an address that
-// is already present panics: callers must Lookup first.
-//
-// The returned insert pointer is valid until the next mutation of the cache.
-func (c *Cache[M]) Insert(a mem.LineAddr, state mem.MESI, sel VictimSelector[M]) (inserted *Line[M], victim Line[M], evicted bool) {
+// Insert places line a into the cache in the given state and returns the
+// index of the inserted line (see At). If the set is full, sel chooses the
+// victim; the evicted line is returned with evicted=true. Inserting an
+// address that is already present panics: callers must Lookup first.
+func (c *Cache[M]) Insert(a mem.LineAddr, state mem.MESI, sel VictimSelector[M]) (idx int, victim Line[M], evicted bool) {
 	if !state.Valid() {
 		panic("cache: Insert with Invalid state")
 	}
-	set := c.set(a)
+	base, fp := c.locate(a)
+	fps := c.fps[base : base+c.ways]
 	free := -1
-	for i := range set {
-		if !set[i].State.Valid() {
+	for i, f := range fps {
+		if f == 0 {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if set[i].Addr == a {
+		if f == fp && c.lines[base+i].Addr == a {
 			panic("cache: Insert of already-present line")
 		}
 	}
+	set := c.lines[base : base+c.ways]
 	if free < 0 {
 		free = sel(set)
 		if free < 0 || free >= len(set) {
@@ -133,29 +180,34 @@ func (c *Cache[M]) Insert(a mem.LineAddr, state mem.MESI, sel VictimSelector[M])
 		c.size--
 	}
 	c.clock++
-	var zero M
-	set[free] = Line[M]{Addr: a, State: state, LastUse: c.clock, Meta: zero}
+	set[free] = Line[M]{Addr: a, State: state, LastUse: c.clock}
+	fps[free] = fp
 	c.size++
-	return &set[free], victim, evicted
+	return base + free, victim, evicted
 }
 
 // Invalidate removes line a if present and returns the removed copy.
 func (c *Cache[M]) Invalidate(a mem.LineAddr) (removed Line[M], ok bool) {
-	l := c.Lookup(a)
-	if l == nil {
+	i := c.Index(a)
+	if i < 0 {
 		return Line[M]{}, false
 	}
+	l := &c.lines[i]
 	removed = *l
 	l.State = mem.Invalid
 	l.Dirty = false
+	c.fps[i] = 0
 	c.size--
 	return removed, true
 }
 
 // WaysOf returns the set holding line a as a mutable slice. Callers may
 // inspect the ways (e.g. to pre-check an insertion filter) but must not
-// change Addr/State directly; use Insert and Invalidate for that.
-func (c *Cache[M]) WaysOf(a mem.LineAddr) []Line[M] { return c.set(a) }
+// change Addr or validity directly; use Insert and Invalidate for that.
+func (c *Cache[M]) WaysOf(a mem.LineAddr) []Line[M] {
+	s := c.SetOf(a)
+	return c.lines[s*c.ways : (s+1)*c.ways]
+}
 
 // ForEach calls fn for every valid line. fn must not insert or invalidate.
 func (c *Cache[M]) ForEach(fn func(l *Line[M])) {

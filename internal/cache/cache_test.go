@@ -39,16 +39,20 @@ func TestLookupMissThenHit(t *testing.T) {
 	if c.Lookup(42) != nil {
 		t.Fatal("empty cache must miss")
 	}
-	ins, _, ev := c.Insert(42, mem.Shared, LRU[meta]())
+	idx, _, ev := c.Insert(42, mem.Shared, LRU[meta]())
 	if ev {
 		t.Fatal("insert into empty set must not evict")
 	}
+	ins := c.At(idx)
 	if ins.Addr != 42 || ins.State != mem.Shared {
 		t.Fatalf("inserted line = %+v", ins)
 	}
 	got := c.Lookup(42)
 	if got == nil || got.Addr != 42 {
 		t.Fatal("lookup after insert must hit")
+	}
+	if c.Index(42) != idx || got != ins {
+		t.Fatalf("Index = %d, Insert reported %d", c.Index(42), idx)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
@@ -113,8 +117,8 @@ func TestLRUEviction(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := newTestCache(64, 4)
-	ins, _, _ := c.Insert(9, mem.Modified, LRU[meta]())
-	ins.Dirty = true
+	idx, _, _ := c.Insert(9, mem.Modified, LRU[meta]())
+	c.At(idx).Dirty = true
 	rem, ok := c.Invalidate(9)
 	if !ok || rem.Addr != 9 || !rem.Dirty || rem.State != mem.Modified {
 		t.Fatalf("Invalidate returned %+v ok=%v", rem, ok)
@@ -207,11 +211,11 @@ func TestForEachAndCollectIf(t *testing.T) {
 
 func TestMetaZeroedOnInsert(t *testing.T) {
 	c := newTestCache(64, 4)
-	ins, _, _ := c.Insert(1, mem.Shared, LRU[meta]())
-	ins.Meta.tag = 99
+	idx, _, _ := c.Insert(1, mem.Shared, LRU[meta]())
+	c.At(idx).Meta.tag = 99
 	c.Invalidate(1)
-	ins2, _, _ := c.Insert(1, mem.Shared, LRU[meta]())
-	if ins2.Meta.tag != 0 {
+	idx2, _, _ := c.Insert(1, mem.Shared, LRU[meta]())
+	if c.At(idx2).Meta.tag != 0 {
 		t.Fatal("Meta must be zeroed on insert")
 	}
 }

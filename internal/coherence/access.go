@@ -113,6 +113,8 @@ func (e *Engine) replicaLookup(c, rslice mem.CoreID, op Op, t mem.Cycles, res *A
 	state := l.State
 	replicaDirty := l.Dirty
 	sharedRO := !l.Meta.everWritten
+	home := l.Meta.ref()
+	class := l.Meta.class
 	l.Meta.replicaReuse = satReuse(l.Meta.replicaReuse, e.cfg.RT)
 	consumed := e.consumeOnHit
 	if consumed {
@@ -151,10 +153,10 @@ func (e *Engine) replicaLookup(c, rslice mem.CoreID, op Op, t mem.Cycles, res *A
 		l1State = mem.Modified
 		fillDirty = true
 	}
-	e.fillL1(c, op, l1State, fillDirty, version, sharedRO, t)
+	e.fillL1(c, op, l1State, fillDirty, version, sharedRO, home, t)
 	res.Breakdown[stats.L1ToLLCReplica] += t - t0
 	res.Miss = stats.LLCReplicaHit
-	e.replicaHits[l.Meta.class]++
+	e.replicaHits[class]++
 	if e.runs != nil {
 		e.runs.record(op.Line, c, op.Type.IsWrite(), op.Class)
 	}
@@ -193,7 +195,12 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 	res.Breakdown[stats.L1ToLLCHome] += arrive - tstart
 
 	// Home serialization: the paper's "LLC home waiting time".
-	hl := e.homeEntry(home, op.Line)
+	llc := e.tiles[home].llc
+	hi := e.homeIndex(home, op.Line)
+	var hl *cacheLine
+	if hi >= 0 {
+		hl = llc.At(hi)
+	}
 	begin := max(arrive, e.homeStamp(home, op.Line, hl))
 	if e.stampOracle != nil {
 		e.checkStamp(home, op.Line, arrive, begin)
@@ -212,7 +219,8 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 		t = e.dram.Access(ctrl, t)
 		t = e.mesh.Send(ctile, home, e.dataFlits(), t)
 		res.Breakdown[stats.LLCHomeToOffChip] += t - t0
-		hl = e.insertHomeLine(home, op, t)
+		hi = e.insertHomeLine(home, op, t)
+		hl = llc.At(hi)
 		t += e.cfg.LLCDataLatency
 		e.chargeLLCTag(true)
 		e.chargeLLCData(true)
@@ -230,14 +238,16 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 		hl.Meta.everShared = true
 	}
 
+	ref := homeRef{slice: uint8(home), idx: int32(hi)}
 	if op.Type.IsWrite() {
-		return e.homeWrite(c, home, op, hl, t, res)
+		return e.homeWrite(c, home, op, hl, ref, t, res)
 	}
-	return e.homeRead(c, home, op, hl, t, res)
+	return e.homeRead(c, home, op, hl, ref, t, res)
 }
 
-// homeRead services a read or instruction fetch at the home (§2.2.1).
-func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycles, res *AccessResult) mem.Cycles {
+// homeRead services a read or instruction fetch at the home (§2.2.1). ref
+// is the back-handle to the home line hl.
+func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef, t mem.Cycles, res *AccessResult) mem.Cycles {
 	ent := hl.Meta.dir
 	la := op.Line
 
@@ -291,7 +301,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycles
 	sharedRO := hl.Meta.everShared && !hl.Meta.everWritten
 	if home == c {
 		// Local home hit: L1 fill only (§2.2.1).
-		e.fillL1(c, op, grant, false, version, sharedRO, t)
+		e.fillL1(c, op, grant, false, version, sharedRO, ref, t)
 		return t
 	}
 
@@ -306,19 +316,19 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycles
 		}
 		tr := e.mesh.Send(home, rslice, e.dataFlits(), t)
 		tr += e.cfg.LLCDataLatency
-		e.insertReplica(rslice, la, grant, false, version, op.Class, hl.Meta.everWritten, tr)
+		e.insertReplica(rslice, la, grant, false, version, op.Class, hl.Meta.everWritten, ref, tr)
 		ent.AddReplicaSlice(rslice)
 		tr = e.mesh.Send(rslice, c, e.dataFlits(), tr)
-		e.fillL1(c, op, l1grant, false, version, sharedRO, tr)
+		e.fillL1(c, op, l1grant, false, version, sharedRO, ref, tr)
 		return tr
 	}
 
 	tr := e.mesh.Send(home, c, e.dataFlits(), t)
 	if replicate {
 		tr += e.cfg.LLCDataLatency
-		e.insertReplica(c, la, grant, false, version, op.Class, hl.Meta.everWritten, tr)
+		e.insertReplica(c, la, grant, false, version, op.Class, hl.Meta.everWritten, ref, tr)
 	}
-	e.fillL1(c, op, grant, false, version, sharedRO, tr)
+	e.fillL1(c, op, grant, false, version, sharedRO, ref, tr)
 	return tr
 }
 
@@ -326,7 +336,8 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycles
 // copy (and the writer's own S-state replica), update the classifier, bump
 // the version, grant Modified — with a local replica in M state when the
 // classifier allows, which is what supports migratory sharing (§2.3.1).
-func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycles, res *AccessResult) mem.Cycles {
+// ref is the back-handle to the home line hl.
+func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef, t mem.Cycles, res *AccessResult) mem.Cycles {
 	ent := hl.Meta.dir
 	la := op.Line
 
@@ -334,13 +345,15 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycle
 		(ent.Sharers.Count() == 1 && ent.Sharers.Has(c))
 
 	// Invalidate all other sharers and cluster replicas.
-	t = e.invalidateSharers(c, home, la, ent, t, res)
+	t = e.invalidateSharers(c, home, la, hl, t, res)
 
 	// The writer's own replica (necessarily not writable, or the access
 	// would have hit it) is invalidated as well; the policy sees it as an
 	// invalidation so the (replica+home) reuse rule applies. Cluster
-	// replicas were already handled through the ReplicaSlices loop.
-	if e.usesReplicas && e.cfg.ClusterSize <= 1 {
+	// replicas were already handled through the ReplicaSlices loop. The
+	// test is the scheme's cluster replication, not Config.ClusterSize:
+	// schemes without cluster replicas keep local ones at any cluster size.
+	if e.usesReplicas && !e.clusterRepl {
 		wtl := e.tiles[c]
 		if l := wtl.llc.Lookup(la); l != nil && !l.Meta.home {
 			reuse := l.Meta.replicaReuse
@@ -349,6 +362,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycle
 				e.chargeLLCData(true)
 			}
 			wtl.llc.Invalidate(la)
+			e.replicaInvals++
 			e.chargeLLCTag(true)
 			e.clfDemotions++
 			e.policy.OnReplicaGone(ent, c, reuse, true)
@@ -388,26 +402,26 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycle
 	e.setStamp(home, la, ent, t)
 
 	if home == c {
-		e.fillL1(c, op, mem.Modified, true, version, false, t)
+		e.fillL1(c, op, mem.Modified, true, version, false, ref, t)
 		return t
 	}
 
 	if replicate && e.clusterRepl {
 		tr := e.mesh.Send(home, rslice, flits, t)
 		tr += e.cfg.LLCDataLatency
-		e.insertReplica(rslice, la, mem.Modified, false, version, op.Class, true, tr)
+		e.insertReplica(rslice, la, mem.Modified, false, version, op.Class, true, ref, tr)
 		ent.AddReplicaSlice(rslice)
 		tr = e.mesh.Send(rslice, c, e.dataFlits(), tr)
-		e.fillL1(c, op, mem.Modified, true, version, false, tr)
+		e.fillL1(c, op, mem.Modified, true, version, false, ref, tr)
 		return tr
 	}
 
 	tr := e.mesh.Send(home, c, flits, t)
 	if replicate {
 		tr += e.cfg.LLCDataLatency
-		e.insertReplica(c, la, mem.Modified, false, version, op.Class, true, tr)
+		e.insertReplica(c, la, mem.Modified, false, version, op.Class, true, ref, tr)
 	}
-	e.fillL1(c, op, mem.Modified, true, version, false, tr)
+	e.fillL1(c, op, mem.Modified, true, version, false, ref, tr)
 	return tr
 }
 
@@ -415,8 +429,9 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycle
 // acknowledgements (with replica-reuse counters, §2.2.3) and feeding the
 // policy. With an overflowed ACKwise set the probes are broadcast to every
 // core but only actual holders acknowledge (§2.1). It returns the time at
-// which all acknowledgements have arrived.
-func (e *Engine) invalidateSharers(writer, home mem.CoreID, la mem.LineAddr, ent *dirEntry, t mem.Cycles, res *AccessResult) mem.Cycles {
+// which all acknowledgements have arrived. hl is the home line of la.
+func (e *Engine) invalidateSharers(writer, home mem.CoreID, la mem.LineAddr, hl *cacheLine, t mem.Cycles, res *AccessResult) mem.Cycles {
+	ent := hl.Meta.dir
 	// Fan-out targets go into the engine scratch buffer (capacity Cores, so
 	// no growth): ascending core order in both modes, exactly the order the
 	// sorted Sharers() slice used to produce — message order is part of the
@@ -449,7 +464,6 @@ func (e *Engine) invalidateSharers(writer, home mem.CoreID, la mem.LineAddr, ent
 		flits := e.ctrlFlits()
 		if inv.dirty {
 			flits = e.dataFlits()
-			hl := e.homeEntry(home, la)
 			hl.Dirty = true
 			e.chargeLLCData(true)
 		}
@@ -474,7 +488,6 @@ func (e *Engine) invalidateSharers(writer, home mem.CoreID, la mem.LineAddr, ent
 		flits := e.ctrlFlits()
 		if inv.dirty {
 			flits = e.dataFlits()
-			hl := e.homeEntry(home, la)
 			hl.Dirty = true
 			e.chargeLLCData(true)
 		}
@@ -552,6 +565,7 @@ func (e *Engine) invalidateClusterReplica(rs mem.CoreID, la mem.LineAddr, writer
 		r.replicaReuse = l.Meta.replicaReuse
 		r.dirty = l.Dirty
 		tl.llc.Invalidate(la)
+		e.replicaInvals++
 		e.chargeLLCTag(true)
 	}
 	base := (int(rs) / e.cfg.ClusterSize) * e.cfg.ClusterSize
@@ -619,10 +633,17 @@ func (e *Engine) downgradeReplicaAt(sl mem.CoreID, la mem.LineAddr) bool {
 }
 
 // fillL1 inserts (or upgrades) the line in the requester's L1 and handles
-// the displaced victim according to the active scheme.
-func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version uint64, sharedRO bool, t mem.Cycles) {
+// the displaced victim according to the active scheme. home is the
+// back-handle to the line's home, which the copy keeps.
+func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version uint64, sharedRO bool, home homeRef, t mem.Cycles) {
+	if e.opts.CheckInvariants {
+		e.homeAt(home, op.Line, c)
+	}
 	tl := e.tiles[c]
-	l1 := tl.l1For(op.Type)
+	l1, sib := tl.l1d, tl.l1i
+	if op.Type.IsInstr() {
+		l1, sib = tl.l1i, tl.l1d
+	}
 	if existing := l1.Lookup(op.Line); existing != nil {
 		existing.State = state
 		existing.Dirty = existing.Dirty || dirty
@@ -631,12 +652,13 @@ func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version
 		e.chargeL1(op.Type.IsInstr(), true)
 		return
 	}
-	ins, victim, evicted := l1.Insert(op.Line, state, lruL1)
+	idx, victim, evicted := l1.Insert(op.Line, state, lruL1)
+	ins := l1.At(idx)
 	ins.Dirty = dirty
-	ins.Meta = l1Meta{version: version, sharedRO: sharedRO, class: op.Class}
+	ins.Meta = l1Meta{version: version, sharedRO: sharedRO, class: op.Class, homeIdx: home.idx, homeSlice: home.slice}
 	e.chargeL1(op.Type.IsInstr(), true)
 	if evicted {
-		e.handleL1Evict(c, victim, t)
+		e.handleL1Evict(c, victim, sib, t)
 	}
 }
 
@@ -666,10 +688,8 @@ func (e *Engine) temporalHint(c mem.CoreID, line *l1Line, t mem.Cycles) {
 		e.chargeLLCTag(true)
 		return
 	}
-	home := e.homeOfLine(la, c)
-	e.mesh.Send(c, home, e.ctrlFlits(), t)
-	if hl := e.homeEntry(home, la); hl != nil {
-		e.tiles[home].llc.Touch(hl)
-		e.chargeLLCTag(true)
-	}
+	r := line.Meta.ref()
+	e.mesh.Send(c, mem.CoreID(r.slice), e.ctrlFlits(), t)
+	e.tiles[r.slice].llc.Touch(e.homeAt(r, la, c))
+	e.chargeLLCTag(true)
 }

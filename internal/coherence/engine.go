@@ -363,14 +363,38 @@ func (e *Engine) homeOfLine(la mem.LineAddr, c mem.CoreID) mem.CoreID {
 	}
 }
 
+// homeIndex returns the index of la's home line in slice home, or -1 if
+// the home copy is not resident.
+func (e *Engine) homeIndex(home mem.CoreID, la mem.LineAddr) int {
+	llc := e.tiles[home].llc
+	i := llc.Index(la)
+	if i < 0 || !llc.At(i).Meta.home {
+		return -1
+	}
+	return i
+}
+
 // homeEntry returns the home line and directory entry for la at slice home,
 // or nil if the home copy is not resident.
 func (e *Engine) homeEntry(home mem.CoreID, la mem.LineAddr) *cacheLine {
-	l := e.tiles[home].llc.Lookup(la)
-	if l == nil || !l.Meta.home {
-		return nil
+	if i := e.homeIndex(home, la); i >= 0 {
+		return e.tiles[home].llc.At(i)
 	}
-	return l
+	return nil
+}
+
+// homeAt follows the back-handle r carried by core or slice c's copy of la
+// to its home line. Under CheckInvariants it checks the handle against the
+// home that placement and a lookup find.
+func (e *Engine) homeAt(r homeRef, la mem.LineAddr, c mem.CoreID) *cacheLine {
+	hl := e.tiles[r.slice].llc.At(int(r.idx))
+	if e.opts.CheckInvariants {
+		if want := e.homeEntry(e.homeOfLine(la, c), la); want != hl {
+			panic(fmt.Sprintf("coherence: core %d's copy of line %#x has home handle (slice %d, index %d), not its home line",
+				c, uint64(la), r.slice, r.idx))
+		}
+	}
+	return hl
 }
 
 // checkVersion enforces the single-writer/multiple-reader invariant: any

@@ -199,7 +199,7 @@ func TestDirtyWritebackOnL1Evict(t *testing.T) {
 	tm := wr(e, 0, 0, 0x1000).Done
 	victim := *e.tiles[0].l1d.Lookup(0x1000)
 	e.tiles[0].l1d.Invalidate(0x1000)
-	e.handleL1Evict(0, victim, tm)
+	e.handleL1Evict(0, victim, e.tiles[0].l1i, tm)
 	home := e.homeOfLine(0x1000, 0)
 	hl := e.homeEntry(home, 0x1000)
 	if !hl.Dirty {
@@ -288,7 +288,7 @@ func TestRTMigratoryExclusiveReplica(t *testing.T) {
 		tm = wr(e, c, tm, la).Done
 		victim := *e.tiles[c].l1d.Lookup(la)
 		e.tiles[c].l1d.Invalidate(la)
-		e.handleL1Evict(c, victim, tm)
+		e.handleL1Evict(c, victim, e.tiles[c].l1i, tm)
 	}
 	l := e.tiles[c].llc.Lookup(la)
 	if l == nil || l.Meta.home {
@@ -386,13 +386,13 @@ func TestL1EvictMergesIntoReplica(t *testing.T) {
 		tm = wr(e, c, tm, la).Done
 		victim := *e.tiles[c].l1d.Lookup(la)
 		e.tiles[c].l1d.Invalidate(la)
-		e.handleL1Evict(c, victim, tm)
+		e.handleL1Evict(c, victim, e.tiles[c].l1i, tm)
 	}
 	// Now an M replica exists. Write again, then evict the dirty L1 line.
 	tm = wr(e, c, tm, la).Done
 	victim := *e.tiles[c].l1d.Lookup(la)
 	e.tiles[c].l1d.Invalidate(la)
-	e.handleL1Evict(c, victim, tm)
+	e.handleL1Evict(c, victim, e.tiles[c].l1i, tm)
 	l := e.tiles[c].llc.Lookup(la)
 	if l == nil || !l.Dirty {
 		t.Fatal("dirty data must merge into the replica")

@@ -1,32 +1,34 @@
 package coherence
 
 import (
+	"fmt"
 	"math/bits"
 
 	"lard/internal/mem"
 )
 
 // insertHomeLine allocates the home copy (with a fresh directory entry) at
-// the home slice after an off-chip fill, disposing of the displaced victim.
-// The dispose runs first, so an entry recycled from the victim can serve
-// the incoming line immediately.
-func (e *Engine) insertHomeLine(home mem.CoreID, op Op, t mem.Cycles) *cacheLine {
+// the home slice after an off-chip fill, disposing of the displaced victim,
+// and returns the new line's index. The dispose runs first, so an entry
+// recycled from the victim can serve the incoming line immediately.
+func (e *Engine) insertHomeLine(home mem.CoreID, op Op, t mem.Cycles) int {
 	tl := e.tiles[home]
-	ins, victim, evicted := tl.llc.Insert(op.Line, mem.Shared, e.llcVictim(tl))
+	idx, victim, evicted := tl.llc.Insert(op.Line, mem.Shared, e.llcVictim(tl))
 	if evicted {
 		e.dispose(home, victim, t)
 	}
-	ins.Meta = llcMeta{
+	tl.llc.At(idx).Meta = llcMeta{
 		home:  true,
 		dir:   e.newDirEntry(),
 		class: op.Class,
 	}
-	return ins
+	return idx
 }
 
 // insertReplica allocates a replica at the given slice (never the line's
-// home slice), initializing the replica-reuse counter to 1 (§2.2.1).
-func (e *Engine) insertReplica(slice mem.CoreID, la mem.LineAddr, state mem.MESI, dirty bool, version uint64, class mem.DataClass, everWritten bool, t mem.Cycles) {
+// home slice), initializing the replica-reuse counter to 1 (§2.2.1). home
+// is the back-handle to the line's home.
+func (e *Engine) insertReplica(slice mem.CoreID, la mem.LineAddr, state mem.MESI, dirty bool, version uint64, class mem.DataClass, everWritten bool, home homeRef, t mem.Cycles) {
 	tl := e.tiles[slice]
 	if existing := tl.llc.Lookup(la); existing != nil {
 		// Refresh of a replica that survived (e.g. a same-core refetch).
@@ -38,16 +40,19 @@ func (e *Engine) insertReplica(slice mem.CoreID, la mem.LineAddr, state mem.MESI
 		e.chargeLLCData(true)
 		return
 	}
-	ins, victim, evicted := tl.llc.Insert(la, state, e.llcVictim(tl))
+	idx, victim, evicted := tl.llc.Insert(la, state, e.llcVictim(tl))
 	if evicted {
 		e.dispose(slice, victim, t)
 	}
+	ins := tl.llc.At(idx)
 	ins.Dirty = dirty
 	ins.Meta = llcMeta{
 		replicaReuse: 1,
 		version:      version,
 		everWritten:  everWritten,
 		class:        class,
+		homeIdx:      home.idx,
+		homeSlice:    home.slice,
 	}
 	e.replicaInserts[class]++
 	e.chargeLLCTag(true)
@@ -184,17 +189,16 @@ func (e *Engine) replicaEvicted(slice mem.CoreID, victim cacheLine, t mem.Cycles
 		}
 	}
 
-	home := e.homeOfLine(la, slice)
+	// The LLC is inclusive, so the home is resident: its disposal would
+	// have invalidated this replica first.
+	r := victim.Meta.ref()
+	hl := e.homeAt(r, la, slice)
 	flits := e.ctrlFlits()
 	if dirty {
 		flits = e.dataFlits()
 	}
-	e.mesh.Send(slice, home, flits, t)
+	e.mesh.Send(slice, mem.CoreID(r.slice), flits, t)
 
-	hl := e.homeEntry(home, la)
-	if hl == nil {
-		return // home copy already gone (its disposal invalidated us first)
-	}
 	ent := hl.Meta.dir
 	if dirty {
 		hl.Dirty = true
@@ -222,21 +226,29 @@ func (e *Engine) replicaEvicted(slice mem.CoreID, victim cacheLine, t mem.Cycles
 
 // handleL1Evict retires an L1 victim according to §2.2.3 and the active
 // scheme: merge into a resident home/replica copy, victim-replicate (VR,
-// ASR), or acknowledge the home (with a write-back when dirty). Eviction
+// ASR), or acknowledge the home (with a write-back when dirty). sib is the
+// tile's other L1, the only one that can still hold the line. Eviction
 // traffic is off the requester's critical path.
-func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, t mem.Cycles) {
+func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, sib *l1Cache, t mem.Cycles) {
 	la := victim.Addr
-	tl := e.tiles[c]
+	// The LLC is inclusive, so the victim's home is resident and its
+	// back-handle names it.
+	r := victim.Meta.ref()
+	home := mem.CoreID(r.slice)
+	hl := e.homeAt(r, la, c)
+	if e.opts.CheckInvariants && e.hasL1Copy(e.tiles[c], la) != (sib.Lookup(la) != nil) {
+		panic(fmt.Sprintf("coherence: core %d's L1 still holds its victim %#x", c, uint64(la)))
+	}
 
 	// Home copy resident in the local slice: merge and update the directory
 	// in place (no messages).
-	if l := tl.llc.Lookup(la); l != nil && l.Meta.home {
-		ent := l.Meta.dir
+	if home == c {
+		ent := hl.Meta.dir
 		if victim.Dirty {
-			l.Dirty = true
+			hl.Dirty = true
 			e.chargeLLCData(true)
 		}
-		if !e.hasL1Copy(tl, la) {
+		if sib.Lookup(la) == nil {
 			ent.Sharers.Remove(c)
 			if ent.HasOwner && ent.Owner == c {
 				ent.ClearOwner()
@@ -247,26 +259,29 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, t mem.Cycles) {
 	}
 
 	// Replica resident at the replica slice: merge (§2.2.3); the core stays
-	// a sharer through its replica, so the home is not notified.
+	// a sharer through its replica, so the home is not notified. A replica
+	// slice that is the home slice holds no replica.
 	if e.usesReplicas {
 		rslice := e.policy.ReplicaSlice(la, c)
-		if l := e.tiles[rslice].llc.Lookup(la); l != nil && !l.Meta.home {
-			if rslice != c {
-				flits := e.ctrlFlits()
+		if rslice != home {
+			if l := e.tiles[rslice].llc.Lookup(la); l != nil && !l.Meta.home {
+				if rslice != c {
+					flits := e.ctrlFlits()
+					if victim.Dirty {
+						flits = e.dataFlits()
+					}
+					e.mesh.Send(c, rslice, flits, t)
+				}
+				e.chargeLLCTag(false)
 				if victim.Dirty {
-					flits = e.dataFlits()
+					l.Dirty = true
+					if victim.State == mem.Modified {
+						l.State = mem.Modified
+					}
+					e.chargeLLCData(true)
 				}
-				e.mesh.Send(c, rslice, flits, t)
+				return
 			}
-			e.chargeLLCTag(false)
-			if victim.Dirty {
-				l.Dirty = true
-				if victim.State == mem.Modified {
-					l.State = mem.Modified
-				}
-				e.chargeLLCData(true)
-			}
-			return
 		}
 	}
 
@@ -277,22 +292,17 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, t mem.Cycles) {
 	}
 
 	// Default: acknowledge the home (write-back when dirty).
-	home := e.homeOfLine(la, c)
 	flits := e.ctrlFlits()
 	if victim.Dirty {
 		flits = e.dataFlits()
 	}
 	e.mesh.Send(c, home, flits, t)
-	hl := e.homeEntry(home, la)
-	if hl == nil {
-		return
-	}
 	ent := hl.Meta.dir
 	if victim.Dirty {
 		hl.Dirty = true
 		e.chargeLLCData(true)
 	}
-	if !e.hasL1Copy(tl, la) {
+	if sib.Lookup(la) == nil {
 		ent.Sharers.Remove(c)
 		if ent.HasOwner && ent.Owner == c {
 			ent.ClearOwner()
@@ -319,16 +329,19 @@ func (e *Engine) tryVictimInsert(c mem.CoreID, victim l1Line, t mem.Cycles) bool
 		// No permissible way: drop the victim; notify the home instead.
 		return false
 	}
-	ins, v2, evicted := tl.llc.Insert(la, victim.State, victimAllowedVR)
+	idx, v2, evicted := tl.llc.Insert(la, victim.State, victimAllowedVR)
 	if evicted {
 		e.dispose(c, v2, t)
 	}
+	ins := tl.llc.At(idx)
 	ins.Dirty = victim.Dirty
 	ins.Meta = llcMeta{
 		replicaReuse: 1,
 		version:      victim.Meta.version,
 		everWritten:  !victim.Meta.sharedRO,
 		class:        victim.Meta.class,
+		homeIdx:      victim.Meta.homeIdx,
+		homeSlice:    victim.Meta.homeSlice,
 	}
 	e.replicaInserts[victim.Meta.class]++
 	e.chargeLLCTag(true)

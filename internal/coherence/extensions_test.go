@@ -138,7 +138,7 @@ func TestKeepL1SecondAck(t *testing.T) {
 	e.replicaEvicted(c, victim, tm)
 	l1victim := *e.tiles[c].l1d.Lookup(la)
 	e.tiles[c].l1d.Invalidate(la)
-	e.handleL1Evict(c, l1victim, tm)
+	e.handleL1Evict(c, l1victim, e.tiles[c].l1i, tm)
 	home := e.homeOfLine(la, c)
 	if e.homeEntry(home, la).Meta.dir.Sharers.Has(c) {
 		t.Fatal("second acknowledgement must remove the sharer")

@@ -160,6 +160,21 @@ func TestHomeRecordSize(t *testing.T) {
 	}
 }
 
+// TestLineLayout pins the host footprint of the two line types. An 8-way
+// LLC set of 56-byte lines spans 7 host cache lines (9 at the earlier 72
+// bytes), and every set scan, replica probe and victim selection walks
+// one; the L1 line keeps its 40 bytes because the home back-handle fills
+// padding l1Meta already had. A field added to llcMeta or l1Meta that
+// grows either line must earn its host cache misses.
+func TestLineLayout(t *testing.T) {
+	if n := unsafe.Sizeof(cacheLine{}); n != 56 {
+		t.Errorf("LLC line is %d bytes, want 56", n)
+	}
+	if n := unsafe.Sizeof(l1Line{}); n != 40 {
+		t.Errorf("L1 line is %d bytes, want 40", n)
+	}
+}
+
 // TestHomeBirthAllocs pins the allocation cost of a directory-entry birth
 // under RT-3: one allocation (the home record, classifier inline) when the
 // free list is empty, none when it reuses a recycled record.

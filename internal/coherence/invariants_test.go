@@ -40,44 +40,55 @@ func TestSWMRUnderRandomTraffic(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := config.Small()
-			// Tiny caches maximize evictions and replacement churn.
-			cfg.L1ILines, cfg.L1DLines, cfg.LLCSliceLines = 16, 32, 128
-			if sc.mut != nil {
-				sc.mut(cfg)
-			}
-			opts := sc.opts
-			opts.CheckInvariants = true
-			e := New(cfg, opts)
-			rng := rand.New(rand.NewSource(42))
-			times := make([]mem.Cycles, cfg.Cores)
-			for i := 0; i < 60000; i++ {
-				c := mem.CoreID(rng.Intn(cfg.Cores))
-				var op Op
-				switch rng.Intn(10) {
-				case 0, 1: // instruction region
-					op = Op{Type: mem.IFetch,
-						Line: mem.LineAddr(0x10000 + rng.Intn(128)), Class: mem.ClassInstruction}
-				case 2, 3: // per-core private region
-					op = Op{Type: mem.Load,
-						Line: mem.LineAddr(0x20000 + int(c)*0x1000 + rng.Intn(64)), Class: mem.ClassPrivate}
-					if rng.Intn(3) == 0 {
-						op.Type = mem.Store
-					}
-				default: // hot shared region with frequent writes
-					op = Op{Type: mem.Load,
-						Line: mem.LineAddr(0x30000 + rng.Intn(200)), Class: mem.ClassSharedRW}
-					if rng.Intn(5) == 0 {
-						op.Type = mem.Store
-					}
-				}
-				res := e.Access(c, times[c], op)
-				if res.Done < times[c] {
-					t.Fatalf("time went backwards: %d -> %d", times[c], res.Done)
-				}
-				times[c] = res.Done
-			}
+			stress(t, sc.opts, sc.mut, nil)
 		})
+	}
+}
+
+// stress drives an engine with CheckInvariants on through 60k random
+// accesses over tiny caches, from every core: an instruction region, a
+// per-core private region and a hot shared region with frequent writes.
+// check, when non-nil, runs after every 1000th access.
+func stress(t *testing.T, opts Options, mut func(*config.Config), check func(e *Engine)) {
+	t.Helper()
+	cfg := config.Small()
+	// Tiny caches maximize evictions and replacement churn.
+	cfg.L1ILines, cfg.L1DLines, cfg.LLCSliceLines = 16, 32, 128
+	if mut != nil {
+		mut(cfg)
+	}
+	opts.CheckInvariants = true
+	e := New(cfg, opts)
+	rng := rand.New(rand.NewSource(42))
+	times := make([]mem.Cycles, cfg.Cores)
+	for i := 0; i < 60000; i++ {
+		c := mem.CoreID(rng.Intn(cfg.Cores))
+		var op Op
+		switch rng.Intn(10) {
+		case 0, 1: // instruction region
+			op = Op{Type: mem.IFetch,
+				Line: mem.LineAddr(0x10000 + rng.Intn(128)), Class: mem.ClassInstruction}
+		case 2, 3: // per-core private region
+			op = Op{Type: mem.Load,
+				Line: mem.LineAddr(0x20000 + int(c)*0x1000 + rng.Intn(64)), Class: mem.ClassPrivate}
+			if rng.Intn(3) == 0 {
+				op.Type = mem.Store
+			}
+		default: // hot shared region with frequent writes
+			op = Op{Type: mem.Load,
+				Line: mem.LineAddr(0x30000 + rng.Intn(200)), Class: mem.ClassSharedRW}
+			if rng.Intn(5) == 0 {
+				op.Type = mem.Store
+			}
+		}
+		res := e.Access(c, times[c], op)
+		if res.Done < times[c] {
+			t.Fatalf("time went backwards: %d -> %d", times[c], res.Done)
+		}
+		times[c] = res.Done
+		if check != nil && i%1000 == 999 {
+			check(e)
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ func TestVRVictimInsertion(t *testing.T) {
 	tm := rd(e, 0, 0, la).Done
 	victim := *e.tiles[0].l1d.Lookup(la)
 	e.tiles[0].l1d.Invalidate(la)
-	e.handleL1Evict(0, victim, tm)
+	e.handleL1Evict(0, victim, e.tiles[0].l1i, tm)
 	l := e.tiles[0].llc.Lookup(la)
 	if l == nil || l.Meta.home {
 		t.Fatal("VR must insert the victim into the local slice")
@@ -169,7 +169,7 @@ func TestVRDirtyVictimNotifiesHome(t *testing.T) {
 	tm := wr(e, 0, 0, la).Done
 	victim := *e.tiles[0].l1d.Lookup(la)
 	e.tiles[0].l1d.Invalidate(la)
-	e.handleL1Evict(0, victim, tm)
+	e.handleL1Evict(0, victim, e.tiles[0].l1i, tm)
 	hl := e.homeEntry(e.homeOfLine(la, 0), la)
 	if !hl.Dirty {
 		t.Fatal("dirty victim must merge at the home")
@@ -189,7 +189,7 @@ func TestASRLevelZeroNeverReplicates(t *testing.T) {
 		tm = rd(e, 0, tm, la).Done
 		victim := *e.tiles[0].l1d.Lookup(la)
 		e.tiles[0].l1d.Invalidate(la)
-		e.handleL1Evict(0, victim, tm)
+		e.handleL1Evict(0, victim, e.tiles[0].l1i, tm)
 	}
 	if l := e.tiles[0].llc.Lookup(la); l != nil && !l.Meta.home {
 		t.Fatal("ASR level 0 must never replicate")
@@ -206,7 +206,7 @@ func TestASRSharedReadOnlyGating(t *testing.T) {
 		if l := e.tiles[c].l1d.Lookup(la); l != nil {
 			victim := *l
 			e.tiles[c].l1d.Invalidate(la)
-			e.handleL1Evict(c, victim, tm)
+			e.handleL1Evict(c, victim, e.tiles[c].l1i, tm)
 		}
 	}
 	// Shared read-only line: replicated.

@@ -77,10 +77,15 @@ type AccessResult struct {
 	Miss stats.MissType
 }
 
-// l1Meta is the per-line metadata of the private L1 caches.
+// l1Meta is the per-line metadata of the private L1 caches. The home
+// back-handle takes the bytes that were padding after the one-byte
+// fields, so l1Meta stays 16 bytes and an L1 line 40.
 type l1Meta struct {
 	// version is the home version of the data held (SWMR checking).
 	version uint64
+	// homeIdx and homeSlice locate the home line of the copy (see homeRef).
+	homeIdx   int32
+	homeSlice uint8
 	// sharedRO is ASR's sticky classification bit: true while the line has
 	// never been written (conveyed by the home on the fill).
 	sharedRO bool
@@ -90,30 +95,54 @@ type l1Meta struct {
 	hintCount uint8
 }
 
-// llcMeta is the per-line metadata of the LLC slices.
+// ref returns the back-handle to the copy's home line.
+func (m *l1Meta) ref() homeRef { return homeRef{slice: m.homeSlice, idx: m.homeIdx} }
+
+// llcMeta is the per-line metadata of the LLC slices. Its fields are
+// ordered widest first so it packs into 32 bytes, and an LLC line into 56.
 type llcMeta struct {
-	// home marks the home copy (it carries the directory entry).
-	home bool
 	// dir is the in-cache directory entry of a home line; under RT with
 	// k > 0 it is the entry of a homeRecord.
 	dir *directory.Entry
+	// version is the home version of the data held by a replica.
+	version uint64
+	// firstCore is the first core to access the line (with firstSeen), used
+	// to detect sharing.
+	firstCore mem.CoreID
+	// homeIdx and homeSlice locate a replica's home line (see homeRef).
+	homeIdx int32
+	// home marks the home copy (it carries the directory entry).
+	home bool
 	// replicaReuse is the saturating reuse counter of a replica line
 	// (initialized to 1 on creation, incremented per replica hit, §2.2.1).
 	replicaReuse uint8
-	// version is the home version of the data held by a replica.
-	version uint64
 	// everWritten is the home-side sticky "not read-only" bit used by ASR.
 	everWritten bool
 	// everShared is the home-side sticky "shared" bit used by ASR: set once
 	// a second distinct core accesses the line (ASR replicates only lines
 	// classified shared AND read-only, §3.3).
 	everShared bool
-	// firstCore is the first core to access the line (with firstSeen), used
-	// to detect sharing.
-	firstCore mem.CoreID
-	firstSeen bool
+	firstSeen  bool
 	// class is the ground-truth data class (statistics only).
-	class mem.DataClass
+	class     mem.DataClass
+	homeSlice uint8
+}
+
+// ref returns the back-handle to a replica's home line.
+func (m *llcMeta) ref() homeRef { return homeRef{slice: m.homeSlice, idx: m.homeIdx} }
+
+// homeRef is a back-handle to a home line: its LLC slice and its index in
+// that slice (cache.Index). L1 copies and replicas carry the handle of the
+// home they were filled from, so the engine reaches that home without a
+// placement lookup or a set scan. It stays exact because the LLC is
+// inclusive: a resident home line never changes ways, and disposeHome
+// back-invalidates every L1 copy and replica of the line before its way is
+// reused. A slice fits a byte because the sharer bitset caps a machine at
+// 64 cores. Under CheckInvariants, homeAt checks every use of a handle
+// against a fresh lookup.
+type homeRef struct {
+	idx   int32
+	slice uint8
 }
 
 // tile is one core's slice of the memory system: its private L1 caches and
