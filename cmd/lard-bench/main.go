@@ -4,14 +4,13 @@
 //
 //	lard-bench [-fig all|1|6|7|8|9|10|lru|oracle|headline] [-cores 64|16|4]
 //	           [-scale 1.0] [-seed 0] [-breakdown BENCH] [-store DIR]
-//	           [-store-shards N] [-remote URL] [-waterfall] [-timeline]
+//	           [-remote URL] [-waterfall] [-timeline]
 //
 // With -store, every simulation is cached in a content-addressed result
 // store: re-running a figure (or regenerating a different figure that
-// shares runs) reuses stored results instead of re-simulating.
-// -store-shards splits the store directory into N consistent-hashed disk
-// shards (the same layout lard-server -shards uses, so a campaign can
-// warm a server's sharded store or vice versa).
+// shares runs) reuses stored results instead of re-simulating. The
+// directory layout is the one lard-server -store uses, so a campaign can
+// warm a server's store or vice versa.
 //
 // With -remote, the figure matrix is submitted to a running lard-server as
 // ONE campaign (-fig 6, 7 or all) instead of simulating locally: the
@@ -44,18 +43,17 @@ import (
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "which figure to regenerate: all,1,6,7,8,9,10,lru,revict,oracle,headline")
-		cores       = flag.Int("cores", 64, "core count (64 = Table 1, 16 or 4 = scaled down)")
-		scale       = flag.Float64("scale", 1.0, "per-core operation count scale")
-		seed        = flag.Uint64("seed", 0, "workload seed")
-		breakdown   = flag.String("breakdown", "", "also print per-component stacks for this benchmark")
-		par         = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
-		benchList   = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
-		storeDir    = flag.String("store", "", "result store directory (empty = no caching)")
-		storeShards = flag.Int("store-shards", 1, "consistent-hashed disk shards under the store directory")
-		remote      = flag.String("remote", "", "lard-server URL: submit the figure as one campaign instead of simulating locally")
-		waterfall   = flag.Bool("waterfall", false, "with -remote against a tracing server: print each member's phase-timing waterfall")
-		timeline    = flag.Bool("timeline", false, "with -remote against a telemetry server: print each member's epoch-timeline sparklines")
+		fig       = flag.String("fig", "all", "which figure to regenerate: all,1,6,7,8,9,10,lru,revict,oracle,headline")
+		cores     = flag.Int("cores", 64, "core count (64 = Table 1, 16 or 4 = scaled down)")
+		scale     = flag.Float64("scale", 1.0, "per-core operation count scale")
+		seed      = flag.Uint64("seed", 0, "workload seed")
+		breakdown = flag.String("breakdown", "", "also print per-component stacks for this benchmark")
+		par       = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
+		benchList = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
+		storeDir  = flag.String("store", "", "result store directory (empty = no caching)")
+		remote    = flag.String("remote", "", "lard-server URL: submit the figure as one campaign instead of simulating locally")
+		waterfall = flag.Bool("waterfall", false, "with -remote against a tracing server: print each member's phase-timing waterfall")
+		timeline  = flag.Bool("timeline", false, "with -remote against a telemetry server: print each member's epoch-timeline sparklines")
 	)
 	flag.Parse()
 	base := harness.Base{Cores: *cores, OpsScale: *scale, Seed: *seed, Parallelism: *par}
@@ -69,8 +67,8 @@ func main() {
 		// Local-only flags must not be silently dropped: the server owns
 		// the store and the parallelism, and the table endpoint has no
 		// per-component breakdown.
-		if *breakdown != "" || *storeDir != "" || *storeShards > 1 || *par != 0 {
-			fatal(fmt.Errorf("-breakdown, -store, -store-shards and -par do not apply in -remote mode"))
+		if *breakdown != "" || *storeDir != "" || *par != 0 {
+			fatal(fmt.Errorf("-breakdown, -store and -par do not apply in -remote mode"))
 		}
 		spec := lard.CampaignSpec{
 			Benchmarks: base.Benchmarks,
@@ -86,11 +84,8 @@ func main() {
 	if *timeline {
 		fatal(fmt.Errorf("-timeline requires -remote (epoch timelines come from the server's timeline endpoint)"))
 	}
-	if *storeDir == "" && *storeShards > 1 {
-		fatal(fmt.Errorf("-store-shards requires -store"))
-	}
 	if *storeDir != "" {
-		st, err := resultstore.Open(resultstore.BackendConfig{Dir: *storeDir, Shards: *storeShards})
+		st, err := resultstore.New(*storeDir)
 		fatal(err)
 		defer st.Close()
 		base.Store = st

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	lard-server [-addr :8347] [-store DIR] [-workers N] [-queue N]
-//	            [-max-entries N] [-shards N] [-peer URL]
-//	            [-replicate-threshold N] [-replica-capacity N]
+//	            [-max-entries N]
 //	            [-trace] [-max-traces N] [-telemetry] [-max-timelines N]
 //	            [-log-level LEVEL] [-debug-addr ADDR]
 //
@@ -26,25 +25,12 @@
 //	             (e.g. localhost:6060) so profiling never shares a port
 //	             with the public API.
 //
-// An empty -store selects a memory-only store (results do not survive a
-// restart). -max-entries bounds the store's in-memory layer with LRU
-// eviction (0 = unbounded); with a persistent backend, evicted results
-// stay servable from it.
-//
-// Storage topology:
-//
-//	-shards N  splits the store directory into N consistent-hashed disk
-//	           shards (DIR/shard-00 …), spreading entries across
-//	           directories or mounts. Routing is stable, so restarting
-//	           with the same N finds every entry again.
-//	-peer URL  names another lard-server as the authoritative owner of
-//	           the result space: misses fetch from the peer's
-//	           /v1/results endpoints, fresh results write through to it,
-//	           and entries whose reuse crosses -replicate-threshold are
-//	           promoted into this node's own backend (bounded by
-//	           -replica-capacity) — the paper's locality-aware
-//	           replication, applied to the serving tier. Peering must be
-//	           acyclic (hub-and-spoke).
+// Results persist in one directory, -store DIR, one file per run at
+// DIR/<key[:2]>/<key>.json; restarting on the same directory serves every
+// stored run without simulating it again. An empty -store selects a
+// memory-only store (results do not survive a restart). -max-entries
+// bounds the store's in-memory layer with LRU eviction (0 = unbounded);
+// with a store directory, evicted results stay servable from disk.
 //
 // See internal/server for the endpoint reference.
 package main
@@ -72,10 +58,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 64, "pending-job queue depth (full queue answers 429)")
 		maxEntries = flag.Int("max-entries", 0, "in-memory result bound, LRU-evicted beyond it (0 = unbounded)")
-		shards     = flag.Int("shards", 1, "consistent-hashed disk shards under the store directory")
-		peer       = flag.String("peer", "", "peer lard-server URL owning the result space (enables locality-aware replication)")
-		replThresh = flag.Int("replicate-threshold", 2, "reuse count that earns a peer-owned entry a local replica")
-		replCap    = flag.Int("replica-capacity", 4096, "local replica bound, LRU-demoted beyond it (0 = unbounded)")
 		trace      = flag.Bool("trace", false, "record a span tree per run, served by GET /v1/runs/{id}/trace")
 		maxTraces  = flag.Int("max-traces", 0, "bound on retained traces, oldest-finished evicted beyond it (0 = default 4096)")
 		telemetry  = flag.Bool("telemetry", false, "record an epoch timeline per run, served by GET /v1/runs/{id}/timeline")
@@ -95,28 +77,7 @@ func main() {
 		fatal(fmt.Errorf("-max-timelines requires -telemetry (there is no timeline registry to bound)"))
 	}
 
-	// Silent misconfiguration guard (the PR-2 discipline): a flag that
-	// would be ignored is an error, not a shrug — an operator who asked
-	// for 4 shards must not end up with an unsharded memory-only store.
-	if *storeDir == "" && *shards > 1 {
-		fatal(fmt.Errorf("-shards requires -store (an empty store directory has nothing to shard)"))
-	}
-	if *peer == "" {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if set["replicate-threshold"] || set["replica-capacity"] {
-			fatal(fmt.Errorf("-replicate-threshold and -replica-capacity require -peer (there is no owner to replicate from)"))
-		}
-	}
-
-	st, err := resultstore.Open(resultstore.BackendConfig{
-		Dir:                *storeDir,
-		Shards:             *shards,
-		Peer:               *peer,
-		ReplicateThreshold: *replThresh,
-		ReplicaCapacity:    *replCap,
-		MaxEntries:         *maxEntries,
-	})
+	st, err := resultstore.NewWithLimit(*storeDir, *maxEntries)
 	fatal(err)
 	defer st.Close()
 	ob := obs.New(obs.Options{Tracing: *trace, MaxTraces: *maxTraces, Telemetry: *telemetry, MaxTimelines: *maxTimel, Log: logger})
@@ -127,7 +88,7 @@ func main() {
 	httpSrv := &http.Server{
 		Addr:    *addr,
 		Handler: svc.Handler(),
-		// Submissions and polls are small JSON bodies; a peer that cannot
+		// Submissions and polls are small JSON bodies; a client that cannot
 		// finish its headers in 10 s is stalling a connection slot
 		// (slowloris), not simulating.
 		ReadHeaderTimeout: 10 * time.Second,
@@ -145,14 +106,7 @@ func main() {
 			}
 		}()
 	}
-	topology := "flat"
-	if *shards > 1 {
-		topology = fmt.Sprintf("%d shards", *shards)
-	}
-	if *peer != "" {
-		topology += fmt.Sprintf(", replicating from peer %s (threshold %d)", *peer, *replThresh)
-	}
-	logger.Info("listening", "addr", *addr, "store", *storeDir, "topology", topology, "tracing", *trace, "telemetry", *telemetry, "level", level.String())
+	logger.Info("listening", "addr", *addr, "store", *storeDir, "tracing", *trace, "telemetry", *telemetry, "level", level.String())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lard-storage [-cores 64] [-rt 3] [-slicekb 256] [-ackwise 4]
-//	lard-storage gc -store DIR [-shards N] -older-than DUR
+//	lard-storage gc -store DIR -older-than DUR
 //	                [-benchmark NAME] [-dry-run]
 //
 // The gc subcommand walks the store index and deletes entries whose
@@ -40,7 +40,6 @@ func gcMain(args []string) {
 	fs := flag.NewFlagSet("lard-storage gc", flag.ExitOnError)
 	var (
 		storeDir  = fs.String("store", "", "result store directory (required)")
-		shards    = fs.Int("shards", 1, "consistent-hashed disk shards under the store directory")
 		olderThan = fs.Duration("older-than", 0, "delete entries whose files are older than this (required, e.g. 720h)")
 		benchmark = fs.String("benchmark", "", "restrict the sweep to one benchmark")
 		dryRun    = fs.Bool("dry-run", false, "report what would be deleted without deleting")
@@ -53,7 +52,7 @@ func gcMain(args []string) {
 		fatalGC(fmt.Errorf("-older-than is required and must be positive (refusing to default to deleting everything)"))
 	}
 
-	st, err := resultstore.Open(resultstore.BackendConfig{Dir: *storeDir, Shards: *shards})
+	st, err := resultstore.New(*storeDir)
 	fatalGC(err)
 	defer st.Close()
 

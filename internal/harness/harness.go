@@ -39,10 +39,8 @@ type Base struct {
 
 // StoreSummary renders the campaign's cache effectiveness after a run —
 // simulations actually executed versus results served from memory, the
-// persistent backend, or shared in-flight computations — plus, when the
-// store is backed by a locality-aware replicated tier, the replication
-// ledger (replica hits versus owner fetches). It returns "" without a
-// store.
+// persistent backend, or shared in-flight computations — plus the
+// backend's entry count. It returns "" without a store.
 func (b Base) StoreSummary() string {
 	if b.Store == nil {
 		return ""
@@ -51,14 +49,7 @@ func (b Base) StoreSummary() string {
 	s := fmt.Sprintf("store: %d simulated, %d from memory, %d from backend, %d shared in flight",
 		st.Computes, st.MemHits, st.DiskHits, st.Shared)
 	if bs, ok := b.Store.BackendStats(); ok {
-		if bs.Entries >= 0 {
-			s += fmt.Sprintf("; %s backend: %d entries", bs.Kind, bs.Entries)
-		}
-		if bs.Replication != nil {
-			r := bs.Replication
-			s += fmt.Sprintf("; replication: %d replica hits, %d owner fetches, %d promotions",
-				r.ReplicaHits, r.OwnerFetches, r.Promotions)
-		}
+		s += fmt.Sprintf("; %s backend: %d entries", bs.Kind, bs.Entries)
 	}
 	return s
 }

@@ -3,13 +3,13 @@ package resultstore
 import "time"
 
 // OpObserver receives the wall-clock latency of one persistent-backend
-// operation: op is "get", "put", "delete" or "index", backend the backend
-// stack's kind ("disk", "sharded", "remote", "replicated"). Implementations
+// operation: op is "get", "put", "delete" or "index", backend the
+// backend's kind ("disk"). Implementations
 // must be fast and must not call back into the Store.
 type OpObserver func(op, backend string, d time.Duration)
 
 // opObserver pairs the callback with the backend kind, resolved once at
-// installation so the per-op path never walks the backend stats tree.
+// installation so the per-op path never takes the backend's stats lock.
 type opObserver struct {
 	fn   OpObserver
 	kind string

@@ -13,12 +13,12 @@
 //     bounded by an LRU entry limit so long-lived servers don't grow
 //     without bound,
 //   - an optional persistent backend (internal/store) holding the encoded
-//     entries: a single disk directory, a sharded composite across many
-//     directories, a remote peer server, or a locality-aware replicated
-//     stack over any of those (see Open), and
+//     entries: one disk directory, one file per key, and
 //   - singleflight deduplication: concurrent GetOrCompute calls for the
 //     same key share one computation instead of racing to duplicate it.
 //
+// A result reaches the memory layer only once the backend has accepted it,
+// so a failed write never leaves a result that is served but not stored.
 // Callers receive private clones, so mutating a returned Result (for
 // example relabeling its Scheme) never corrupts the cache. The encoded
 // entry format and every content address are byte-identical to the
@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -212,8 +211,8 @@ func NewWithLimit(dir string, maxEntries int) (*Store, error) {
 	return st, nil
 }
 
-// NewWithBackend opens a store over an arbitrary persistent backend — a
-// sharded composite, a remote peer, a replicated stack — with the given
+// NewWithBackend opens a store over an arbitrary persistent backend — in
+// practice a Disk, or a test wrapper around one — with the given
 // memory-layer LRU bound (0 = unbounded). A nil backend selects a
 // memory-only store.
 func NewWithBackend(b store.Backend, maxEntries int) (*Store, error) {
@@ -230,85 +229,18 @@ func NewWithBackend(b store.Backend, maxEntries int) (*Store, error) {
 	}, nil
 }
 
-// BackendConfig describes the standard backend stack of a serving node;
-// Open composes it. The zero value is a memory-only store.
+// BackendConfig describes the store of a serving node; Open opens it.
+// The zero value is a memory-only store.
 type BackendConfig struct {
-	// Dir is the root store directory ("" = no local disk).
+	// Dir is the store directory ("" = memory only).
 	Dir string
-	// Shards > 1 splits Dir into that many consistent-hashed disk shards
-	// (Dir/shard-00 …), so entries spread across directories — or mounts.
-	Shards int
-	// Peer is the base URL of another lard-server whose store becomes the
-	// authoritative owner backend; this node fetches from it and promotes
-	// hot entries into its own local backend (locality-aware replication).
-	Peer string
-	// ReplicateThreshold is the reuse count that earns a peer-owned entry
-	// a local replica (default 2; meaningful only with Peer).
-	ReplicateThreshold int
-	// ReplicaCapacity bounds the local replica set (0 = unbounded).
-	ReplicaCapacity int
 	// MaxEntries bounds the in-memory decoded layer (0 = unbounded).
 	MaxEntries int
 }
 
-// Open builds the backend stack cfg describes and opens a store over it:
-// plain disk, sharded disks, and/or a locality-aware replicated tier over
-// a peer server. Mixing sharded and unsharded stores over the same root
-// directory is not supported (they address different layouts).
+// Open opens the store cfg describes: NewWithLimit(cfg.Dir, cfg.MaxEntries).
 func Open(cfg BackendConfig) (*Store, error) {
-	var base store.Backend
-	switch {
-	case cfg.Dir == "":
-		// no local persistence
-	case cfg.Shards > 1:
-		children := make([]store.Backend, cfg.Shards)
-		for i := range children {
-			name := fmt.Sprintf("shard-%02d", i)
-			d, err := store.NewDisk(name, filepath.Join(cfg.Dir, name))
-			if err != nil {
-				return nil, fmt.Errorf("resultstore: %w", err)
-			}
-			children[i] = d
-		}
-		s, err := store.NewSharded("sharded", children...)
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		base = s
-	default:
-		d, err := store.NewDisk("disk", cfg.Dir)
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		base = d
-	}
-
-	if cfg.Peer != "" {
-		owner, err := store.NewRemote("peer", cfg.Peer, nil)
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		local := base
-		if local == nil {
-			local = store.NewMemory("replicas", cfg.ReplicaCapacity)
-		}
-		threshold := cfg.ReplicateThreshold
-		if threshold == 0 {
-			threshold = 2
-		}
-		r, err := store.NewReplicated("replicated", owner, local, threshold, cfg.ReplicaCapacity)
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		base = r
-	}
-
-	st, err := NewWithBackend(base, cfg.MaxEntries)
-	if err != nil {
-		return nil, err
-	}
-	st.dir = cfg.Dir
-	return st, nil
+	return NewWithLimit(cfg.Dir, cfg.MaxEntries)
 }
 
 // Dir returns the store's root directory ("" for a memory-only store or a
@@ -321,8 +253,8 @@ func (s *Store) MaxEntries() int { return s.max }
 // Backend returns the persistent backend (nil for a memory-only store).
 func (s *Store) Backend() store.Backend { return s.backend }
 
-// BackendStats returns the persistent backend's counter tree, ok=false for
-// a memory-only store.
+// BackendStats returns the persistent backend's counters, ok=false for a
+// memory-only store.
 func (s *Store) BackendStats() (store.Stats, bool) {
 	if s.backend == nil {
 		return store.Stats{}, false
@@ -408,7 +340,7 @@ func (s *Store) memPutLocked(key string, spec Spec, r *sim.Result) {
 }
 
 // path returns the entry file for key when the backend can name one (a
-// disk backend, or the owning shard of a sharded one); "" otherwise.
+// disk backend); "" otherwise.
 func (s *Store) path(key string) string {
 	if p, ok := s.backend.(interface{ Path(string) string }); ok {
 		return p.Path(key)
@@ -458,20 +390,24 @@ func (s *Store) GetByKey(key string) (*sim.Result, Spec, bool, error) {
 	return e.Result.Clone(), e.Spec, true, nil
 }
 
-// Put stores a result for spec, overwriting any previous entry.
+// Put stores a result for spec, overwriting any previous entry. The
+// memory layer takes the result only after the backend has.
 func (s *Store) Put(spec Spec, r *sim.Result) error {
 	key := spec.Key()
 	c := r.Clone()
+	if err := s.writeBackend(key, spec, c); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	s.memPutLocked(key, spec, c)
 	s.mu.Unlock()
-	return s.writeBackend(key, spec, c)
+	return nil
 }
 
 // GetRaw returns the canonical encoded entry for key, or ok=false when no
 // layer holds one. It validates what it serves — a corrupt backend entry
-// reads as a miss, never propagates to a peer — and is the server's
-// GET /v1/results/{key} path (what a Remote backend fetches).
+// reads as a miss, never leaves the store — and is the server's
+// GET /v1/results/{key} path (the export side of export/import).
 func (s *Store) GetRaw(key string) ([]byte, bool, error) {
 	if !validKey(key) {
 		return nil, false, nil
@@ -519,8 +455,8 @@ func (s *Store) GetRaw(key string) ([]byte, bool, error) {
 var ErrInvalidEntry = errors.New("invalid entry")
 
 // PutRaw stores an encoded entry under key, validating that the bytes
-// decode to a self-consistent envelope whose spec re-derives key — a peer
-// can never poison the store with a mislabeled result. The canonical
+// decode to a self-consistent envelope whose spec re-derives key — an
+// importer can never poison the store with a mislabeled result. The canonical
 // re-encoding is what persists, so one key always stores one byte string.
 // Validation failures wrap ErrInvalidEntry; other errors are storage
 // faults.
@@ -538,10 +474,13 @@ func (s *Store) PutRaw(key string, b []byte) error {
 	if e.Spec.Key() != key {
 		return fmt.Errorf("resultstore: put %s: %w: spec re-derives a different address", key, ErrInvalidEntry)
 	}
+	if err := s.writeBackend(key, e.Spec, e.Result); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	s.memPutLocked(key, e.Spec, e.Result)
 	s.mu.Unlock()
-	return s.writeBackend(key, e.Spec, e.Result)
+	return nil
 }
 
 // GCStats summarizes one garbage-collection sweep.
@@ -666,7 +605,9 @@ func (s *Store) GetOrCompute(spec Spec, compute func() (*sim.Result, error)) (*s
 }
 
 // leader runs the miss path of GetOrCompute for the singleflight winner:
-// consult the backend, else compute and persist.
+// consult the backend, else compute and persist. A result whose write
+// fails is reported as an error and cached nowhere, so the next call
+// computes again.
 func (s *Store) leader(key string, spec Spec, compute func() (*sim.Result, error)) (*sim.Result, bool, error) {
 	e, err := s.readBackend(key)
 	if err != nil {
@@ -689,12 +630,12 @@ func (s *Store) leader(key string, spec Spec, compute func() (*sim.Result, error
 		return nil, false, err
 	}
 	c := r.Clone()
-	s.mu.Lock()
-	s.memPutLocked(key, spec, c)
-	s.mu.Unlock()
 	if err := s.writeBackend(key, spec, c); err != nil {
 		return nil, false, err
 	}
+	s.mu.Lock()
+	s.memPutLocked(key, spec, c)
+	s.mu.Unlock()
 	return c, false, nil
 }
 
@@ -763,7 +704,7 @@ func (s *Store) IndexPage(offset, limit int) ([]IndexEntry, int, error) {
 		spec, known := s.specs[key]
 		s.mu.Unlock()
 		if !known {
-			e, err := s.readBackendForIndex(key)
+			e, err := s.readBackend(key)
 			if err != nil {
 				return nil, 0, fmt.Errorf("resultstore: index: %w", err)
 			}
@@ -791,27 +732,6 @@ func indexEntryFor(key string, spec Spec, inMem bool) IndexEntry {
 		OpsScale:  spec.Options.OpsScale,
 		InMemory:  inMem,
 	}
-}
-
-// readBackendForIndex is readBackend for audit/index reads: when the
-// backend distinguishes them (the replicated tier's IndexGet reads the
-// owner without reuse bookkeeping), enumerating a store does not promote
-// cold keys or evict hot replicas.
-func (s *Store) readBackendForIndex(key string) (*entry, error) {
-	ig, ok := s.backend.(interface {
-		IndexGet(string) ([]byte, bool, error)
-	})
-	if !ok {
-		return s.readBackend(key)
-	}
-	b, found, err := ig.IndexGet(key)
-	if err != nil {
-		return nil, fmt.Errorf("resultstore: read %s: %w", key, err)
-	}
-	if !found {
-		return nil, nil
-	}
-	return s.decodeEntry(key, b), nil
 }
 
 // readBackend loads the entry for key from the persistent backend,

@@ -17,82 +17,21 @@ import (
 	"lard/internal/store"
 )
 
-// backendMetricRow is one flattened backend node: its path through the
-// composite tree ("sharded/shard-02", "replicated/peer") and its snapshot.
-type backendMetricRow struct {
-	path string
-	st   store.Stats
-}
-
-// flattenBackend walks the backend stats tree depth-first.
-func flattenBackend(prefix string, st store.Stats, out *[]backendMetricRow) {
-	path := st.Name
-	if prefix != "" {
-		path = prefix + "/" + st.Name
+// renderBackendMetrics exposes the persistent backend's traffic and
+// entry count: one row per family, labeled with the backend's name and
+// kind.
+func renderBackendMetrics(b *strings.Builder, st store.Stats) {
+	series := func(name, help, metric string, v uint64) {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s{backend=%q,kind=%q} %d\n",
+			name, help, name, metric, name, st.Name, st.Kind, v)
 	}
-	*out = append(*out, backendMetricRow{path: path, st: st})
-	for _, child := range st.Shards {
-		flattenBackend(path, child, out)
-	}
-}
-
-// renderBackendMetrics exposes the persistent backend tree: per-shard
-// traffic and entry counts, plus the locality-aware replication ledger
-// (promotions, replica hits, owner fetches, evictions) of any replicated
-// tier — the observability face of the storage subsystem, so the locality
-// win (replica hits climbing, owner fetches flattening) shows up on a
-// dashboard, not just in logs.
-func renderBackendMetrics(b *strings.Builder, root store.Stats) {
-	var rows []backendMetricRow
-	flattenBackend("", root, &rows)
-
-	series := func(name, help, metric string, value func(store.Stats) (uint64, bool)) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, metric)
-		for _, r := range rows {
-			if v, ok := value(r.st); ok {
-				fmt.Fprintf(b, "%s{backend=%q,kind=%q} %d\n", name, r.path, r.st.Kind, v)
-			}
-		}
-	}
-	always := func(f func(store.Stats) uint64) func(store.Stats) (uint64, bool) {
-		return func(s store.Stats) (uint64, bool) { return f(s), true }
-	}
-	series("lard_backend_entries", "Entries stored per backend (per-shard occupancy; -1/absent when unknown).", "gauge",
-		func(s store.Stats) (uint64, bool) { return uint64(s.Entries), s.Entries >= 0 })
-	series("lard_backend_gets_total", "Get calls per backend.", "counter", always(func(s store.Stats) uint64 { return s.Gets }))
-	series("lard_backend_hits_total", "Get hits per backend.", "counter", always(func(s store.Stats) uint64 { return s.Hits }))
-	series("lard_backend_misses_total", "Get misses per backend.", "counter", always(func(s store.Stats) uint64 { return s.Misses }))
-	series("lard_backend_puts_total", "Put calls per backend.", "counter", always(func(s store.Stats) uint64 { return s.Puts }))
-	series("lard_backend_deletes_total", "Delete calls per backend.", "counter", always(func(s store.Stats) uint64 { return s.Deletes }))
-	series("lard_backend_evictions_total", "Capacity evictions per backend.", "counter", always(func(s store.Stats) uint64 { return s.Evictions }))
-
-	repl := func(name, help string, value func(*store.ReplicationStats) uint64) {
-		emitted := false
-		for _, r := range rows {
-			if r.st.Replication == nil {
-				continue
-			}
-			if !emitted {
-				fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-				emitted = true
-			}
-			fmt.Fprintf(b, "%s{backend=%q} %d\n", name, r.path, value(r.st.Replication))
-		}
-	}
-	repl("lard_replica_promotions_total", "Hot entries promoted into the local backend after crossing the reuse threshold.",
-		func(r *store.ReplicationStats) uint64 { return r.Promotions })
-	repl("lard_replica_hits_total", "Reads served from a local replica instead of the owner backend.",
-		func(r *store.ReplicationStats) uint64 { return r.ReplicaHits })
-	repl("lard_owner_fetches_total", "Reads that crossed to the owner backend (no local replica).",
-		func(r *store.ReplicationStats) uint64 { return r.OwnerFetches })
-	repl("lard_replica_evictions_total", "Replicas evicted back to owner-only by the capacity bound.",
-		func(r *store.ReplicationStats) uint64 { return r.ReplicaEvictions })
-	for _, r := range rows {
-		if r.st.Replication != nil {
-			fmt.Fprintf(b, "# HELP lard_replicas Current local replica count.\n# TYPE lard_replicas gauge\nlard_replicas{backend=%q} %d\n",
-				r.path, r.st.Replication.Replicas)
-		}
-	}
+	series("lard_backend_entries", "Entries stored in the persistent backend.", "gauge", uint64(st.Entries))
+	series("lard_backend_gets_total", "Backend Get calls.", "counter", st.Gets)
+	series("lard_backend_hits_total", "Backend Get hits.", "counter", st.Hits)
+	series("lard_backend_misses_total", "Backend Get misses.", "counter", st.Misses)
+	series("lard_backend_puts_total", "Backend Put calls.", "counter", st.Puts)
+	series("lard_backend_deletes_total", "Backend Delete calls.", "counter", st.Deletes)
+	series("lard_backend_evictions_total", "Backend capacity evictions.", "counter", st.Evictions)
 }
 
 // handleMetrics implements GET /metrics.

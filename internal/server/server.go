@@ -37,8 +37,8 @@
 //	GET  /v1/results                 index of every stored run spec
 //	                                 (?limit=&offset= pages; ?keys=1 lists
 //	                                 raw keys only, same paging)
-//	GET  /v1/results/{key}           one raw encoded entry (the peer-
-//	                                 replication fetch path)
+//	GET  /v1/results/{key}           one raw encoded entry (the export
+//	                                 path)
 //	PUT  /v1/results/{key}           store a raw encoded entry (validated
 //	                                 against its own content address)
 //	DELETE /v1/results/{key}         drop an entry from every layer
@@ -385,8 +385,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // store never renders in one response; spec metadata comes from the
 // store's in-memory index when resident, so a page costs at most `limit`
 // backend reads. ?keys=1 lists raw keys only, decoding nothing — the
-// listing a Remote peer backend uses — under the same paging and
-// validation.
+// listing an exporter walks — under the same paging and validation.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit, err := queryInt(q.Get("limit"), 0)
@@ -447,8 +446,8 @@ func queryInt(s string, def int) (int, error) {
 }
 
 // handleResultGet implements GET /v1/results/{key}: the raw encoded entry,
-// exactly as stored. This is the fetch path of a peer's Remote backend —
-// and of the locality-aware replicator stacked on it.
+// exactly as stored: the export half of moving results between stores
+// (PUT is the import half).
 func (s *Server) handleResultGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	b, ok, err := s.store.GetRaw(key)
@@ -470,7 +469,8 @@ const maxRawEntry = 64 << 20
 
 // handleResultPut implements PUT /v1/results/{key}: store a raw entry.
 // The body must decode to a self-consistent envelope whose spec re-derives
-// the key, so a peer can never plant a result under a foreign address.
+// the key, so an importer can never plant a result under a foreign
+// address.
 func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRawEntry))
@@ -480,7 +480,7 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.store.PutRaw(key, b); err != nil {
 		// The client is only at fault for a bad envelope; a failing
-		// backend (full disk, unreachable shard) is the server's problem
+		// backend (full disk, I/O error) is the server's problem
 		// and must read as retryable.
 		code := http.StatusInternalServerError
 		if errors.Is(err, resultstore.ErrInvalidEntry) {
@@ -532,8 +532,8 @@ type statsView struct {
 	Store        resultstore.Stats `json:"store"`
 	StoreEntries int               `json:"store_entries"`
 	StoreDir     string            `json:"store_dir,omitempty"`
-	// Backend is the persistent backend's counter tree — per-shard traffic
-	// and entry counts, replication ledger — absent on memory-only stores.
+	// Backend is the persistent backend's traffic and entry count, absent
+	// on memory-only stores.
 	Backend *store.Stats `json:"backend,omitempty"`
 	// UptimeSeconds is how long this server process has been serving.
 	UptimeSeconds float64 `json:"uptime_seconds"`

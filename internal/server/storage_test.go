@@ -3,17 +3,21 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lard"
 	"lard/internal/resultstore"
+	"lard/internal/store"
 )
 
-// TestRawResultEndpoints covers the peer-facing raw entry surface over
+// TestRawResultEndpoints covers the export/import raw entry surface over
 // HTTP: GET serves stored bytes, PUT validates and stores them on another
 // node, DELETE drops them, and poisoned envelopes bounce.
 func TestRawResultEndpoints(t *testing.T) {
@@ -152,157 +156,140 @@ func TestResultsPaging(t *testing.T) {
 	}
 }
 
-// TestPeerReplication stacks two real servers: node B names node A's store
-// as its owner backend through the replicated tier. A result computed on A
-// is served on B without simulating (and promoted into B's local replica
-// set); a result computed on B writes through to A.
-func TestPeerReplication(t *testing.T) {
-	sA, tsA := newTestServer(t, Config{Workers: 2})
+// faultyDisk wraps a Disk so backend reads or writes can be made to fail
+// on demand.
+type faultyDisk struct {
+	*store.Disk
+	failGets, failPuts atomic.Bool
+}
 
-	stB, err := resultstore.Open(resultstore.BackendConfig{
-		Peer:               tsA.URL,
-		ReplicateThreshold: 1, // promote on first fetch
-	})
+var errDiskFault = errors.New("injected disk fault")
+
+func (d *faultyDisk) Get(key string) ([]byte, bool, error) {
+	if d.failGets.Load() {
+		return nil, false, errDiskFault
+	}
+	return d.Disk.Get(key)
+}
+
+func (d *faultyDisk) Put(key string, val []byte) error {
+	if d.failPuts.Load() {
+		return errDiskFault
+	}
+	return d.Disk.Put(key, val)
+}
+
+// newFaultyServer starts a server over a store whose disk can be made to
+// fail.
+func newFaultyServer(t *testing.T) (*Server, *httptest.Server, *faultyDisk) {
+	t.Helper()
+	d, err := store.NewDisk("disk", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sB, tsB := newTestServer(t, Config{Store: stB, Workers: 2})
-
-	// Compute on A.
-	reqShared := smallRun(31)
-	code, v := post(t, tsA, reqShared)
-	if code != http.StatusAccepted {
-		t.Fatalf("A submit = %d", code)
-	}
-	done := poll(t, tsA, v.ID)
-
-	// B answers the same request synchronously from A's store — zero local
-	// simulations — and promotes the hot entry into its replica set.
-	code, vB := post(t, tsB, reqShared)
-	if code != http.StatusOK || !vB.Cached {
-		t.Fatalf("B should serve A's result from the peer store: %d %+v", code, vB)
-	}
-	if vB.Result == nil || vB.Result.CompletionCycles != done.Result.CompletionCycles {
-		t.Fatalf("peer-served result differs: %+v vs %+v", vB.Result, done.Result)
-	}
-	if c := sB.store.Stats().Computes; c != 0 {
-		t.Fatalf("B simulated %d times, want 0", c)
-	}
-	bs, ok := sB.store.BackendStats()
-	if !ok || bs.Replication == nil {
-		t.Fatalf("B must expose a replicated backend, got %+v", bs)
-	}
-	if bs.Replication.OwnerFetches == 0 || bs.Replication.Promotions == 0 {
-		t.Fatalf("replication counters flat: %+v", bs.Replication)
-	}
-
-	// A run computed on B writes through to the owner: A can now serve its
-	// raw entry without ever having simulated it.
-	reqNew := smallRun(32)
-	keyNew, _ := lard.KeyFor(reqNew.Benchmark, reqNew.Scheme, reqNew.Options)
-	code, vNew := post(t, tsB, reqNew)
-	if code != http.StatusAccepted {
-		t.Fatalf("B submit = %d", code)
-	}
-	poll(t, tsB, vNew.ID)
-	resp, err := http.Get(tsA.URL + "/v1/results/" + keyNew)
+	fd := &faultyDisk{Disk: d}
+	st, err := resultstore.NewWithBackend(fd, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner A lacks B's computed entry: %d", resp.StatusCode)
-	}
-	if c := sA.store.Stats().Computes; c != 1 {
-		t.Fatalf("A computes = %d, want 1 (B's run must not re-simulate on A)", c)
+	s, ts := newTestServer(t, Config{Store: st, Workers: 1})
+	return s, ts, fd
+}
+
+// TestBackendReadErrorIs500: a failing disk read on the raw entry path is
+// the server's fault — a 500 with a JSON error body — never a 404 that
+// would tell an exporter the entry does not exist.
+func TestBackendReadErrorIs500(t *testing.T) {
+	_, ts, fd := newFaultyServer(t)
+	req := smallRun(41)
+	key, _ := lard.KeyFor(req.Benchmark, req.Scheme, req.Options)
+	_, v := post(t, ts, req)
+	if done := poll(t, ts, v.ID); done.Status != StatusDone {
+		t.Fatalf("run = %s (%s)", done.Status, done.Error)
 	}
 
-	// The locality win is observable: B's /metrics carries the replication
-	// families, /stats carries the backend tree.
-	mresp, err := http.Get(tsB.URL + "/metrics")
+	fd.failGets.Store(true)
+	resp, err := http.Get(ts.URL + "/v1/results/" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	for _, family := range []string{
-		"lard_replica_promotions_total",
-		"lard_replica_hits_total",
-		"lard_owner_fetches_total",
-		"lard_replica_evictions_total",
-		"lard_replicas",
-		"lard_backend_gets_total",
-	} {
-		if !strings.Contains(string(mb), family) {
-			t.Errorf("/metrics lacks %s", family)
-		}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
 	}
-	sresp, _ := http.Get(tsB.URL + "/stats")
-	var sv struct {
-		Backend *struct {
-			Kind string `json:"kind"`
-		} `json:"backend"`
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("error body is not JSON: %v", err)
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&sv); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if sv.Backend == nil || sv.Backend.Kind != "replicated" {
-		t.Fatalf("/stats backend = %+v, want the replicated tier", sv.Backend)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body.Error, errDiskFault.Error()) {
+		t.Fatalf("raw get over a failing disk = %d %q, want 500 naming the fault", resp.StatusCode, body.Error)
 	}
 }
 
-// TestShardedServerStats: a server over a sharded store reports per-shard
-// entry counts in /stats and /metrics.
-func TestShardedServerStats(t *testing.T) {
-	st, err := resultstore.Open(resultstore.BackendConfig{Dir: t.TempDir(), Shards: 4})
+// TestFailedPersistIsNotCached: a run whose store write failed is reported
+// failed, and resubmitting it simulates again — the result it computed
+// was never stored, so it must not come back as cached.
+func TestFailedPersistIsNotCached(t *testing.T) {
+	s, ts, fd := newFaultyServer(t)
+	req := smallRun(42)
+	key, _ := lard.KeyFor(req.Benchmark, req.Scheme, req.Options)
+
+	fd.failPuts.Store(true)
+	_, v := post(t, ts, req)
+	if failed := poll(t, ts, v.ID); failed.Status != StatusFailed {
+		t.Fatalf("run over a failing disk = %s, want failed", failed.Status)
+	}
+
+	fd.failPuts.Store(false)
+	code, v := post(t, ts, req)
+	if code == http.StatusOK || v.Cached {
+		t.Fatalf("re-POST of a run that was never stored = %d cached=%v", code, v.Cached)
+	}
+	done := poll(t, ts, v.ID)
+	if done.Status != StatusDone || done.Cached {
+		t.Fatalf("retry = %s cached=%v, want a fresh simulation", done.Status, done.Cached)
+	}
+	if c := s.store.Stats().Computes; c != 2 {
+		t.Fatalf("computes = %d, want 2 (the retry must simulate)", c)
+	}
+	if _, ok, err := fd.Disk.Get(key); err != nil || !ok {
+		t.Fatalf("retried run not on disk: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestBackendMetricsOneRow: a disk-backed server reports its backend as
+// one row per lard_backend_* family, in /metrics and /stats alike.
+func TestBackendMetricsOneRow(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	_, v := post(t, ts, smallRun(43))
+	poll(t, ts, v.ID)
+
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := uint64(1); seed <= 6; seed++ {
-		o := lard.Options{Cores: 16, OpsScale: 0.02, Seed: seed}
-		if _, _, err := lard.RunWithStore(st, "BARNES", lard.SNUCA(), o); err != nil {
-			t.Fatal(err)
+	mb, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, family := range []string{"lard_backend_entries", "lard_backend_gets_total", "lard_backend_puts_total"} {
+		rows := grepLines(string(mb), family+"{")
+		if want := fmt.Sprintf("%s{backend=%q,kind=%q}", family, "disk", "disk"); strings.Count(rows, "\n") != 0 || !strings.HasPrefix(rows, want) {
+			t.Errorf("%s rows:\n%s\nwant one %s row", family, rows, want)
 		}
 	}
-	_, ts := newTestServer(t, Config{Store: st, Workers: 1})
+	if !strings.Contains(string(mb), `lard_backend_entries{backend="disk",kind="disk"} 1`) {
+		t.Errorf("entry gauge:\n%s", grepLines(string(mb), "lard_backend_entries"))
+	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	sresp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sv struct {
-		Backend *struct {
-			Kind    string `json:"kind"`
-			Entries int    `json:"entries"`
-			Shards  []struct {
-				Name    string `json:"name"`
-				Entries int    `json:"entries"`
-			} `json:"shards"`
-		} `json:"backend"`
+		Backend map[string]any `json:"backend"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&sv)
-	resp.Body.Close()
-	if err != nil || sv.Backend == nil {
-		t.Fatalf("stats: %v %+v", err, sv)
-	}
-	if sv.Backend.Kind != "sharded" || len(sv.Backend.Shards) != 4 || sv.Backend.Entries != 6 {
-		t.Fatalf("backend tree = %+v", sv.Backend)
-	}
-	sum := 0
-	for _, sh := range sv.Backend.Shards {
-		sum += sh.Entries
-	}
-	if sum != 6 {
-		t.Fatalf("per-shard entries sum to %d, want 6", sum)
-	}
-
-	mresp, _ := http.Get(ts.URL + "/metrics")
-	mb, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mb), fmt.Sprintf("lard_backend_entries{backend=%q,kind=%q}", "sharded/shard-00", "disk")) {
-		t.Errorf("/metrics lacks per-shard entry gauges:\n%s", grepLines(string(mb), "lard_backend_entries"))
+	err = json.NewDecoder(sresp.Body).Decode(&sv)
+	sresp.Body.Close()
+	if err != nil || sv.Backend == nil || sv.Backend["kind"] != "disk" || sv.Backend["entries"] != float64(1) {
+		t.Fatalf("/stats backend = %v (%v)", sv.Backend, err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package store_test
 
 import (
-	"fmt"
-	"path/filepath"
 	"testing"
 
 	"lard/internal/store"
@@ -17,66 +15,26 @@ func benchEntry() []byte {
 	return b
 }
 
-// BenchmarkShardedGet measures a read through the sharded composite: one
-// rendezvous routing decision plus the owning disk shard's file read.
-func BenchmarkShardedGet(b *testing.B) {
-	dir := b.TempDir()
-	children := make([]store.Backend, 8)
-	for i := range children {
-		d, err := store.NewDisk(fmt.Sprintf("shard-%d", i), filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		children[i] = d
-	}
-	s, err := store.NewSharded("sharded", children...)
+// BenchmarkDiskGet measures the store-read layer of the request stack:
+// one entry file read from the disk backend, beneath resultstore's decoded
+// in-memory layer.
+func BenchmarkDiskGet(b *testing.B) {
+	d, err := store.NewDisk("disk", b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	val := benchEntry()
 	const keys = 64
 	for i := 0; i < keys; i++ {
-		if err := s.Put(key(i), val); err != nil {
+		if err := d.Put(key(i), val); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(int64(len(val)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := s.Get(key(i % keys)); !ok || err != nil {
+		if _, ok, err := d.Get(key(i % keys)); !ok || err != nil {
 			b.Fatalf("miss: %v", err)
 		}
 	}
-}
-
-// BenchmarkReplicaPromotion measures the locality win end to end: reads
-// through the replication tier where every key starts owner-only (a disk
-// shard), crosses the reuse threshold, and is thereafter served from the
-// local memory backend.
-func BenchmarkReplicaPromotion(b *testing.B) {
-	owner, err := store.NewDisk("owner", b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := store.NewReplicated("repl", owner, store.NewMemory("local", 0), 2, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	val := benchEntry()
-	const keys = 64
-	for i := 0; i < keys; i++ {
-		if err := r.Put(key(i), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(val)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := r.Get(key(i % keys)); !ok || err != nil {
-			b.Fatalf("miss: %v", err)
-		}
-	}
-	b.StopTimer()
-	st := r.Stats().Replication
-	b.ReportMetric(float64(st.ReplicaHits)/float64(b.N)*100, "replica-hit-%")
 }

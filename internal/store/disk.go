@@ -136,18 +136,26 @@ func (d *Disk) Delete(key string) error {
 
 // Index implements Backend. It collects keys from filenames alone — no
 // entry is opened or decoded — so indexing a large store costs one
-// directory walk, not one JSON parse per entry.
+// directory walk, not one JSON parse per entry. Only files at their
+// canonical path (Path(key)) count: a file Get cannot reach, such as one
+// left in a foreign layout under a subdirectory, is not an entry.
 func (d *Disk) Index() ([]string, error) {
 	var keys []string
+	root := filepath.Clean(d.dir)
 	err := filepath.WalkDir(d.dir, func(path string, de fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".json") {
+		if de.IsDir() {
+			// Entries live exactly one level down (dir/<key[:2]>/);
+			// deeper trees cannot hold a canonical path.
+			if path != d.dir && filepath.Dir(path) != root {
+				return filepath.SkipDir
+			}
 			return nil
 		}
-		key := strings.TrimSuffix(de.Name(), ".json")
-		if ValidKey(key) { // skip temp files and stray content
+		key, ok := strings.CutSuffix(de.Name(), ".json")
+		if ok && ValidKey(key) && path == d.Path(key) { // skip temp files and stray content
 			keys = append(keys, key)
 		}
 		return nil

@@ -26,20 +26,3 @@ func (d *Disk) ModTime(key string) (time.Time, bool, error) {
 	}
 	return fi.ModTime(), true, nil
 }
-
-// ModTime implements ModTimer by routing to the owning shard.
-func (s *Sharded) ModTime(key string) (time.Time, bool, error) {
-	if mt, ok := s.children[s.ShardFor(key)].(ModTimer); ok {
-		return mt.ModTime(key)
-	}
-	return time.Time{}, false, nil
-}
-
-// ModTime implements ModTimer against the owner backend: GC reasons about
-// the authoritative copy, not about replicas.
-func (r *Replicated) ModTime(key string) (time.Time, bool, error) {
-	if mt, ok := r.owner.(ModTimer); ok {
-		return mt.ModTime(key)
-	}
-	return time.Time{}, false, nil
-}

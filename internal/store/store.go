@@ -1,30 +1,18 @@
-// Package store is the sharded storage tier beneath the result cache: a
-// small Backend abstraction over content-addressed blobs (key -> encoded
-// entry bytes) with composable implementations.
+// Package store is the persistent layer beneath the result cache: a small
+// Backend interface over content-addressed blobs (key -> encoded entry
+// bytes) and its one implementation, Disk — one file per key under a
+// directory, written atomically.
 //
-//   - Memory: an LRU-bounded in-process map, for replica caches and tests.
-//   - Disk:   one file per key under a directory (the layout extracted from
-//     the original resultstore disk layer), written atomically.
-//   - Sharded: a composite that routes every key to one of N child backends
-//     by rendezvous (highest-random-weight) consistent hashing, so shards
-//     can live on different disks — or different machines, via Remote.
-//   - Remote: an HTTP client for a peer lard-server's /v1/results endpoints,
-//     letting stores stack across processes.
-//   - Replicated: the locality-aware tier in the spirit of the paper's
-//     reuse-threshold protocol — reads are served from a local backend when
-//     a replica exists, otherwise fetched from the owner backend, and a key
-//     whose reuse crosses a threshold is promoted into the local backend
-//     (bounded by a replica capacity, with eviction back to owner-only).
+// Backend stays an interface so tests can wrap a Disk to inject faults
+// (read and write errors, truncated writes, latency) beneath
+// internal/resultstore without touching the filesystem.
 //
 // Backends move opaque bytes: the envelope format (spec + result JSON)
-// belongs to internal/resultstore, which validates on decode. All backends
-// are safe for concurrent use.
+// belongs to internal/resultstore, which validates on decode. Disk is safe
+// for concurrent use.
 package store
 
-import (
-	"crypto/sha256"
-	"hash/fnv"
-)
+import "crypto/sha256"
 
 // Backend is a content-addressed blob store. Keys are 64-hex SHA-256
 // content addresses (see ValidKey); values are opaque encoded entries.
@@ -37,23 +25,19 @@ type Backend interface {
 	Delete(key string) error
 	// Index returns every stored key, sorted. It never decodes values.
 	Index() ([]string, error)
-	// Stats returns a snapshot of the backend's counters; composites nest
-	// their children under Shards.
+	// Stats returns a snapshot of the backend's counters.
 	Stats() Stats
 	// Close releases resources. A closed backend must not be used again.
 	Close() error
 }
 
-// Stats is a point-in-time snapshot of one backend's traffic. Composite
-// backends aggregate their own routing counters and nest per-child
-// snapshots under Shards, so one Stats value describes a whole stack.
+// Stats is a point-in-time snapshot of one backend's traffic.
 type Stats struct {
-	// Name identifies the backend instance ("shard-02", "peer").
+	// Name identifies the backend instance ("disk").
 	Name string `json:"name"`
-	// Kind is the implementation ("memory", "disk", "sharded", "remote",
-	// "replicated").
+	// Kind is the implementation ("disk").
 	Kind string `json:"kind"`
-	// Entries is the number of keys currently stored (-1 when unknown).
+	// Entries is the number of keys currently stored.
 	Entries int `json:"entries"`
 	// Gets counts Get calls; Hits/Misses partition their outcomes.
 	Gets   uint64 `json:"gets"`
@@ -64,29 +48,6 @@ type Stats struct {
 	Deletes uint64 `json:"deletes"`
 	// Evictions counts entries dropped by a capacity bound.
 	Evictions uint64 `json:"evictions,omitempty"`
-	// Replication carries the locality-aware counters of a Replicated
-	// backend (nil elsewhere).
-	Replication *ReplicationStats `json:"replication,omitempty"`
-	// Shards nests the children of a composite backend.
-	Shards []Stats `json:"shards,omitempty"`
-}
-
-// ReplicationStats counts the locality-aware replicator's behavior: how
-// often reads were served from the local replica set versus fetched from
-// the owner, and how the replica set churned.
-type ReplicationStats struct {
-	// ReplicaHits counts Gets served from the local backend's replica.
-	ReplicaHits uint64 `json:"replica_hits"`
-	// OwnerFetches counts Gets that went to the owner backend.
-	OwnerFetches uint64 `json:"owner_fetches"`
-	// Promotions counts keys copied into the local backend after their
-	// reuse crossed the threshold.
-	Promotions uint64 `json:"promotions"`
-	// ReplicaEvictions counts replicas dropped by the capacity bound
-	// (the key reverts to owner-only).
-	ReplicaEvictions uint64 `json:"replica_evictions"`
-	// Replicas is the current local replica count.
-	Replicas int `json:"replicas"`
 }
 
 // counters is the mutable half of Stats, embedded by implementations and
@@ -102,9 +63,8 @@ func (c *counters) snapshot(s *Stats) {
 }
 
 // ValidKey reports whether key is a well-formed content address: 64
-// lowercase hex digits. Backends that touch the filesystem or the network
-// reject anything else, so a malformed or path-traversing key can never
-// escape the store.
+// lowercase hex digits. Backends that touch the filesystem reject anything
+// else, so a malformed or path-traversing key can never escape the store.
 func ValidKey(key string) bool {
 	if len(key) != sha256.Size*2 {
 		return false
@@ -116,17 +76,4 @@ func ValidKey(key string) bool {
 		}
 	}
 	return true
-}
-
-// rendezvousScore is the highest-random-weight hash of (key, shard): the
-// shard with the maximal score owns the key. FNV-1a is stable across
-// processes and Go versions, which matters because shard routing addresses
-// data already on disk.
-func rendezvousScore(key string, shard int) uint64 {
-	h := fnv.New64a()
-	// hash.Hash.Write is documented never to return an error; the
-	// discards make that contract explicit for the error linter.
-	_, _ = h.Write([]byte(key))
-	_, _ = h.Write([]byte{'#', byte(shard), byte(shard >> 8)})
-	return h.Sum64()
 }

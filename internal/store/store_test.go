@@ -2,13 +2,9 @@ package store_test
 
 import (
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"lard/internal/store"
@@ -69,7 +65,7 @@ func backendContract(t *testing.T, b store.Backend) {
 		t.Fatal("malformed key must be rejected")
 	}
 	st := b.Stats()
-	if st.Entries != 2 && st.Entries != -1 { // -1: Remote does not count the peer
+	if st.Entries != 2 {
 		t.Fatalf("Entries = %d, want 2", st.Entries)
 	}
 	if st.Gets == 0 || st.Puts == 0 || st.Deletes == 0 {
@@ -80,64 +76,12 @@ func backendContract(t *testing.T, b store.Backend) {
 	}
 }
 
-func TestMemoryContract(t *testing.T) {
-	backendContract(t, store.NewMemory("mem", 0))
-}
-
 func TestDiskContract(t *testing.T) {
 	d, err := store.NewDisk("disk", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	backendContract(t, d)
-}
-
-func TestShardedContract(t *testing.T) {
-	s := newSharded(t, t.TempDir(), 4)
-	backendContract(t, s)
-}
-
-func TestReplicatedContract(t *testing.T) {
-	r, err := store.NewReplicated("repl", store.NewMemory("owner", 0), store.NewMemory("local", 0), 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backendContract(t, r)
-}
-
-func TestRemoteContract(t *testing.T) {
-	srv := newFakePeer()
-	defer srv.Close()
-	r, err := store.NewRemote("peer", srv.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backendContract(t, r)
-}
-
-func TestMemoryLRUBound(t *testing.T) {
-	m := store.NewMemory("mem", 2)
-	for i := 0; i < 3; i++ {
-		m.Put(key(i), val(i))
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
-	}
-	if _, ok, _ := m.Get(key(0)); ok {
-		t.Fatal("oldest entry must be evicted")
-	}
-	if st := m.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-	// Recency refresh: touch key 1, insert key 3, key 2 goes.
-	m.Get(key(1))
-	m.Put(key(3), val(3))
-	if _, ok, _ := m.Get(key(1)); !ok {
-		t.Fatal("recently used entry must survive")
-	}
-	if _, ok, _ := m.Get(key(2)); ok {
-		t.Fatal("least recently used entry must be evicted")
-	}
 }
 
 func TestDiskPersistsAcrossOpens(t *testing.T) {
@@ -164,327 +108,58 @@ func TestDiskPersistsAcrossOpens(t *testing.T) {
 	}
 }
 
-// newSharded builds a sharded composite over n disk shards under dir.
-func newSharded(t *testing.T, dir string, n int) *store.Sharded {
-	t.Helper()
-	children := make([]store.Backend, n)
-	for i := range children {
-		d, err := store.NewDisk(fmt.Sprintf("shard-%02d", i), filepath.Join(dir, fmt.Sprintf("shard-%02d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		children[i] = d
-	}
-	s, err := store.NewSharded("sharded", children...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestShardedRouting(t *testing.T) {
+// TestDiskIgnoresNonCanonicalPaths: a file Get cannot reach is not an
+// entry. A store opened over an old sharded root (DIR/shard-NN/xx/<key>.json)
+// lists nothing and counts nothing until the files move to DIR/xx/.
+func TestDiskIgnoresNonCanonicalPaths(t *testing.T) {
 	dir := t.TempDir()
-	s := newSharded(t, dir, 4)
-	const n = 64
-	used := make(map[int]int)
-	for i := 0; i < n; i++ {
-		k := key(i)
-		if s.ShardFor(k) != s.ShardFor(k) {
-			t.Fatal("routing must be deterministic")
-		}
-		used[s.ShardFor(k)]++
-		if err := s.Put(k, val(i)); err != nil {
-			t.Fatal(err)
-		}
+	k := key(1)
+	old := filepath.Join(dir, "shard-00", k[:2], k+".json")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if len(used) != 4 {
-		t.Fatalf("64 keys landed on %d of 4 shards: %v", len(used), used)
+	if err := os.WriteFile(old, val(1), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Every key is readable through the composite, and lives on exactly its
-	// owner shard.
-	for i := 0; i < n; i++ {
-		k := key(i)
-		if b, ok, err := s.Get(k); err != nil || !ok || string(b) != string(val(i)) {
-			t.Fatalf("Get %s = %q, %v, %v", k, b, ok, err)
-		}
-		owner := s.ShardFor(k)
-		for j := 0; j < s.Shards(); j++ {
-			_, ok, _ := s.Shard(j).Get(k)
-			if ok != (j == owner) {
-				t.Fatalf("key %s on shard %d, want only on %d", k, j, owner)
-			}
-		}
+	// A well-formed key filed under the wrong prefix directory is just as
+	// unreachable.
+	misfiled := filepath.Join(dir, "ff", k+".json")
+	if err := os.MkdirAll(filepath.Dir(misfiled), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	// A fresh composite over the same directories routes identically.
-	s2 := newSharded(t, dir, 4)
-	for i := 0; i < n; i++ {
-		if s.ShardFor(key(i)) != s2.ShardFor(key(i)) {
-			t.Fatal("routing must be stable across processes")
-		}
+	if err := os.WriteFile(misfiled, val(1), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	keys, err := s2.Index()
-	if err != nil || len(keys) != n {
-		t.Fatalf("Index = %d keys (%v), want %d", len(keys), err, n)
-	}
-	st := s2.Stats()
-	if st.Entries != n || len(st.Shards) != 4 {
-		t.Fatalf("Stats = %+v", st)
-	}
-	sum := 0
-	for _, sh := range st.Shards {
-		sum += sh.Entries
-	}
-	if sum != n {
-		t.Fatalf("per-shard entries sum to %d, want %d", sum, n)
-	}
-}
 
-func TestReplicatedPromotionAndEviction(t *testing.T) {
-	owner := store.NewMemory("owner", 0)
-	local := store.NewMemory("local", 0)
-	r, err := store.NewReplicated("repl", owner, local, 2, 2)
+	d, err := store.NewDisk("d", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.NewReplicated("bad", owner, local, 0, 0); err == nil {
-		t.Fatal("threshold 0 must be rejected")
+	if keys, err := d.Index(); err != nil || len(keys) != 0 {
+		t.Fatalf("Index = %v (%v), want empty", keys, err)
+	}
+	if got := d.Stats().Entries; got != 0 {
+		t.Fatalf("Entries = %d, want 0", got)
+	}
+	if _, ok, _ := d.Get(k); ok {
+		t.Fatal("non-canonical file must not be readable")
 	}
 
-	for i := 0; i < 3; i++ {
-		if err := r.Put(key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Puts write through to the owner only.
-	if local.Len() != 0 {
-		t.Fatalf("local has %d entries after puts, want 0", local.Len())
-	}
-
-	// First read: owner fetch, below threshold — no replica.
-	r.Get(key(0))
-	if st := r.Stats(); st.Replication.OwnerFetches != 1 || st.Replication.Promotions != 0 {
-		t.Fatalf("after 1 read: %+v", st.Replication)
-	}
-	// Second read crosses threshold 2: promoted.
-	r.Get(key(0))
-	if st := r.Stats(); st.Replication.Promotions != 1 || st.Replication.Replicas != 1 {
-		t.Fatalf("after 2 reads: %+v", st.Replication)
-	}
-	// Third read is a replica hit served from local, not the owner.
-	ownerGets := owner.Stats().Gets
-	b, ok, err := r.Get(key(0))
-	if err != nil || !ok || string(b) != string(val(0)) {
-		t.Fatalf("replica read = %q, %v, %v", b, ok, err)
-	}
-	if owner.Stats().Gets != ownerGets {
-		t.Fatal("replica hit must not touch the owner")
-	}
-	if st := r.Stats(); st.Replication.ReplicaHits != 1 {
-		t.Fatalf("replica hits = %+v", st.Replication)
-	}
-
-	// Promote keys 1 and 2; capacity 2 evicts key 0 back to owner-only.
-	for _, i := range []int{1, 1, 2, 2} {
-		r.Get(key(i))
-	}
-	st := r.Stats()
-	if st.Replication.Promotions != 3 || st.Replication.ReplicaEvictions != 1 || st.Replication.Replicas != 2 {
-		t.Fatalf("after capacity churn: %+v", st.Replication)
-	}
-	if _, ok, _ := local.Get(key(0)); ok {
-		t.Fatal("evicted replica must leave the local backend")
-	}
-	// The owner still serves the evicted key.
-	if b, ok, _ := r.Get(key(0)); !ok || string(b) != string(val(0)) {
-		t.Fatalf("owner must still hold evicted key, got %q %v", b, ok)
-	}
-
-	// A Put to a replicated key refreshes the local copy too.
-	if err := r.Put(key(1), val(11)); err != nil {
+	// Merging the old layout into the flat one makes the entry visible.
+	if err := os.MkdirAll(filepath.Dir(d.Path(k)), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if b, _, _ := local.Get(key(1)); string(b) != string(val(11)) {
-		t.Fatalf("replica not refreshed on Put: %q", b)
-	}
-	// Delete clears both sides.
-	if err := r.Delete(key(1)); err != nil {
+	if err := os.Rename(old, d.Path(k)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := owner.Get(key(1)); ok {
-		t.Fatal("delete must clear the owner")
+	d2, err := store.NewDisk("d", dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok, _ := local.Get(key(1)); ok {
-		t.Fatal("delete must clear the local replica")
+	if keys, _ := d2.Index(); len(keys) != 1 || keys[0] != k {
+		t.Fatalf("Index after merge = %v", keys)
 	}
-}
-
-// failingBackend errors on every read — a flaky replica disk.
-type failingBackend struct{ store.Backend }
-
-func (f failingBackend) Get(key string) ([]byte, bool, error) {
-	return nil, false, fmt.Errorf("simulated disk fault")
-}
-
-// TestReplicatedLocalFaultFallsBack: an I/O error on the local replica
-// must not turn a servable read into an error — the owner holds the
-// authoritative copy.
-func TestReplicatedLocalFaultFallsBack(t *testing.T) {
-	owner := store.NewMemory("owner", 0)
-	good := store.NewMemory("local", 0)
-	r, _ := store.NewReplicated("repl", owner, failingBackend{good}, 1, 0)
-	r.Put(key(1), val(1))
-	for i := 0; i < 2; i++ { // first read promotes; second hits the fault
-		b, ok, err := r.Get(key(1))
-		if err != nil || !ok || string(b) != string(val(1)) {
-			t.Fatalf("read %d through faulty local: %q %v %v", i, b, ok, err)
-		}
-	}
-}
-
-// TestReplicatedIndexGet: audit reads bypass the reuse bookkeeping —
-// enumerating a store must not promote cold keys or evict hot replicas.
-func TestReplicatedIndexGet(t *testing.T) {
-	r, _ := store.NewReplicated("repl", store.NewMemory("owner", 0), store.NewMemory("local", 0), 1, 0)
-	r.Put(key(1), val(1))
-	for i := 0; i < 3; i++ {
-		if b, ok, err := r.IndexGet(key(1)); err != nil || !ok || string(b) != string(val(1)) {
-			t.Fatalf("IndexGet = %q %v %v", b, ok, err)
-		}
-	}
-	rs := r.Stats().Replication
-	if rs.OwnerFetches != 0 || rs.Promotions != 0 || rs.Replicas != 0 {
-		t.Fatalf("IndexGet moved the replication ledger: %+v", rs)
-	}
-}
-
-// TestReplicatedLostReplica covers the local backend dropping a promoted
-// replica on its own (its LRU bound): the read falls back to the owner.
-func TestReplicatedLostReplica(t *testing.T) {
-	owner := store.NewMemory("owner", 0)
-	local := store.NewMemory("local", 1) // local evicts on its own
-	r, _ := store.NewReplicated("repl", owner, local, 1, 0)
-	r.Put(key(1), val(1))
-	r.Put(key(2), val(2))
-	r.Get(key(1)) // promoted
-	r.Get(key(2)) // promoted; local bound evicts key 1's replica
-	b, ok, err := r.Get(key(1))
-	if err != nil || !ok || string(b) != string(val(1)) {
-		t.Fatalf("lost replica must fall back to owner: %q %v %v", b, ok, err)
-	}
-}
-
-func TestReplicatedConcurrent(t *testing.T) {
-	r, _ := store.NewReplicated("repl", store.NewMemory("owner", 0), store.NewMemory("local", 0), 2, 4)
-	const keys = 16
-	for i := 0; i < keys; i++ {
-		r.Put(key(i), val(i))
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := (w + i) % keys
-				b, ok, err := r.Get(key(k))
-				if err != nil || !ok || string(b) != string(val(k)) {
-					t.Errorf("Get %d = %q %v %v", k, b, ok, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := r.Stats().Replication
-	if st.Promotions == 0 {
-		t.Fatalf("concurrent churn produced no promotions: %+v", st)
-	}
-	if st.Replicas > 4 {
-		t.Fatalf("replica capacity exceeded: %+v", st)
-	}
-	// A sequentially hot key always ends up replica-served.
-	for i := 0; i < 3; i++ {
-		r.Get(key(0))
-	}
-	if st := r.Stats().Replication; st.ReplicaHits == 0 {
-		t.Fatalf("hot key never served from replica: %+v", st)
-	}
-}
-
-// newFakePeer is a minimal in-memory implementation of the server's
-// /v1/results surface, for exercising Remote without importing the server.
-func newFakePeer() *httptest.Server {
-	var mu sync.Mutex
-	entries := make(map[string][]byte)
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/results", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
-		keys := make([]string, 0, len(entries))
-		for k := range entries {
-			keys = append(keys, k)
-		}
-		// The real server sorts; the contract test needs it too.
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-		fmt.Fprintf(w, `{"keys":[`)
-		for i, k := range keys {
-			if i > 0 {
-				fmt.Fprint(w, ",")
-			}
-			fmt.Fprintf(w, "%q", k)
-		}
-		fmt.Fprint(w, `]}`)
-	})
-	mux.HandleFunc("GET /v1/results/{key}", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		b, ok := entries[r.PathValue("key")]
-		mu.Unlock()
-		if !ok {
-			http.Error(w, "not found", http.StatusNotFound)
-			return
-		}
-		w.Write(b)
-	})
-	mux.HandleFunc("PUT /v1/results/{key}", func(w http.ResponseWriter, r *http.Request) {
-		b, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		mu.Lock()
-		entries[r.PathValue("key")] = b
-		mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("DELETE /v1/results/{key}", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		delete(entries, r.PathValue("key"))
-		mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	})
-	return httptest.NewServer(mux)
-}
-
-func TestRemoteErrors(t *testing.T) {
-	if _, err := store.NewRemote("p", "not a url", nil); err == nil {
-		t.Fatal("invalid URL must be rejected")
-	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	r, _ := store.NewRemote("p", srv.URL, nil)
-	if _, _, err := r.Get(key(1)); err == nil {
-		t.Fatal("peer 500 must surface as an error")
-	}
-	if err := r.Put(key(1), val(1)); err == nil {
-		t.Fatal("peer 500 on put must surface as an error")
-	}
-	if _, err := r.Index(); err == nil {
-		t.Fatal("peer 500 on index must surface as an error")
+	if got := d2.Stats().Entries; got != 1 {
+		t.Fatalf("Entries after merge = %d, want 1", got)
 	}
 }
