@@ -4,8 +4,7 @@
 // 16-core machine so `go test -bench=.` completes quickly, and reports the
 // experiment's headline quantities as custom metrics (normalized energy and
 // completion time, exactly what the figures plot). The full Table-1 (64
-// core) campaign is produced by cmd/lard-bench; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// core) campaign is produced by cmd/lard-bench.
 //
 // Metric naming: norm-<quantity>-<scheme-or-config>. Values are ratios to
 // the experiment's baseline (S-NUCA for Figures 6/7, Complete classifier
@@ -214,7 +213,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = harness.Run(benchBase(), "BARNES",
-			harness.Variant{Label: "RT-3", Scheme: 4 /* LocalityAware */, RT: 3, K: 3, Cluster: 1})
+			harness.Variant{Label: "RT-3", Scheme: lard.LocalityAware(3)})
 		if err != nil {
 			b.Fatal(err)
 		}

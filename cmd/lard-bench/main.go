@@ -25,8 +25,7 @@
 // series plus a warmup/steady/tail phase summary, pulled from
 // GET /v1/runs/{id}/timeline.
 //
-// Each figure prints an aligned text table; EXPERIMENTS.md records the
-// paper-vs-measured comparison produced by this tool.
+// Each figure prints an aligned text table.
 package main
 
 import (

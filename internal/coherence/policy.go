@@ -81,7 +81,7 @@ type Policy interface {
 // Descriptor registers one LLC management scheme: its stable identity (the
 // Scheme id and the figure label, both part of the content-addressed result
 // keys and therefore frozen once released), its placement/replication
-// traits, its standard evaluation columns, and its Policy constructor.
+// traits, and its Policy constructor.
 type Descriptor struct {
 	// Scheme is the stable numeric id. It is encoded into result-store
 	// content addresses; never renumber a released scheme.
@@ -102,29 +102,10 @@ type Descriptor struct {
 	// interleaving.
 	RNUCAPlacement bool
 	// ThresholdRT marks schemes that consume Config.RT as their replication
-	// threshold (and typically parameterize their Label with it): variant
-	// builders must supply an explicit threshold, never the config default,
-	// or every downstream table and store entry would be mislabeled.
+	// threshold (and typically parameterize their Label with it).
 	ThresholdRT bool
-	// Columns are the scheme's standard evaluation columns in Figures 6-8
-	// (nil for schemes outside the paper's main matrix). The harness
-	// derives StandardVariants from these.
-	Columns []Column
 	// New constructs the policy bound to an engine.
 	New func(e *Engine) Policy
-}
-
-// Column is one standard figure column contributed by a scheme.
-type Column struct {
-	// Label is the column header (figure nomenclature).
-	Label string
-	// RT, K and Cluster parameterize locality-aware-family columns
-	// (K: -1 = Complete classifier, otherwise Limited-K).
-	RT, K, Cluster int
-	// ASRLevel is a fixed replication level; AutoTune selects the best
-	// level per benchmark by energy-delay product instead (§3.3).
-	ASRLevel float64
-	AutoTune bool
 }
 
 var (
@@ -172,7 +153,7 @@ func SchemeByName(name string) (Scheme, bool) {
 }
 
 // Registered returns every registered descriptor ordered by scheme id, so
-// derived enumerations (figure columns, discovery endpoints) are stable
+// derived enumerations (scheme listings, conformance sweeps) are stable
 // regardless of init order.
 func Registered() []Descriptor {
 	registryMu.RLock()

@@ -23,7 +23,6 @@ func init() {
 		Name:         "ASR",
 		Description:  "Adaptive Selective Replication: shared read-only L1 victims replicated with a per-run probability level",
 		UsesReplicas: true,
-		Columns:      []Column{{Label: "ASR", AutoTune: true}},
 		New:          func(e *Engine) Policy { return asrPolicy{basePolicy{e}} },
 	})
 }

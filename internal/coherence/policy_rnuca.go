@@ -17,7 +17,6 @@ func init() {
 		Name:           "R-NUCA",
 		Description:    "Reactive-NUCA baseline: private pages at the owner's slice, shared pages interleaved, instructions cluster-replicated",
 		RNUCAPlacement: true,
-		Columns:        []Column{{Label: "R-NUCA"}},
 		New:            func(e *Engine) Policy { return rnucaPolicy{basePolicy{e}} },
 	})
 }

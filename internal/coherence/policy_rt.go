@@ -66,11 +66,6 @@ func init() {
 		UsesReplicas:   true,
 		RNUCAPlacement: true,
 		ThresholdRT:    true,
-		Columns: []Column{
-			{Label: "RT-1", RT: 1, K: 3, Cluster: 1},
-			{Label: "RT-3", RT: 3, K: 3, Cluster: 1},
-			{Label: "RT-8", RT: 8, K: 3, Cluster: 1},
-		},
-		New: func(e *Engine) Policy { return rtPolicy{basePolicy{e}} },
+		New:            func(e *Engine) Policy { return rtPolicy{basePolicy{e}} },
 	})
 }

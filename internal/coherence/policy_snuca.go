@@ -10,7 +10,6 @@ func init() {
 		Scheme:      SNUCA,
 		Name:        "S-NUCA",
 		Description: "Static-NUCA baseline: lines address-interleaved across all LLC slices, no replication",
-		Columns:     []Column{{Label: "S-NUCA"}},
 		New:         func(e *Engine) Policy { return snucaPolicy{basePolicy{e}} },
 	})
 }

@@ -24,7 +24,6 @@ func init() {
 		Name:         "VR",
 		Description:  "Victim Replication: the local LLC slice acts as a victim cache for L1 evictions",
 		UsesReplicas: true,
-		Columns:      []Column{{Label: "VR"}},
 		New:          func(e *Engine) Policy { return vrPolicy{basePolicy{e}} },
 	})
 }

@@ -10,7 +10,7 @@
 // Coherence transactions execute atomically at the home directory with
 // timing composed from the network, DRAM and queueing models; requests to the
 // same line serialize on the home entry's NextFree cycle, which produces the
-// paper's "LLC home waiting time" (see DESIGN.md for the modelling argument).
+// paper's "LLC home waiting time".
 package coherence
 
 import (

@@ -142,7 +142,7 @@ type Entry struct {
 	// Version counts writes serialized at this home. Every valid copy of the
 	// line records the version it read; the single-writer-multiple-reader
 	// invariant implies a valid copy always matches the home version. The
-	// simulator checks this on every read (see DESIGN.md §2).
+	// simulator checks this on every read.
 	Version uint64
 	// NextFree is the cycle at which the home entry is free for the next
 	// request: requests to the line serialize on it, which is the paper's

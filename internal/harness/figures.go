@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lard"
 	"lard/internal/energy"
 	"lard/internal/mem"
 	"lard/internal/sim"
@@ -161,7 +162,7 @@ func Headline(m *Matrix) string {
 // and renders the Figure-1 distribution: percentage of LLC accesses per
 // (data class, run-length bucket).
 func Fig1RunLengths(base Base) (string, map[string]*stats.RunLengthHist, error) {
-	v := Variant{Label: "S-NUCA", Scheme: 0, TrackRuns: true}
+	v := Variant{Label: "S-NUCA", Scheme: lard.SNUCA(), TrackRuns: true}
 	headers := []string{"Benchmark"}
 	for c := 0; c < mem.NumDataClasses; c++ {
 		for bkt := 0; bkt < stats.NumRunBuckets; bkt++ {

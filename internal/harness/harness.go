@@ -7,12 +7,12 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 
-	"lard/internal/coherence"
-	"lard/internal/config"
+	"lard"
 	"lard/internal/resultstore"
 	"lard/internal/sim"
 	"lard/internal/trace"
@@ -54,32 +54,13 @@ func (b Base) StoreSummary() string {
 	return s
 }
 
-// simulate runs one fully-configured simulation, through the result store
-// when the campaign has one.
-func (b Base) simulate(cfg *config.Config, prof trace.Profile, opt sim.Options) (*sim.Result, error) {
-	if b.Store == nil {
-		return sim.Run(cfg, prof, opt), nil
-	}
-	res, _, err := b.Store.GetOrCompute(resultstore.SpecFor(prof.Name, cfg, opt),
-		func() (*sim.Result, error) { return sim.Run(cfg, prof, opt), nil })
-	return res, err
-}
-
 // cores returns the effective core count (0 defaults to 64). It does not
-// validate; config does.
+// validate; config.ForCores does.
 func (b Base) cores() int {
 	if b.Cores == 0 {
 		return 64
 	}
 	return b.Cores
-}
-
-// config builds the machine configuration for the campaign. Like
-// lard.buildConfig, it resolves the core count through config.ForCores —
-// a typo such as Cores: 46 must fail loudly, not silently simulate the
-// 64-core machine.
-func (b Base) config() (*config.Config, error) {
-	return config.ForCores(b.Cores)
 }
 
 func (b Base) benchmarks() []string {
@@ -93,176 +74,72 @@ func (b Base) benchmarks() []string {
 type Variant struct {
 	// Label is the column header (figure nomenclature).
 	Label string
-	// Scheme is the LLC management scheme.
-	Scheme coherence.Scheme
-	// RT, K and Cluster parameterize the locality-aware protocol
-	// (K: -1 = Complete classifier, otherwise Limited-K).
-	RT, K, Cluster int
-	// ASRLevel is ASR's replication level; AutoASR selects the best of the
-	// five levels by energy-delay product per benchmark (§3.3).
-	ASRLevel float64
-	AutoASR  bool
-	// PlainLRU selects traditional LRU LLC replacement (§4.2 ablation).
-	PlainLRU bool
-	// TLH selects the temporal-locality-hint LRU alternative of §2.2.4.
-	TLH bool
-	// KeepL1 selects the §2.2.3 keep-L1-on-replica-eviction strategy.
-	KeepL1 bool
-	// Oracle enables the §2.3.2 perfect local-lookup oracle.
-	Oracle bool
+	// Scheme is the run's scheme, with every parameter explicit: the
+	// harness simulates exactly what lard.Run would, under the same store
+	// key.
+	Scheme lard.Scheme
+	// AutoASR reports the best of the five lard.ASRLevels per benchmark by
+	// energy-delay product (§3.3) instead of Scheme's own level; Scheme
+	// must be ASR.
+	AutoASR bool
 	// TrackRuns enables the Figure-1 histogram.
 	TrackRuns bool
 }
 
 // StandardVariants returns the scheme columns of Figures 6-8 (the seven
-// paper columns, in figure order), derived from the standard columns each
-// scheme's registry descriptor declares: a registered scheme appears in the
-// main matrix exactly when its Descriptor lists Columns.
+// paper columns, in figure order), as the facade's scheme registrations
+// declare them (lard.FigureColumns).
 func StandardVariants() []Variant {
 	var vs []Variant
-	for _, d := range coherence.Registered() {
-		for _, col := range d.Columns {
-			vs = append(vs, Variant{
-				Label:    col.Label,
-				Scheme:   d.Scheme,
-				RT:       col.RT,
-				K:        col.K,
-				Cluster:  col.Cluster,
-				ASRLevel: col.ASRLevel,
-				AutoASR:  col.AutoTune,
-			})
-		}
+	for _, col := range lard.FigureColumns() {
+		vs = append(vs, Variant{Label: col.Scheme.Label(), Scheme: col.Scheme, AutoASR: col.AutoASR})
 	}
 	return vs
 }
 
-// ASRLevels are the five replication levels evaluated for ASR (§3.3).
-var ASRLevels = []float64{0, 0.25, 0.5, 0.75, 1}
-
-// Run executes one (benchmark, variant) simulation.
+// Run executes one (benchmark, variant) simulation through the facade's
+// run path, so it shares the facade's validation and store keys. An
+// AutoASR variant runs the five ASR levels and returns the one with the
+// lowest energy-delay product, as the paper's methodology does. The levels
+// are independent simulations, so they run concurrently; the pick is an
+// index-ordered scan, so a tie goes to the earliest level.
 func Run(base Base, bench string, v Variant) (*sim.Result, error) {
-	prof, err := trace.ProfileByName(bench)
-	if err != nil {
-		return nil, err
-	}
+	schemes := []lard.Scheme{v.Scheme}
 	if v.AutoASR {
-		return runAutoASR(base, prof, v)
+		var err error
+		if schemes, err = lard.ASRCandidates(v.Scheme); err != nil {
+			return nil, fmt.Errorf("harness: variant %q: %w", v.Label, err)
+		}
 	}
-	cfg, err := base.config()
-	if err != nil {
-		return nil, err
-	}
-	if err := applyVariant(cfg, v); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", bench, v.Label, err)
-	}
-	res, err := base.simulate(cfg, prof, sim.Options{
-		Scheme:    v.Scheme,
-		ASRLevel:  v.ASRLevel,
-		Seed:      base.Seed,
-		OpsScale:  base.OpsScale,
-		TrackRuns: v.TrackRuns,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Scheme = v.Label
-	return res, nil
-}
-
-// runAutoASR evaluates the five ASR replication levels and returns the run
-// with the lowest energy-delay product, as the paper's methodology does.
-// The levels are independent simulations (distinct engines, no shared
-// mutable state), so they run concurrently; the pick itself stays a
-// sequential index-ordered scan, preserving the earliest-level tie-break of
-// the original loop.
-func runAutoASR(base Base, prof trace.Profile, v Variant) (*sim.Result, error) {
-	cfg, err := base.config()
-	if err != nil {
-		return nil, err
-	}
-	if err := applyVariant(cfg, v); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", prof.Name, v.Label, err)
-	}
-	results := make([]*sim.Result, len(ASRLevels))
-	errs := make([]error, len(ASRLevels))
+	opts := lard.Options{Cores: base.Cores, OpsScale: base.OpsScale, Seed: base.Seed, TrackRuns: v.TrackRuns}
+	results := make([]*sim.Result, len(schemes))
+	errs := make([]error, len(schemes))
 	var wg sync.WaitGroup
-	for i, level := range ASRLevels {
+	for i, s := range schemes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = base.simulate(cfg, prof, sim.Options{
-				Scheme:    coherence.ASR,
-				ASRLevel:  level,
-				Seed:      base.Seed,
-				OpsScale:  base.OpsScale,
-				TrackRuns: v.TrackRuns,
-			})
+			results[i], _, errs[i] = lard.Simulate(context.Background(), base.Store, bench, s, opts)
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: %s/%s: %w", bench, v.Label, err)
 		}
 	}
-	var best *sim.Result
-	bestEDP := 0.0
-	for _, res := range results {
-		edp := res.EnergyTotal() * float64(res.CompletionTime)
-		if best == nil || edp < bestEDP {
-			best, bestEDP = res, edp
+	best, bestEDP := results[0], edp(results[0])
+	for _, res := range results[1:] {
+		if e := edp(res); e < bestEDP {
+			best, bestEDP = res, e
 		}
 	}
 	best.Scheme = v.Label
 	return best, nil
 }
 
-// applyVariant maps a variant onto the architectural configuration, driven
-// by the variant scheme's registry descriptor. Like lard.buildConfig, it
-// rejects a threshold-gated variant without an explicit threshold: silently
-// simulating the config default under the variant's label would mislabel
-// every downstream table and store entry.
-func applyVariant(cfg *config.Config, v Variant) error {
-	d, ok := coherence.Describe(v.Scheme)
-	if !ok {
-		return fmt.Errorf("harness: variant %q: scheme %d is not registered", v.Label, uint8(v.Scheme))
-	}
-	if d.ThresholdRT {
-		if v.RT < 1 {
-			return fmt.Errorf("harness: variant %q: %s scheme requires RT >= 1, got %d", v.Label, d.Name, v.RT)
-		}
-		if v.RT > 255 {
-			// The reuse counters that must reach the threshold are 8 bits
-			// wide (§2.4.1); a larger threshold could never fire.
-			return fmt.Errorf("harness: variant %q: %s threshold %d exceeds the 8-bit reuse counters", v.Label, d.Name, v.RT)
-		}
-		cfg.RT = v.RT
-		switch {
-		case v.K < 0:
-			cfg.ClassifierK = 0 // Complete
-		case v.K > 0:
-			cfg.ClassifierK = v.K
-		}
-		if v.Cluster > 0 {
-			cfg.ClusterSize = v.Cluster
-		}
-	}
-	if v.PlainLRU {
-		cfg.Replacement = config.PlainLRU
-	}
-	if v.TLH {
-		cfg.Replacement = config.TLHLRU
-	}
-	cfg.KeepL1OnReplicaEvict = v.KeepL1
-	cfg.LookupOracle = v.Oracle
-	return nil
-}
+// edp is a run's energy-delay product, the AutoASR selection metric.
+func edp(r *sim.Result) float64 { return r.EnergyTotal() * float64(r.CompletionTime) }
 
 // Matrix holds the results of a benchmark x variant campaign.
 type Matrix struct {

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"lard/internal/coherence"
+	"lard"
 	"lard/internal/resultstore"
 )
 
@@ -28,7 +28,7 @@ func TestStandardVariants(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	_, err := Run(smallBase(), "NOPE", Variant{Label: "S-NUCA"})
+	_, err := Run(smallBase(), "NOPE", Variant{Label: "S-NUCA", Scheme: lard.SNUCA()})
 	if err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
@@ -141,30 +141,31 @@ func TestRunMatrixStoreMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestAutoASRValidatesConfig is a regression test: runAutoASR must reject
-// an invalid configuration exactly as the non-ASR path does, rather than
-// silently simulating it. The variant carries locality-aware config knobs
-// (which applyVariant maps onto the config) with an impossible cluster
-// size.
+// TestAutoASRValidatesConfig is a regression test: the AutoASR path must
+// reject a variant it cannot run as asked rather than silently simulating
+// something else. Auto-tuning sweeps ASR's replication level, so an
+// AutoASR variant over any other scheme is an error. (An invalid machine
+// on the tuned path is TestCoreCountValidation's.)
 func TestAutoASRValidatesConfig(t *testing.T) {
-	v := Variant{Label: "ASR", Scheme: coherence.LocalityAware, AutoASR: true, RT: 3, Cluster: 5}
-	if _, err := Run(smallBase("DEDUP"), "DEDUP", v); err == nil {
-		t.Fatal("AutoASR must reject an invalid config (ClusterSize 5 does not divide 16)")
+	v := Variant{Label: "ASR", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClusterSize: 5}, AutoASR: true}
+	if _, err := Run(smallBase("DEDUP"), "DEDUP", v); err == nil || !strings.Contains(err.Error(), "only an ASR scheme") {
+		t.Fatalf("AutoASR over an RT scheme must be rejected, got %v", err)
 	}
 }
 
-// TestVariantRTZeroRejected mirrors the facade's RT-0 guard at the harness
-// layer: a locality-aware variant without an explicit threshold must error,
-// never silently simulate the config default under the variant's label.
+// TestVariantRTZeroRejected: the facade's RT-0 guard holds at the harness
+// layer too: a locality-aware variant without an explicit threshold must
+// error, never silently simulate the config default under the variant's
+// label.
 func TestVariantRTZeroRejected(t *testing.T) {
-	v := Variant{Label: "RT-1", Scheme: coherence.LocalityAware, K: 3, Cluster: 1}
+	v := Variant{Label: "RT-1", Scheme: lard.Scheme{Kind: "RT", ClassifierK: 3, ClusterSize: 1}}
 	if _, err := Run(smallBase("DEDUP"), "DEDUP", v); err == nil {
 		t.Fatal("locality-aware variant without RT must error")
 	}
 }
 
 func TestAutoASRPicksALevel(t *testing.T) {
-	res, err := Run(smallBase(), "DEDUP", Variant{Label: "ASR", Scheme: coherence.ASR, AutoASR: true})
+	res, err := Run(smallBase(), "DEDUP", Variant{Label: "ASR", Scheme: lard.ASR(0.5), AutoASR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestAutoASRPicksALevel(t *testing.T) {
 // collect the Figure-1 histogram.
 func TestAutoASRTracksRuns(t *testing.T) {
 	res, err := Run(smallBase(), "DEDUP",
-		Variant{Label: "ASR", Scheme: coherence.ASR, AutoASR: true, TrackRuns: true})
+		Variant{Label: "ASR", Scheme: lard.ASR(0.5), AutoASR: true, TrackRuns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestAutoASRTracksRuns(t *testing.T) {
 func TestCoreCountValidation(t *testing.T) {
 	for _, cores := range []int{0, 4, 16, 64} {
 		base := Base{Cores: cores, OpsScale: 0.02, Benchmarks: []string{"DEDUP"}}
-		res, err := Run(base, "DEDUP", Variant{Label: "S-NUCA", Scheme: coherence.SNUCA})
+		res, err := Run(base, "DEDUP", Variant{Label: "S-NUCA", Scheme: lard.SNUCA()})
 		if err != nil {
 			t.Fatalf("Cores=%d: %v", cores, err)
 		}
@@ -208,11 +209,11 @@ func TestCoreCountValidation(t *testing.T) {
 	}
 	for _, cores := range []int{46, 7, -1, 128} {
 		base := Base{Cores: cores, OpsScale: 0.02, Benchmarks: []string{"DEDUP"}}
-		if _, err := Run(base, "DEDUP", Variant{Label: "S-NUCA", Scheme: coherence.SNUCA}); err == nil {
+		if _, err := Run(base, "DEDUP", Variant{Label: "S-NUCA", Scheme: lard.SNUCA()}); err == nil {
 			t.Fatalf("Cores=%d must error, not silently simulate 64 cores", cores)
 		}
 		// The AutoASR path validates identically.
-		if _, err := Run(base, "DEDUP", Variant{Label: "ASR", Scheme: coherence.ASR, AutoASR: true}); err == nil {
+		if _, err := Run(base, "DEDUP", Variant{Label: "ASR", Scheme: lard.ASR(0.5), AutoASR: true}); err == nil {
 			t.Fatalf("Cores=%d must error on the AutoASR path too", cores)
 		}
 		if _, _, err := Fig9LimitedK(base); err == nil {

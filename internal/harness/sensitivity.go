@@ -3,7 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"lard/internal/coherence"
+	"lard"
+	"lard/internal/config"
 	"lard/internal/sim"
 	"lard/internal/stats"
 )
@@ -41,14 +42,14 @@ func Fig9LimitedK(base Base) (string, map[string]map[int][2]float64, error) {
 		}
 		variants = append(variants, Variant{
 			Label:  fmt.Sprintf("k=%d", k),
-			Scheme: coherence.LocalityAware, RT: 3, K: k, Cluster: 1,
+			Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: k, ClusterSize: 1},
 		})
 		ks = append(ks, k)
 	}
 	const baseLabel = "Complete"
 	variants = append(variants, Variant{
 		Label:  baseLabel,
-		Scheme: coherence.LocalityAware, RT: 3, K: -1, Cluster: 1,
+		Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 0, ClusterSize: 1},
 	})
 	ks = append(ks, Fig9Ks[len(Fig9Ks)-1])
 	m, err := RunMatrix(base, variants)
@@ -110,7 +111,7 @@ func Fig10ClusterSize(base Base) (string, map[string]map[int][2]float64, error) 
 	// Reject unsupported core counts before deriving the sweep from them:
 	// an invalid count must fail loudly here, not produce an empty cluster
 	// list and a vacuous matrix.
-	if _, err := base.config(); err != nil {
+	if _, err := config.ForCores(base.Cores); err != nil {
 		return "", nil, err
 	}
 	candidates := Fig10Clusters
@@ -130,7 +131,7 @@ func Fig10ClusterSize(base Base) (string, map[string]map[int][2]float64, error) 
 	for _, c := range clusters {
 		variants = append(variants, Variant{
 			Label:  fmt.Sprintf("C-%d", c),
-			Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: c,
+			Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: c},
 		})
 	}
 	m, err := RunMatrix(base, variants)
@@ -178,9 +179,9 @@ func Fig10ClusterSize(base Base) (string, map[string]map[int][2]float64, error) 
 // ratios keyed [bench] as {energy, time}.
 func ReplacementAblation(base Base) (string, map[string][2]float64, error) {
 	variants := []Variant{
-		{Label: "mod-LRU", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1},
-		{Label: "LRU", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1, PlainLRU: true},
-		{Label: "TLH-LRU", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1, TLH: true},
+		{Label: "mod-LRU", Scheme: lard.LocalityAware(3)},
+		{Label: "LRU", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1, PlainLRU: true}},
+		{Label: "TLH-LRU", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1, TLH: true}},
 	}
 	m, err := RunMatrix(base, variants)
 	if err != nil {
@@ -209,8 +210,8 @@ func ReplacementAblation(base Base) (string, map[string][2]float64, error) {
 // reports a negligible difference.
 func ReplicaEvictAblation(base Base) (string, map[string][2]float64, error) {
 	variants := []Variant{
-		{Label: "back-inv", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1},
-		{Label: "keep-L1", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1, KeepL1: true},
+		{Label: "back-inv", Scheme: lard.LocalityAware(3)},
+		{Label: "keep-L1", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1, KeepL1OnReplicaEvict: true}},
 	}
 	m, err := RunMatrix(base, variants)
 	if err != nil {
@@ -234,8 +235,8 @@ func ReplicaEvictAblation(base Base) (string, map[string][2]float64, error) {
 // dynamic oracle under RT-3; the paper reports a <1 % difference.
 func OracleAblation(base Base) (string, map[string][2]float64, error) {
 	variants := []Variant{
-		{Label: "lookup", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1},
-		{Label: "oracle", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1, Oracle: true},
+		{Label: "lookup", Scheme: lard.LocalityAware(3)},
+		{Label: "oracle", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1, LookupOracle: true}},
 	}
 	m, err := RunMatrix(base, variants)
 	if err != nil {

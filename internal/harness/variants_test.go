@@ -3,21 +3,21 @@ package harness
 import (
 	"testing"
 
-	"lard/internal/coherence"
+	"lard"
 )
 
-// TestStandardVariantsPinned pins the registry-derived figure columns to
+// TestStandardVariantsPinned pins the registry-declared figure columns to
 // the paper's seven, in figure order with their exact parameterization: a
 // scheme registration must never be able to silently reshuffle Figures 6-8.
 func TestStandardVariantsPinned(t *testing.T) {
 	want := []Variant{
-		{Label: "S-NUCA", Scheme: coherence.SNUCA},
-		{Label: "R-NUCA", Scheme: coherence.RNUCA},
-		{Label: "VR", Scheme: coherence.VR},
-		{Label: "ASR", Scheme: coherence.ASR, AutoASR: true},
-		{Label: "RT-1", Scheme: coherence.LocalityAware, RT: 1, K: 3, Cluster: 1},
-		{Label: "RT-3", Scheme: coherence.LocalityAware, RT: 3, K: 3, Cluster: 1},
-		{Label: "RT-8", Scheme: coherence.LocalityAware, RT: 8, K: 3, Cluster: 1},
+		{Label: "S-NUCA", Scheme: lard.Scheme{Kind: "S-NUCA"}},
+		{Label: "R-NUCA", Scheme: lard.Scheme{Kind: "R-NUCA"}},
+		{Label: "VR", Scheme: lard.Scheme{Kind: "VR"}},
+		{Label: "ASR", Scheme: lard.Scheme{Kind: "ASR", ASRLevel: 0.5}, AutoASR: true},
+		{Label: "RT-1", Scheme: lard.Scheme{Kind: "RT", RT: 1, ClassifierK: 3, ClusterSize: 1}},
+		{Label: "RT-3", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1}},
+		{Label: "RT-8", Scheme: lard.Scheme{Kind: "RT", RT: 8, ClassifierK: 3, ClusterSize: 1}},
 	}
 	got := StandardVariants()
 	if len(got) != len(want) {
@@ -34,7 +34,7 @@ func TestStandardVariantsPinned(t *testing.T) {
 // errors instead of silently simulating S-NUCA-like behaviour.
 func TestUnregisteredVariantRejected(t *testing.T) {
 	base := Base{Cores: 16, OpsScale: 0.02}
-	_, err := Run(base, "DEDUP", Variant{Label: "nope", Scheme: coherence.Scheme(200)})
+	_, err := Run(base, "DEDUP", Variant{Label: "nope", Scheme: lard.Scheme{Kind: "nope"}})
 	if err == nil {
 		t.Fatal("unregistered scheme variant must error")
 	}

@@ -31,7 +31,6 @@ func renderBackendMetrics(b *strings.Builder, st store.Stats) {
 	series("lard_backend_misses_total", "Backend Get misses.", "counter", st.Misses)
 	series("lard_backend_puts_total", "Backend Put calls.", "counter", st.Puts)
 	series("lard_backend_deletes_total", "Backend Delete calls.", "counter", st.Deletes)
-	series("lard_backend_evictions_total", "Backend capacity evictions.", "counter", st.Evictions)
 }
 
 // handleMetrics implements GET /metrics.

@@ -46,20 +46,18 @@ type Stats struct {
 	// Puts and Deletes count mutations.
 	Puts    uint64 `json:"puts"`
 	Deletes uint64 `json:"deletes"`
-	// Evictions counts entries dropped by a capacity bound.
-	Evictions uint64 `json:"evictions,omitempty"`
 }
 
 // counters is the mutable half of Stats, embedded by implementations and
 // guarded by each backend's own mutex.
 type counters struct {
-	gets, hits, misses, puts, deletes, evictions uint64
+	gets, hits, misses, puts, deletes uint64
 }
 
 // snapshot fills the traffic fields of a Stats from the counters.
 func (c *counters) snapshot(s *Stats) {
 	s.Gets, s.Hits, s.Misses = c.gets, c.hits, c.misses
-	s.Puts, s.Deletes, s.Evictions = c.puts, c.deletes, c.evictions
+	s.Puts, s.Deletes = c.puts, c.deletes
 }
 
 // ValidKey reports whether key is a well-formed content address: 64

@@ -18,8 +18,8 @@
 // an epoch timeline (an *obs.Recorder) and stopping all go through it,
 // and RunWithStoreProgress adds context cancellation on top.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every figure and table.
+// See README.md for the system inventory and PAPER.md for the paper's
+// abstract.
 package lard
 
 import (
@@ -166,13 +166,9 @@ func Benchmarks() []string { return trace.Names() }
 // Run simulates one benchmark under one scheme and returns the result. A
 // run its Observer stops returns context.Canceled.
 func Run(benchmark string, s Scheme, o Options) (*Result, error) {
-	prof, cfg, opt, _, err := plan(benchmark, s, o)
+	res, _, err := Simulate(context.Background(), nil, benchmark, s, o)
 	if err != nil {
 		return nil, err
-	}
-	res := sim.Run(cfg, prof, opt)
-	if res == nil {
-		return nil, context.Canceled
 	}
 	return export(res), nil
 }
@@ -180,7 +176,8 @@ func Run(benchmark string, s Scheme, o Options) (*Result, error) {
 // plan resolves (benchmark, s, o) into everything a store-backed run
 // needs: the workload profile, the validated configuration and options,
 // and the canonical spec. Keeping this in one place guarantees KeyFor,
-// LookupStored and RunWithStore can never disagree about a run's address.
+// LookupStored and Simulate (every run path, the harness's included) can
+// never disagree about a run's address.
 func plan(benchmark string, s Scheme, o Options) (trace.Profile, *config.Config, sim.Options, resultstore.Spec, error) {
 	prof, err := trace.ProfileByName(benchmark)
 	if err != nil {
@@ -227,11 +224,24 @@ func RunWithStore(st *resultstore.Store, benchmark string, s Scheme, o Options) 
 }
 
 // RunWithStoreProgress is the execution engine's run primitive:
-// RunWithStore plus context cancellation. A cancelled ctx stops the
-// simulation at its next observer epoch and returns ctx's error; nothing
-// is stored for a stopped run, so a later resubmission simulates afresh.
-// Store hits return instantly, without calling o.Observer.
+// RunWithStore plus context cancellation (see Simulate).
 func RunWithStoreProgress(ctx context.Context, st *resultstore.Store, benchmark string, s Scheme, o Options) (*Result, bool, error) {
+	res, cached, err := Simulate(ctx, st, benchmark, s, o)
+	if err != nil {
+		return nil, false, err
+	}
+	return export(res), cached, nil
+}
+
+// Simulate is the one run path beneath Run and RunWithStoreProgress,
+// returning the internal result that internal/harness renders figures
+// from. With a store, a stored run is served without simulating (the bool
+// reports it) and a fresh run is stored before returning; with st nil it
+// always simulates. A cancelled ctx stops the simulation at its next
+// observer epoch and returns ctx's error; nothing is stored for a stopped
+// run, so a later resubmission simulates afresh. Store hits return
+// instantly, without calling o.Observer.
+func Simulate(ctx context.Context, st *resultstore.Store, benchmark string, s Scheme, o Options) (*sim.Result, bool, error) {
 	prof, cfg, opt, spec, err := plan(benchmark, s, o)
 	if err != nil {
 		return nil, false, err
@@ -239,7 +249,7 @@ func RunWithStoreProgress(ctx context.Context, st *resultstore.Store, benchmark 
 	if ctx.Done() != nil {
 		opt.Observer = ctxObserver{ctx, opt.Observer}
 	}
-	res, cached, err := st.GetOrCompute(spec, func() (*sim.Result, error) {
+	compute := func() (*sim.Result, error) {
 		r := sim.Run(cfg, prof, opt)
 		if r == nil {
 			// sim.Run returns nil only when an observer stops it.
@@ -249,11 +259,12 @@ func RunWithStoreProgress(ctx context.Context, st *resultstore.Store, benchmark 
 			return nil, context.Canceled
 		}
 		return r, nil
-	})
-	if err != nil {
-		return nil, false, err
 	}
-	return export(res), cached, nil
+	if st == nil {
+		r, err := compute()
+		return r, false, err
+	}
+	return st.GetOrCompute(spec, compute)
 }
 
 // ctxObserver forwards to the caller's observer (nil allowed) and stops

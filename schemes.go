@@ -2,6 +2,7 @@ package lard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,10 +16,11 @@ import (
 // every engine scheme registered in internal/coherence it maps the public
 // Scheme shape (Kind string + parameters) onto the internal configuration,
 // validates the parameters the policy consumes, and declares the scheme's
-// standard figure columns. buildConfig, ValidateScheme, FigureSchemes and
-// the server's /v1/schemes endpoint are all derived from it, so landing a
-// new scheme means one policy file in internal/coherence plus one
-// registerScheme call here — no switch ladder edits in any layer.
+// columns in the paper's Figures 6-8 as wire schemes. buildConfig,
+// ValidateScheme, FigureColumns (and through it the harness's figure
+// matrix) and the server's /v1/schemes endpoint are all derived from it,
+// so landing a new scheme means one policy file in internal/coherence plus
+// one registerScheme call here — no switch ladder edits in any layer.
 
 // SchemeParam documents one tunable of a registered scheme for discovery
 // (GET /v1/schemes).
@@ -63,11 +65,20 @@ type schemeDef struct {
 	// apply maps the validated wire parameters onto the configuration and
 	// run options. nil means the scheme consumes no parameters.
 	apply func(s Scheme, cfg *config.Config, opt *sim.Options)
-	// column maps one registry Column (the scheme's standard figure
-	// columns, declared in internal/coherence) to the wire shape; nil means
-	// the bare Kind. AutoTune columns must pin a concrete level here: a
-	// best-of-N selection is not a single content-addressed run.
-	column func(col coherence.Column) Scheme
+	// columns are the scheme's columns in Figures 6-8, in figure order
+	// (nil for schemes outside the paper's main matrix).
+	columns []FigureColumn
+}
+
+// FigureColumn is one scheme column of the paper's Figures 6-8; its header
+// is Scheme.Label().
+type FigureColumn struct {
+	Scheme Scheme
+	// AutoASR marks the column the paper reports as the best of the five
+	// ASRLevels per benchmark by energy-delay product (§3.3). Scheme pins
+	// level 0.5: a best-of-five selection is not a single content-addressed
+	// run, so a remote campaign submits that level instead.
+	AutoASR bool
 }
 
 var (
@@ -159,35 +170,35 @@ func RegisteredSchemes() []SchemeInfo {
 			Params:      def.params,
 			Example:     def.example,
 		}
-		for _, col := range d.Columns {
-			info.FigureLabels = append(info.FigureLabels, col.Label)
+		for _, col := range def.columns {
+			info.FigureLabels = append(info.FigureLabels, col.Scheme.Label())
 		}
 		out = append(out, info)
 	}
 	return out
 }
 
-// FigureSchemes returns the scheme columns of Figures 6-8 as wire schemes,
-// for submitting a figure as one campaign — derived from the standard
-// columns each scheme's registry descriptor declares, in engine order. The
-// ASR column is pinned at replication level 0.5 by its column mapping: the
-// paper's per-benchmark best-of-five selection is not a single
-// content-addressed run (internal/harness's AutoASR variant performs it for
-// local campaigns).
-func FigureSchemes() []Scheme {
-	var out []Scheme
+// FigureColumns returns the scheme columns of Figures 6-8 as each
+// registration declares them, in engine order. internal/harness runs them
+// as its figure matrix, auto-tuning the AutoASR column.
+func FigureColumns() []FigureColumn {
+	var out []FigureColumn
 	for _, kind := range SchemeKinds() {
 		schemeMu.RLock()
-		def := schemeDefs[kind]
+		out = append(out, schemeDefs[kind].columns...)
 		schemeMu.RUnlock()
-		d, _ := coherence.Describe(def.engine)
-		for _, col := range d.Columns {
-			if def.column != nil {
-				out = append(out, def.column(col))
-				continue
-			}
-			out = append(out, Scheme{Kind: kind})
-		}
+	}
+	return out
+}
+
+// FigureSchemes returns the scheme columns of Figures 6-8 as wire schemes,
+// for submitting a figure as one campaign: FigureColumns with the ASR
+// column pinned at level 0.5.
+func FigureSchemes() []Scheme {
+	cols := FigureColumns()
+	out := make([]Scheme, len(cols))
+	for i, col := range cols {
+		out[i] = col.Scheme
 	}
 	return out
 }
@@ -197,17 +208,23 @@ func FigureSchemes() []Scheme {
 // never fire — the run would silently contain no replication at all.
 const maxThreshold = 255
 
-// paperASRLevels are the five replication levels the paper evaluates for
-// ASR (§3.3); any other level would simulate a probability no figure labels.
-var paperASRLevels = []float64{0, 0.25, 0.5, 0.75, 1}
+// ASRLevels are the five replication levels the paper evaluates for ASR
+// (§3.3); any other level would simulate a probability no figure labels.
+var ASRLevels = []float64{0, 0.25, 0.5, 0.75, 1}
 
-func validASRLevel(level float64) bool {
-	for _, l := range paperASRLevels {
-		if level == l {
-			return true
-		}
+// ASRCandidates returns s at each of ASRLevels: the runs among which an
+// AutoASR column picks the best per benchmark. Any other kind is rejected,
+// since only ASR has a replication level to tune.
+func ASRCandidates(s Scheme) ([]Scheme, error) {
+	if s.Kind != "ASR" {
+		return nil, fmt.Errorf("lard: only an ASR scheme can be auto-tuned over the replication levels, got kind %q", s.Kind)
 	}
-	return false
+	out := make([]Scheme, len(ASRLevels))
+	for i, level := range ASRLevels {
+		out[i] = s
+		out[i].ASRLevel = level
+	}
+	return out, nil
 }
 
 // The five paper schemes. Each registration pairs the engine scheme with
@@ -217,14 +234,17 @@ func init() {
 	registerScheme("S-NUCA", schemeDef{
 		engine:  coherence.SNUCA,
 		example: SNUCA(),
+		columns: []FigureColumn{{Scheme: SNUCA()}},
 	})
 	registerScheme("R-NUCA", schemeDef{
 		engine:  coherence.RNUCA,
 		example: RNUCA(),
+		columns: []FigureColumn{{Scheme: RNUCA()}},
 	})
 	registerScheme("VR", schemeDef{
 		engine:  coherence.VR,
 		example: VictimReplication(),
+		columns: []FigureColumn{{Scheme: VictimReplication()}},
 	})
 	registerScheme("ASR", schemeDef{
 		engine: coherence.ASR,
@@ -236,7 +256,7 @@ func init() {
 			if s.ASRLevel < 0 || s.ASRLevel > 1 {
 				return fmt.Errorf("lard: ASR replication level must be within [0, 1] (one of 0, 0.25, 0.5, 0.75, 1), got %v", s.ASRLevel)
 			}
-			if !validASRLevel(s.ASRLevel) {
+			if !slices.Contains(ASRLevels, s.ASRLevel) {
 				return fmt.Errorf("lard: ASR replication level %v is not a paper level (use 0, 0.25, 0.5, 0.75 or 1): the run would simulate a probability no figure labels", s.ASRLevel)
 			}
 			return nil
@@ -244,14 +264,7 @@ func init() {
 		apply: func(s Scheme, _ *config.Config, opt *sim.Options) {
 			opt.ASRLevel = s.ASRLevel
 		},
-		column: func(col coherence.Column) Scheme {
-			// The AutoTune column pins level 0.5 for remote campaigns (see
-			// FigureSchemes); a fixed-level column carries its own level.
-			if col.AutoTune {
-				return ASR(0.5)
-			}
-			return ASR(col.ASRLevel)
-		},
+		columns: []FigureColumn{{Scheme: ASR(0.5), AutoASR: true}},
 	})
 	registerScheme("RT", schemeDef{
 		engine: coherence.LocalityAware,
@@ -284,8 +297,10 @@ func init() {
 				cfg.ClusterSize = s.ClusterSize
 			}
 		},
-		column: func(col coherence.Column) Scheme {
-			return Scheme{Kind: "RT", RT: col.RT, ClassifierK: max(col.K, 0), ClusterSize: col.Cluster}
+		columns: []FigureColumn{
+			{Scheme: LocalityAware(1)},
+			{Scheme: LocalityAware(3)},
+			{Scheme: LocalityAware(8)},
 		},
 	})
 }
