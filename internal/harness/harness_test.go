@@ -174,7 +174,7 @@ func TestAutoASRPicksALevel(t *testing.T) {
 	}
 }
 
-// TestAutoASRTracksRuns is a regression test: runAutoASR used to drop
+// TestAutoASRTracksRuns is a regression test: the AutoASR path used to drop
 // TrackRuns from the per-level options, so an AutoASR variant could never
 // collect the Figure-1 histogram.
 func TestAutoASRTracksRuns(t *testing.T) {
