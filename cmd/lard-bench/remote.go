@@ -112,7 +112,7 @@ func watchCampaign(base string, view *server.CampaignView) error {
 		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
 
-	bar := newProgressBar(os.Stderr, view.Total)
+	bar := newProgressBar(os.Stderr, view.Total, isTerminal(os.Stderr))
 	// Member fraction ledger: terminal members pin at 1.
 	frac := make(map[string]float64, view.Total)
 	done := make(map[string]bool, view.Total)
@@ -209,34 +209,49 @@ func pollCampaign(base string, viewp *server.CampaignView, body []byte) error {
 	return nil
 }
 
-// progressBar renders a single-line campaign progress bar to w (a
-// terminal's stderr): overall fraction, members done, and the member that
-// advanced most recently.
+// progressBar reports campaign progress to w: overall fraction, members
+// done, and the member that advanced most recently. On a terminal it
+// redraws one line in place; elsewhere (a file, a pipe) it writes nothing
+// until finish, which prints one summary line.
 type progressBar struct {
-	w     io.Writer
-	total int
-	live  bool
+	w       io.Writer
+	total   int
+	tty     bool
+	updated bool
+	done    int
+	overall float64
 }
 
-func newProgressBar(w io.Writer, total int) *progressBar {
-	return &progressBar{w: w, total: total}
+func newProgressBar(w io.Writer, total int, tty bool) *progressBar {
+	return &progressBar{w: w, total: total, tty: tty}
+}
+
+// isTerminal reports whether f is a character device, where a bar redrawn
+// with carriage returns reads as one line.
+func isTerminal(f *os.File) bool {
+	fi, err := f.Stat()
+	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }
 
 func (p *progressBar) update(done int, overall float64, bench, scheme string) {
-	const width = 30
-	filled := int(overall * width)
-	if filled > width {
-		filled = width
+	p.updated, p.done, p.overall = true, done, overall
+	if !p.tty {
+		return
 	}
-	p.live = true
+	const width = 30
+	filled := min(int(overall*width), width)
 	fmt.Fprintf(p.w, "\r[%s%s] %5.1f%%  %d/%d members  %s/%s          ",
 		strings.Repeat("#", filled), strings.Repeat("-", width-filled),
 		overall*100, done, p.total, bench, scheme)
 }
 
 func (p *progressBar) finish() {
-	if p.live {
+	switch {
+	case !p.updated:
+	case p.tty:
 		fmt.Fprintln(p.w)
+	default:
+		fmt.Fprintf(p.w, "lard-bench: campaign progress %.1f%%, %d/%d members done\n", p.overall*100, p.done, p.total)
 	}
 }
 

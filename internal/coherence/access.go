@@ -94,7 +94,7 @@ func (e *Engine) doAccess(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
 func (e *Engine) replicaLookup(c, rslice mem.CoreID, op Op, t mem.Cycles, res *AccessResult) (mem.Cycles, bool) {
 	tl := e.tiles[rslice]
 	l := tl.llc.Lookup(op.Line)
-	if l == nil || l.Meta.home {
+	if l == nil || l.Meta.home() {
 		return 0, false
 	}
 	if op.Type.IsWrite() && !l.State.Writable() {
@@ -107,12 +107,12 @@ func (e *Engine) replicaLookup(c, rslice mem.CoreID, op Op, t mem.Cycles, res *A
 	e.chargeLLCData(false)
 	e.chargeLLCTag(true) // LRU + replica-reuse update ride the tag write (§2.4.2)
 	tl.llc.Touch(l)
-	e.checkVersion(c, op.Line, l.Meta.version)
+	e.checkVersion(c, op.Line, l.Meta.dir.Version)
 
-	version := l.Meta.version
+	version := l.Meta.dir.Version
 	state := l.State
 	replicaDirty := l.Dirty
-	sharedRO := !l.Meta.everWritten
+	sharedRO := !l.Meta.everWritten()
 	home := l.Meta.ref()
 	class := l.Meta.class
 	l.Meta.replicaReuse = satReuse(l.Meta.replicaReuse, e.cfg.RT)
@@ -219,7 +219,7 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 		t = e.dram.Access(ctrl, t)
 		t = e.mesh.Send(ctile, home, e.dataFlits(), t)
 		res.Breakdown[stats.LLCHomeToOffChip] += t - t0
-		hi = e.insertHomeLine(home, op, t)
+		hi = e.insertHomeLine(c, home, op, t)
 		hl = llc.At(hi)
 		t += e.cfg.LLCDataLatency
 		e.chargeLLCTag(true)
@@ -231,14 +231,11 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 	if e.runs != nil {
 		e.runs.record(op.Line, c, op.Type.IsWrite(), op.Class)
 	}
-	if !hl.Meta.firstSeen {
-		hl.Meta.firstSeen = true
-		hl.Meta.firstCore = c
-	} else if hl.Meta.firstCore != c {
-		hl.Meta.everShared = true
+	if mem.CoreID(hl.Meta.firstCore) != c {
+		hl.Meta.flags |= lineEverShared
 	}
 
-	ref := homeRef{slice: uint8(home), idx: int32(hi)}
+	ref := newHomeRef(home, hi)
 	if op.Type.IsWrite() {
 		return e.homeWrite(c, home, op, hl, ref, t, res)
 	}
@@ -248,13 +245,12 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 // homeRead services a read or instruction fetch at the home (§2.2.1). ref
 // is the back-handle to the home line hl.
 func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef, t mem.Cycles, res *AccessResult) mem.Cycles {
-	ent := hl.Meta.dir
+	ent := &hl.Meta.dir
 	la := op.Line
 
 	// Synchronous write-back from an E/M owner elsewhere.
-	if ent.HasOwner && ent.Owner != c {
+	if owner, ok := ent.Owner(); ok && owner != c {
 		t0 := t
-		owner := ent.Owner
 		tp := e.mesh.Send(home, owner, e.ctrlFlits(), t)
 		tp += e.cfg.LLCTagLatency
 		if e.downgradeAt(owner, la) {
@@ -278,18 +274,18 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef,
 	// (its reuse tracking advances on local hits too); a replica is only
 	// physically created when the replica slice is not the home itself.
 	rslice := e.policy.ReplicaSlice(la, c)
-	replicate := e.policy.ReplicateOnRead(ent, c) && home != c && rslice != home
+	replicate := e.policy.ReplicateOnRead(&hl.Meta, c) && home != c && rslice != home
 	if replicate {
 		e.clfPromotions++
 	}
 
 	// Grant Exclusive when the requester will be the only holder.
 	grant := mem.Shared
-	if len(ent.ReplicaSlices) == 0 &&
+	if (!e.clusterRepl || len(*e.replicaSlices(&hl.Meta)) == 0) &&
 		(ent.Sharers.Count() == 0 || (ent.Sharers.Count() == 1 && ent.Sharers.Has(c))) {
 		grant = mem.Exclusive
 	}
-	ent.Sharers.Add(c)
+	ent.AddSharer(c, e.cfg.AckwisePointers)
 	if grant == mem.Exclusive {
 		ent.SetOwner(c)
 	}
@@ -298,7 +294,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef,
 	e.setStamp(home, la, ent, t) // home entry free for the next request
 
 	version := ent.Version
-	sharedRO := hl.Meta.everShared && !hl.Meta.everWritten
+	sharedRO := hl.Meta.flags&(lineEverShared|lineEverWritten) == lineEverShared
 	if home == c {
 		// Local home hit: L1 fill only (§2.2.1).
 		e.fillL1(c, op, grant, false, version, sharedRO, ref, t)
@@ -316,8 +312,8 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef,
 		}
 		tr := e.mesh.Send(home, rslice, e.dataFlits(), t)
 		tr += e.cfg.LLCDataLatency
-		e.insertReplica(rslice, la, grant, false, version, op.Class, hl.Meta.everWritten, ref, tr)
-		ent.AddReplicaSlice(rslice)
+		e.insertReplica(rslice, la, grant, false, version, op.Class, hl.Meta.everWritten(), ref, tr)
+		e.replicaSlices(&hl.Meta).Add(rslice)
 		tr = e.mesh.Send(rslice, c, e.dataFlits(), tr)
 		e.fillL1(c, op, l1grant, false, version, sharedRO, ref, tr)
 		return tr
@@ -326,7 +322,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef,
 	tr := e.mesh.Send(home, c, e.dataFlits(), t)
 	if replicate {
 		tr += e.cfg.LLCDataLatency
-		e.insertReplica(c, la, grant, false, version, op.Class, hl.Meta.everWritten, ref, tr)
+		e.insertReplica(c, la, grant, false, version, op.Class, hl.Meta.everWritten(), ref, tr)
 	}
 	e.fillL1(c, op, grant, false, version, sharedRO, ref, tr)
 	return tr
@@ -338,7 +334,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef,
 // classifier allows, which is what supports migratory sharing (§2.3.1).
 // ref is the back-handle to the home line hl.
 func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef, t mem.Cycles, res *AccessResult) mem.Cycles {
-	ent := hl.Meta.dir
+	ent := &hl.Meta.dir
 	la := op.Line
 
 	soleSharer := ent.Sharers.Count() == 0 ||
@@ -355,7 +351,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef
 	// schemes without cluster replicas keep local ones at any cluster size.
 	if e.usesReplicas && !e.clusterRepl {
 		wtl := e.tiles[c]
-		if l := wtl.llc.Lookup(la); l != nil && !l.Meta.home {
+		if l := wtl.llc.Lookup(la); l != nil && !l.Meta.home() {
 			reuse := l.Meta.replicaReuse
 			if l.Dirty {
 				hl.Dirty = true
@@ -365,26 +361,26 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef
 			e.replicaInvals++
 			e.chargeLLCTag(true)
 			e.clfDemotions++
-			e.policy.OnReplicaGone(ent, c, reuse, true)
+			e.policy.OnReplicaGone(&hl.Meta, c, reuse, true)
 		}
 	}
 
 	// §2.2.2: non-replica sharers other than the writer have not shown
 	// enough reuse; the policy resets their counters.
-	e.policy.OnWrite(ent, c)
+	e.policy.OnWrite(&hl.Meta, c)
 
 	hadCopy := e.tiles[c].l1For(op.Type).Lookup(la) != nil
-	ent.Sharers.Clear()
-	ent.Sharers.Add(c)
+	ent.ClearSharers()
+	ent.AddSharer(c, e.cfg.AckwisePointers)
 	ent.SetOwner(c)
 	ent.Version++
-	hl.Meta.everWritten = true
+	hl.Meta.flags |= lineEverWritten
 	e.chargeDir(true)
 	e.chargeLLCTag(true)
 	e.tiles[home].llc.Touch(hl)
 
 	rslice := e.policy.ReplicaSlice(la, c)
-	replicate := e.policy.ReplicateOnWrite(ent, c, soleSharer) && home != c && rslice != home
+	replicate := e.policy.ReplicateOnWrite(&hl.Meta, c, soleSharer) && home != c && rslice != home
 	if replicate {
 		e.clfPromotions++
 	}
@@ -410,7 +406,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef
 		tr := e.mesh.Send(home, rslice, flits, t)
 		tr += e.cfg.LLCDataLatency
 		e.insertReplica(rslice, la, mem.Modified, false, version, op.Class, true, ref, tr)
-		ent.AddReplicaSlice(rslice)
+		e.replicaSlices(&hl.Meta).Add(rslice)
 		tr = e.mesh.Send(rslice, c, e.dataFlits(), tr)
 		e.fillL1(c, op, mem.Modified, true, version, false, ref, tr)
 		return tr
@@ -431,13 +427,13 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef
 // core but only actual holders acknowledge (§2.1). It returns the time at
 // which all acknowledgements have arrived. hl is the home line of la.
 func (e *Engine) invalidateSharers(writer, home mem.CoreID, la mem.LineAddr, hl *cacheLine, t mem.Cycles, res *AccessResult) mem.Cycles {
-	ent := hl.Meta.dir
+	ent := &hl.Meta.dir
 	// Fan-out targets go into the engine scratch buffer (capacity Cores, so
 	// no growth): ascending core order in both modes, exactly the order the
 	// sorted Sharers() slice used to produce — message order is part of the
 	// simulated outcome (the mesh's link reservations are stateful).
 	targets := e.fanout[:0]
-	if ent.Sharers.Overflowed() {
+	if ent.Overflowed() {
 		for i := 0; i < e.cfg.Cores; i++ {
 			targets = append(targets, mem.CoreID(i))
 		}
@@ -471,16 +467,20 @@ func (e *Engine) invalidateSharers(writer, home mem.CoreID, la mem.LineAddr, hl 
 		maxAck = max(maxAck, back)
 		if inv.hadReplica {
 			e.clfDemotions++
-			e.policy.OnReplicaGone(ent, s, inv.replicaReuse, true)
+			e.policy.OnReplicaGone(&hl.Meta, s, inv.replicaReuse, true)
 		}
 		ent.Sharers.Remove(s)
 	}
 	// Cluster replica slices (cluster size > 1): hierarchical invalidation
 	// of the replica and the cluster's L1 copies it serves (§2.3.4). The
 	// loop walks an order-preserving snapshot in the engine scratch buffer:
-	// RemoveReplicaSlice swap-deletes mid-iteration, and iterating the live
-	// slice would visit the slices in a different (outcome-changing) order.
-	rsl := append(e.rsnap[:0], ent.ReplicaSlices...)
+	// ReplicaSlices.Remove swap-deletes mid-iteration, and iterating the
+	// live set would visit the slices in a different (outcome-changing)
+	// order.
+	var rsl []mem.CoreID
+	if e.clusterRepl {
+		rsl = append(e.rsnap[:0], *e.replicaSlices(&hl.Meta)...)
+	}
 	for _, rs := range rsl {
 		tp := e.mesh.Send(home, rs, e.ctrlFlits(), t)
 		tp += e.cfg.LLCTagLatency
@@ -495,9 +495,9 @@ func (e *Engine) invalidateSharers(writer, home mem.CoreID, la mem.LineAddr, hl 
 		maxAck = max(maxAck, back)
 		if inv.hadReplica {
 			e.clfDemotions++
-			e.policy.OnClusterReplicaGone(ent, rs, inv.replicaReuse, true)
+			e.policy.OnClusterReplicaGone(&hl.Meta, rs, inv.replicaReuse, true)
 		}
-		ent.RemoveReplicaSlice(rs)
+		e.replicaSlices(&hl.Meta).Remove(rs)
 		any = true
 	}
 	ent.ClearOwner()
@@ -540,7 +540,7 @@ func (e *Engine) invalidateAt(s mem.CoreID, la mem.LineAddr) invResult {
 		// must not remove them behind the home's back.
 		return r
 	}
-	if l := tl.llc.Lookup(la); l != nil && !l.Meta.home {
+	if l := tl.llc.Lookup(la); l != nil && !l.Meta.home() {
 		r.hadAny = true
 		r.hadReplica = true
 		r.replicaReuse = l.Meta.replicaReuse
@@ -559,7 +559,7 @@ func (e *Engine) invalidateClusterReplica(rs mem.CoreID, la mem.LineAddr, writer
 	var r invResult
 	tl := e.tiles[rs]
 	e.chargeLLCTag(false)
-	if l := tl.llc.Lookup(la); l != nil && !l.Meta.home {
+	if l := tl.llc.Lookup(la); l != nil && !l.Meta.home() {
 		r.hadAny = true
 		r.hadReplica = true
 		r.replicaReuse = l.Meta.replicaReuse
@@ -622,7 +622,7 @@ func (e *Engine) downgradeAt(s mem.CoreID, la mem.LineAddr) bool {
 // Shared and reports whether it was dirty.
 func (e *Engine) downgradeReplicaAt(sl mem.CoreID, la mem.LineAddr) bool {
 	l := e.tiles[sl].llc.Lookup(la)
-	if l == nil || l.Meta.home {
+	if l == nil || l.Meta.home() {
 		return false
 	}
 	dirty := l.Dirty
@@ -655,7 +655,7 @@ func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version
 	idx, victim, evicted := l1.Insert(op.Line, state, lruL1)
 	ins := l1.At(idx)
 	ins.Dirty = dirty
-	ins.Meta = l1Meta{version: version, sharedRO: sharedRO, class: op.Class, homeIdx: home.idx, homeSlice: home.slice}
+	ins.Meta = l1Meta{version: version, home: home, sharedRO: sharedRO, class: op.Class}
 	e.chargeL1(op.Type.IsInstr(), true)
 	if evicted {
 		e.handleL1Evict(c, victim, sib, t)
@@ -688,8 +688,8 @@ func (e *Engine) temporalHint(c mem.CoreID, line *l1Line, t mem.Cycles) {
 		e.chargeLLCTag(true)
 		return
 	}
-	r := line.Meta.ref()
-	e.mesh.Send(c, mem.CoreID(r.slice), e.ctrlFlits(), t)
-	e.tiles[r.slice].llc.Touch(e.homeAt(r, la, c))
+	r := line.Meta.home
+	e.mesh.Send(c, r.slice(), e.ctrlFlits(), t)
+	e.tiles[r.slice()].llc.Touch(e.homeAt(r, la, c))
 	e.chargeLLCTag(true)
 }

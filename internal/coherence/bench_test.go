@@ -48,9 +48,10 @@ func benchWorkload(tb testing.TB, cfg *config.Config) []benchAccess {
 // BenchmarkCoherenceAccess measures the steady-state per-access cost of the
 // coherence engine (directory lookups, sharer bookkeeping, invalidation
 // fan-out) under the locality-aware scheme. The engine is warmed with one
-// full pass before timing so the directory population — and therefore the
-// free list of home records — has stabilized; the timed passes exercise
-// the alloc-free hot path.
+// full pass before timing so the page table and the spill tables have
+// stopped growing; the timed passes exercise the alloc-free hot path.
+// Directory entries and Limited-3 lists live in the LLC ways, so a home
+// birth allocates nothing either.
 func BenchmarkCoherenceAccess(b *testing.B) {
 	cfg := config.Small()
 	accs := benchWorkload(b, cfg)
@@ -69,9 +70,9 @@ func BenchmarkCoherenceAccess(b *testing.B) {
 
 // TestEnginesRaceFree drives several independent engines concurrently, the
 // way the harness runs AutoASR's five pressure levels in parallel. Engines
-// must share no mutable state (the free list of directory entries and their
-// classifiers, and the fan-out scratch buffers, are all per-engine);
-// `go test -race` verifies it.
+// must share no mutable state (the fan-out scratch buffers, the side-record
+// table and the policies' bound classifiers are all per-engine); `go test
+// -race` verifies it.
 func TestEnginesRaceFree(t *testing.T) {
 	cfg := config.Small()
 	accs := benchWorkload(t, cfg)

@@ -51,7 +51,7 @@ func conservationErr(e *Engine) error {
 	var replicas, homes uint64
 	for _, tl := range e.tiles {
 		tl.llc.ForEach(func(l *cacheLine) {
-			if l.Meta.home {
+			if l.Meta.home() {
 				homes++
 			} else {
 				replicas++

@@ -6,7 +6,6 @@ import (
 
 	"lard/internal/cache"
 	"lard/internal/config"
-	"lard/internal/core"
 	"lard/internal/directory"
 	"lard/internal/dram"
 	"lard/internal/energy"
@@ -66,21 +65,18 @@ type Engine struct {
 	meter *energy.Meter
 	rng   *rand.Rand
 
-	clfParams core.Params
-	// limitedRecords reports that directory entries are born in home
-	// records with an inline Limited-k classifier: the locality-aware
-	// scheme with k > 0, the only configuration that consults one.
-	limitedRecords bool
+	// Hot-path scratch: reusable iteration buffers for the invalidation
+	// fan-outs, sized to Cores at construction, so steady-state fan-out
+	// allocates nothing.
+	fanout []mem.CoreID
+	rsnap  []mem.CoreID
 
-	// Hot-path scratch and the free list. fanout and rsnap are reusable
-	// iteration buffers for the invalidation fan-outs (sized to Cores at
-	// construction, so steady-state fan-out allocates nothing); entFree
-	// recycles directory entries together with their per-line policy
-	// state. An entry's only death point is disposeHome — after it returns
-	// no reference to the entry survives, so reuse is safe.
-	fanout  []mem.CoreID
-	rsnap   []mem.CoreID
-	entFree []*dirEntry
+	// The side-record table (see sideRecord): every home line has a record
+	// when sideRecords is set, and dead lines' records wait in sideFree.
+	// A home line's only death point is disposeHome, which frees its record.
+	side        []sideRecord
+	sideFree    []uint32
+	sideRecords bool
 
 	runs    *runTracker
 	rehomed uint64 // page reclassification flushes, for stats
@@ -144,12 +140,6 @@ func New(cfg *config.Config, opts Options) *Engine {
 		pages:  newPageTable(),
 		meter:  meter,
 		rng:    rand.New(rand.NewPCG(opts.Seed, 0x1a4d)),
-		clfParams: core.Params{
-			RT:    cfg.RT,
-			Cores: cfg.Cores,
-			K:     cfg.ClassifierK,
-		},
-		limitedRecords: opts.Scheme == LocalityAware && cfg.ClassifierK > 0,
 	}
 	e.policy = desc.New(e)
 	e.usesReplicas = desc.UsesReplicas
@@ -157,6 +147,7 @@ func New(cfg *config.Config, opts Options) *Engine {
 	e.instrClusterHome = e.policy.InstrClusterHome()
 	e.clusterRepl = e.policy.ClusterReplication()
 	e.consumeOnHit = e.policy.ConsumeReplicaOnHit()
+	e.sideRecords = e.clusterRepl || e.policy.SideClassifier() != nil
 	e.fanout = make([]mem.CoreID, 0, cfg.Cores)
 	e.rsnap = make([]mem.CoreID, 0, cfg.Cores)
 	e.tiles = make([]*tile, cfg.Cores)
@@ -301,7 +292,7 @@ func (e *Engine) llcVictim(t *tile) cache.VictimSelector[llcMeta] {
 		// losing a home copy costs an off-chip refetch, losing a replica
 		// only a home round trip. This matches VR's insertion preference
 		// and keeps the protocol's off-chip miss rate low (§2.2.4).
-		if l.Meta.home {
+		if l.Meta.home() {
 			return 2*l.Meta.dir.Sharers.Count() + 1
 		}
 		if e.hasL1Copy(t, l.Addr) {
@@ -327,7 +318,7 @@ func victimAllowedVR(ways []cacheLine) int {
 		switch {
 		case !ways[i].State.Valid():
 			return i // Insert would find it too, but be explicit
-		case !ways[i].Meta.home:
+		case !ways[i].Meta.home():
 			class = 2
 		case ways[i].Meta.dir.Sharers.Count() == 0:
 			class = 1
@@ -368,7 +359,7 @@ func (e *Engine) homeOfLine(la mem.LineAddr, c mem.CoreID) mem.CoreID {
 func (e *Engine) homeIndex(home mem.CoreID, la mem.LineAddr) int {
 	llc := e.tiles[home].llc
 	i := llc.Index(la)
-	if i < 0 || !llc.At(i).Meta.home {
+	if i < 0 || !llc.At(i).Meta.home() {
 		return -1
 	}
 	return i
@@ -387,11 +378,11 @@ func (e *Engine) homeEntry(home mem.CoreID, la mem.LineAddr) *cacheLine {
 // to its home line. Under CheckInvariants it checks the handle against the
 // home that placement and a lookup find.
 func (e *Engine) homeAt(r homeRef, la mem.LineAddr, c mem.CoreID) *cacheLine {
-	hl := e.tiles[r.slice].llc.At(int(r.idx))
+	hl := e.tiles[r.slice()].llc.At(r.idx())
 	if e.opts.CheckInvariants {
 		if want := e.homeEntry(e.homeOfLine(la, c), la); want != hl {
 			panic(fmt.Sprintf("coherence: core %d's copy of line %#x has home handle (slice %d, index %d), not its home line",
-				c, uint64(la), r.slice, r.idx))
+				c, uint64(la), r.slice(), r.idx()))
 		}
 	}
 	return hl

@@ -132,7 +132,7 @@ func TestWriteInvalidatesAllSharers(t *testing.T) {
 	if hl.Meta.dir.Version != 1 {
 		t.Fatalf("version = %d, want 1", hl.Meta.dir.Version)
 	}
-	if !hl.Meta.dir.HasOwner || hl.Meta.dir.Owner != 5 {
+	if !hl.Meta.dir.OwnedBy(5) {
 		t.Fatal("writer must be the registered owner")
 	}
 	if hl.Meta.dir.Sharers.Count() != 1 {
@@ -167,7 +167,7 @@ func TestACKwiseOverflowBroadcast(t *testing.T) {
 	}
 	home := e.homeOfLine(0x1000, 0)
 	ent := e.homeEntry(home, 0x1000).Meta.dir
-	if !ent.Sharers.Overflowed() {
+	if !ent.Overflowed() {
 		t.Fatal("9 sharers must overflow ACKwise-4")
 	}
 	wr(e, 0, tm, 0x1000)
@@ -205,7 +205,7 @@ func TestDirtyWritebackOnL1Evict(t *testing.T) {
 	if !hl.Dirty {
 		t.Fatal("home must be dirty after merging the write-back")
 	}
-	if hl.Meta.dir.Sharers.Count() != 0 || hl.Meta.dir.HasOwner {
+	if _, owned := hl.Meta.dir.Owner(); hl.Meta.dir.Sharers.Count() != 0 || owned {
 		t.Fatal("directory must drop the evicting core")
 	}
 }
@@ -225,13 +225,13 @@ func TestRTPromotionCreatesReplica(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		tm = rd(e, c, tm, la).Done
 		e.tiles[c].l1d.Invalidate(la)
-		if l := e.tiles[c].llc.Lookup(la); l != nil && !l.Meta.home {
+		if l := e.tiles[c].llc.Lookup(la); l != nil && !l.Meta.home() {
 			t.Fatalf("replica before reaching RT at access %d", i)
 		}
 	}
 	tm = rd(e, c, tm, la).Done
 	l := e.tiles[c].llc.Lookup(la)
-	if l == nil || l.Meta.home {
+	if l == nil || l.Meta.home() {
 		t.Fatal("3rd access must create a local replica (RT=3)")
 	}
 	if l.Meta.replicaReuse != 1 {
@@ -260,17 +260,17 @@ func TestRTWriteInvalidatesReplicas(t *testing.T) {
 		tm = rd(e, c, tm, la).Done
 		e.tiles[c].l1d.Invalidate(la)
 	}
-	if l := e.tiles[c].llc.Lookup(la); l == nil || l.Meta.home {
+	if l := e.tiles[c].llc.Lookup(la); l == nil || l.Meta.home() {
 		t.Fatal("replica expected")
 	}
 	tm = wr(e, 9, tm, la).Done
-	if l := e.tiles[c].llc.Lookup(la); l != nil && !l.Meta.home {
+	if l := e.tiles[c].llc.Lookup(la); l != nil && !l.Meta.home() {
 		t.Fatal("write must invalidate the remote replica")
 	}
 	// The core retained replica status (reuse sum >= RT): the next read
 	// immediately re-creates the replica.
 	tm = rd(e, c, tm, la).Done
-	if l := e.tiles[c].llc.Lookup(la); l == nil || l.Meta.home {
+	if l := e.tiles[c].llc.Lookup(la); l == nil || l.Meta.home() {
 		t.Fatal("replica-mode core must get a fresh replica on the next read")
 	}
 }
@@ -291,7 +291,7 @@ func TestRTMigratoryExclusiveReplica(t *testing.T) {
 		e.handleL1Evict(c, victim, e.tiles[c].l1i, tm)
 	}
 	l := e.tiles[c].llc.Lookup(la)
-	if l == nil || l.Meta.home {
+	if l == nil || l.Meta.home() {
 		t.Fatal("migratory promotion must create a replica")
 	}
 	if !l.State.Writable() {
@@ -315,7 +315,7 @@ func TestRTLocalHomeNeverReplicates(t *testing.T) {
 		tm = rd(e, 3, tm, la).Done
 		e.tiles[3].l1d.Invalidate(la)
 	}
-	if l := e.tiles[3].llc.Lookup(la); l == nil || !l.Meta.home {
+	if l := e.tiles[3].llc.Lookup(la); l == nil || !l.Meta.home() {
 		t.Fatal("the local copy must be the home itself, never a replica")
 	}
 }
@@ -340,7 +340,7 @@ func TestReplicaEvictionDemotes(t *testing.T) {
 	if res.Miss != stats.LLCHomeHit {
 		t.Fatalf("demoted core's access = %v, want home hit", res.Miss)
 	}
-	if l := e.tiles[c].llc.Lookup(la); l != nil && !l.Meta.home {
+	if l := e.tiles[c].llc.Lookup(la); l != nil && !l.Meta.home() {
 		t.Fatal("demoted core must not receive a replica immediately")
 	}
 }

@@ -4,24 +4,28 @@ import (
 	"fmt"
 	"math/bits"
 
+	"lard/internal/directory"
 	"lard/internal/mem"
 )
 
-// insertHomeLine allocates the home copy (with a fresh directory entry) at
-// the home slice after an off-chip fill, disposing of the displaced victim,
-// and returns the new line's index. The dispose runs first, so an entry
-// recycled from the victim can serve the incoming line immediately.
-func (e *Engine) insertHomeLine(home mem.CoreID, op Op, t mem.Cycles) int {
+// insertHomeLine allocates the home copy at the home slice after an
+// off-chip fill for core c, disposing of the displaced victim, and returns
+// the new line's index. The line is born with a zero directory entry and
+// zero inline policy state, and with a side record when the engine keeps
+// them. The dispose runs first, so the victim's side record can serve the
+// incoming line immediately.
+func (e *Engine) insertHomeLine(c, home mem.CoreID, op Op, t mem.Cycles) int {
 	tl := e.tiles[home]
 	idx, victim, evicted := tl.llc.Insert(op.Line, mem.Shared, e.llcVictim(tl))
 	if evicted {
 		e.dispose(home, victim, t)
 	}
-	tl.llc.At(idx).Meta = llcMeta{
-		home:  true,
-		dir:   e.newDirEntry(),
-		class: op.Class,
+	m := llcMeta{flags: lineHome, firstCore: uint8(c), class: op.Class}
+	if e.sideRecords {
+		m.link = e.newSide()
 	}
+	tl.llc.At(idx).Meta = m
+	e.dirOcc.Inc()
 	return idx
 }
 
@@ -34,7 +38,7 @@ func (e *Engine) insertReplica(slice mem.CoreID, la mem.LineAddr, state mem.MESI
 		// Refresh of a replica that survived (e.g. a same-core refetch).
 		existing.State = state
 		existing.Dirty = existing.Dirty || dirty
-		existing.Meta.version = version
+		existing.Meta.dir.Version = version
 		tl.llc.Touch(existing)
 		e.chargeLLCTag(true)
 		e.chargeLLCData(true)
@@ -47,12 +51,13 @@ func (e *Engine) insertReplica(slice mem.CoreID, la mem.LineAddr, state mem.MESI
 	ins := tl.llc.At(idx)
 	ins.Dirty = dirty
 	ins.Meta = llcMeta{
+		dir:          directory.Entry{Version: version},
+		link:         uint32(home),
 		replicaReuse: 1,
-		version:      version,
-		everWritten:  everWritten,
 		class:        class,
-		homeIdx:      home.idx,
-		homeSlice:    home.slice,
+	}
+	if everWritten {
+		ins.Meta.flags = lineEverWritten
 	}
 	e.replicaInserts[class]++
 	e.chargeLLCTag(true)
@@ -61,7 +66,7 @@ func (e *Engine) insertReplica(slice mem.CoreID, la mem.LineAddr, state mem.MESI
 
 // dispose routes an evicted LLC line to the correct handler.
 func (e *Engine) dispose(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
-	if victim.Meta.home {
+	if victim.Meta.home() {
 		e.disposeHome(slice, victim, t)
 	} else {
 		e.replicaEvicted(slice, victim, t)
@@ -73,7 +78,7 @@ func (e *Engine) dispose(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 func (e *Engine) evictHomeLine(home mem.CoreID, la mem.LineAddr, t mem.Cycles) {
 	tl := e.tiles[home]
 	l := tl.llc.Lookup(la)
-	if l == nil || !l.Meta.home {
+	if l == nil || !l.Meta.home() {
 		return
 	}
 	victim := *l
@@ -90,14 +95,14 @@ func (e *Engine) evictHomeLine(home mem.CoreID, la mem.LineAddr, t mem.Cycles) {
 // back-invalidations rare (§2.2.3-2.2.4).
 func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 	la := victim.Addr
-	ent := victim.Meta.dir
+	ent := &victim.Meta.dir
 	dirty := victim.Dirty
 
 	// Same alloc-free fan-out as invalidateSharers: engine scratch buffer,
 	// ascending core order in both modes (the order the sorted Sharers()
 	// slice used to produce).
 	targets := e.fanout[:0]
-	if ent.Sharers.Overflowed() {
+	if ent.Overflowed() {
 		for i := 0; i < e.cfg.Cores; i++ {
 			targets = append(targets, mem.CoreID(i))
 		}
@@ -120,7 +125,11 @@ func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 		}
 		e.mesh.Send(s, slice, flits, t)
 	}
-	for _, rs := range ent.ReplicaSlices {
+	var rsl []mem.CoreID
+	if e.clusterRepl {
+		rsl = *e.replicaSlices(&victim.Meta)
+	}
+	for _, rs := range rsl {
 		e.mesh.Send(slice, rs, e.ctrlFlits(), t)
 		inv := e.invalidateClusterReplica(rs, la, -1)
 		flits := e.ctrlFlits()
@@ -138,11 +147,14 @@ func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 		arr := e.mesh.Send(slice, e.dram.TileOf(ctrl), e.dataFlits(), t)
 		e.dram.Access(ctrl, arr)
 	}
-	// The entry is dead: nothing references it past this point (the home
-	// line holding it was invalidated before disposeHome was called). Its
-	// stamp outlives it only if a later request could still wait on it.
+	// The entry died with its way (the home line holding it was
+	// invalidated or replaced before disposeHome was called). Its stamp
+	// outlives it only if a later request could still wait on it.
 	e.spillStamp(slice, la, ent)
-	e.recycleEntry(ent)
+	if e.sideRecords {
+		e.freeSide(victim.Meta.link)
+	}
+	e.dirOcc.Dec()
 }
 
 // replicaEvicted retires an evicted replica line: the local L1 copies are
@@ -197,29 +209,29 @@ func (e *Engine) replicaEvicted(slice mem.CoreID, victim cacheLine, t mem.Cycles
 	if dirty {
 		flits = e.dataFlits()
 	}
-	e.mesh.Send(slice, mem.CoreID(r.slice), flits, t)
+	e.mesh.Send(slice, r.slice(), flits, t)
 
-	ent := hl.Meta.dir
+	ent := &hl.Meta.dir
 	if dirty {
 		hl.Dirty = true
 		e.chargeLLCData(true)
 	}
 	if e.clusterRepl {
-		ent.RemoveReplicaSlice(slice)
+		e.replicaSlices(&hl.Meta).Remove(slice)
 		e.clfDemotions++
-		e.policy.OnClusterReplicaGone(ent, slice, victim.Meta.replicaReuse, false)
+		e.policy.OnClusterReplicaGone(&hl.Meta, slice, victim.Meta.replicaReuse, false)
 	} else {
 		// With the keep-L1 strategy the core remains a sharer while its L1
 		// still holds the line; the second acknowledgement (sent from
 		// handleL1Evict) removes it later.
 		if !(e.cfg.KeepL1OnReplicaEvict && e.hasL1Copy(e.tiles[slice], la)) {
 			ent.Sharers.Remove(slice)
-			if ent.HasOwner && ent.Owner == slice {
+			if ent.OwnedBy(slice) {
 				ent.ClearOwner()
 			}
 		}
 		e.clfDemotions++
-		e.policy.OnReplicaGone(ent, slice, victim.Meta.replicaReuse, false)
+		e.policy.OnReplicaGone(&hl.Meta, slice, victim.Meta.replicaReuse, false)
 	}
 	e.chargeDir(true)
 }
@@ -233,8 +245,8 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, sib *l1Cache, t mem.
 	la := victim.Addr
 	// The LLC is inclusive, so the victim's home is resident and its
 	// back-handle names it.
-	r := victim.Meta.ref()
-	home := mem.CoreID(r.slice)
+	r := victim.Meta.home
+	home := r.slice()
 	hl := e.homeAt(r, la, c)
 	if e.opts.CheckInvariants && e.hasL1Copy(e.tiles[c], la) != (sib.Lookup(la) != nil) {
 		panic(fmt.Sprintf("coherence: core %d's L1 still holds its victim %#x", c, uint64(la)))
@@ -243,14 +255,14 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, sib *l1Cache, t mem.
 	// Home copy resident in the local slice: merge and update the directory
 	// in place (no messages).
 	if home == c {
-		ent := hl.Meta.dir
+		ent := &hl.Meta.dir
 		if victim.Dirty {
 			hl.Dirty = true
 			e.chargeLLCData(true)
 		}
 		if sib.Lookup(la) == nil {
 			ent.Sharers.Remove(c)
-			if ent.HasOwner && ent.Owner == c {
+			if ent.OwnedBy(c) {
 				ent.ClearOwner()
 			}
 		}
@@ -264,7 +276,7 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, sib *l1Cache, t mem.
 	if e.usesReplicas {
 		rslice := e.policy.ReplicaSlice(la, c)
 		if rslice != home {
-			if l := e.tiles[rslice].llc.Lookup(la); l != nil && !l.Meta.home {
+			if l := e.tiles[rslice].llc.Lookup(la); l != nil && !l.Meta.home() {
 				if rslice != c {
 					flits := e.ctrlFlits()
 					if victim.Dirty {
@@ -297,14 +309,14 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, sib *l1Cache, t mem.
 		flits = e.dataFlits()
 	}
 	e.mesh.Send(c, home, flits, t)
-	ent := hl.Meta.dir
+	ent := &hl.Meta.dir
 	if victim.Dirty {
 		hl.Dirty = true
 		e.chargeLLCData(true)
 	}
 	if sib.Lookup(la) == nil {
 		ent.Sharers.Remove(c)
-		if ent.HasOwner && ent.Owner == c {
+		if ent.OwnedBy(c) {
 			ent.ClearOwner()
 		}
 	}
@@ -336,12 +348,13 @@ func (e *Engine) tryVictimInsert(c mem.CoreID, victim l1Line, t mem.Cycles) bool
 	ins := tl.llc.At(idx)
 	ins.Dirty = victim.Dirty
 	ins.Meta = llcMeta{
+		dir:          directory.Entry{Version: victim.Meta.version},
+		link:         uint32(victim.Meta.home),
 		replicaReuse: 1,
-		version:      victim.Meta.version,
-		everWritten:  !victim.Meta.sharedRO,
 		class:        victim.Meta.class,
-		homeIdx:      victim.Meta.homeIdx,
-		homeSlice:    victim.Meta.homeSlice,
+	}
+	if !victim.Meta.sharedRO {
+		ins.Meta.flags = lineEverWritten
 	}
 	e.replicaInserts[victim.Meta.class]++
 	e.chargeLLCTag(true)

@@ -94,7 +94,7 @@ func TestKeepL1OnReplicaEvict(t *testing.T) {
 		}
 	}
 	l := e.tiles[c].llc.Lookup(la)
-	if l == nil || l.Meta.home {
+	if l == nil || l.Meta.home() {
 		t.Fatal("setup: replica expected")
 	}
 	victim := *l

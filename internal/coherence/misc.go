@@ -10,9 +10,8 @@ import (
 
 // Aliases keeping the engine code readable.
 type (
-	l1Cache        = cache.Cache[l1Meta]
-	dirEntry       = directory.Entry
-	coreClassifier = core.Classifier
+	l1Cache  = cache.Cache[l1Meta]
+	dirEntry = directory.Entry
 )
 
 // lruL1 is the shared L1 victim selector (the L1s use plain LRU).
@@ -27,77 +26,52 @@ func satReuse(v uint8, rt int) uint8 {
 	return v + 1
 }
 
-// homeRecord is a home line's directory state in one allocation: the
-// in-cache directory entry and the Limited-k locality list the paper keeps
-// inside that entry (§2.2.5, Figure 5; §2.4.1). Under RT with k > 0 every
-// directory entry is born in a record, with Classifier pointing at the
-// record's own lim, so a home access follows one pointer from the LLC line
-// instead of three. A record is never copied: the engine hands out
-// &rec.dirEntry, and that pointer keeps the whole record alive on the free
-// list.
-type homeRecord struct {
-	dirEntry
-	lim core.Limited
+// sideRecord is the state of a home line that does not fit its LLC way: a
+// per-line classifier too large to inline (the Complete classifier, or a
+// Limited-k list with k > core.InlineK) and the cluster-replica set. Only
+// an engine whose scheme needs one (sideRecords) gives every home line a
+// record, named by the line's llcMeta.link. A dead line's record goes to
+// the free list with its classifier reset, so a run allocates one record
+// per line of its peak directory population, and the next line born
+// starts in the Initial state of Figure 3.
+type sideRecord struct {
+	clf    core.Classifier
+	slices directory.ReplicaSlices
 }
 
-// lineState is the per-line policy state an entry's Classifier slot holds:
-// a locality classifier, or EHC's hit counter. It is reset and kept when
-// its entry is recycled.
-type lineState interface{ Reset() }
-
-// classifierOf returns the locality classifier attached to a directory
-// entry. A Limited-k classifier was attached at the entry's birth; the
-// Complete classifier (k = 0) is created on first use and then stays with
-// its entry through every recycle. Either way it starts in the Initial state
-// of Figure 3: all cores in non-replica mode.
-func (e *Engine) classifierOf(ent *dirEntry) coreClassifier {
-	if ent.Classifier == nil {
-		ent.Classifier = core.New(e.clfParams)
+// newSide returns the index of a side record for a home line being born:
+// a dead line's, or a new one with the policy's fresh classifier.
+func (e *Engine) newSide() uint32 {
+	if n := len(e.sideFree); n > 0 {
+		i := e.sideFree[n-1]
+		e.sideFree = e.sideFree[:n-1]
+		return i
 	}
-	return ent.Classifier.(coreClassifier)
+	e.side = append(e.side, sideRecord{clf: e.policy.SideClassifier()})
+	return uint32(len(e.side) - 1)
 }
 
-// newDirEntry returns a directory entry for a fresh home fill, recycled
-// from the free list when one is available. A pooled entry was reset on
-// recycle, so it is indistinguishable from a newly built one.
-func (e *Engine) newDirEntry() *dirEntry {
-	e.dirOcc.Inc()
-	if n := len(e.entFree); n > 0 {
-		ent := e.entFree[n-1]
-		e.entFree = e.entFree[:n-1]
-		return ent
+// freeSide returns side record i of a dead home line to the free list.
+func (e *Engine) freeSide(i uint32) {
+	r := &e.side[i]
+	if r.clf != nil {
+		r.clf.Reset()
 	}
-	if !e.limitedRecords {
-		return directory.NewEntry(e.cfg.AckwisePointers)
-	}
-	rec := &homeRecord{dirEntry: directory.Entry{Sharers: directory.NewSharerSet(e.cfg.AckwisePointers)}}
-	rec.lim.Init(e.clfParams)
-	rec.Classifier = &rec.lim
-	return &rec.dirEntry
+	r.slices = r.slices[:0]
+	e.sideFree = append(e.sideFree, i)
 }
 
-// recycleEntry returns a dead home entry to the engine free list, with its
-// per-line policy state reset and still attached. Only disposeHome may call
-// it: that is the single point where a directory entry leaves the simulated
-// machine, and after it returns no live reference to the entry remains
-// (home lines are the only holders of entry pointers, and the holder was
-// just invalidated).
-func (e *Engine) recycleEntry(ent *dirEntry) {
-	e.dirOcc.Dec()
-	st, _ := ent.Classifier.(lineState)
-	ent.Reset(e.cfg.AckwisePointers)
-	if st != nil {
-		st.Reset()
-		ent.Classifier = st
-	}
-	e.entFree = append(e.entFree, ent)
+// replicaSlices returns the cluster-replica set of home line m. Only
+// cluster replication registers slices, and it always keeps side records.
+func (e *Engine) replicaSlices(m *llcMeta) *directory.ReplicaSlices {
+	return &e.side[m.link].slices
 }
 
 // demoteCluster applies a replica-loss classifier event to every core of the
 // cluster served by replica slice rs — the flat approximation of the
 // hierarchical per-core tracking the paper sketches for cluster-level
 // replication (§2.3.4; cluster size 1 never reaches here).
-func (e *Engine) demoteCluster(clf coreClassifier, rs mem.CoreID, reuse uint8, invalidation bool) {
+func (e *Engine) demoteCluster(clf core.Classifier, rs mem.CoreID, reuse uint8, invalidation bool) {
 	base := (int(rs) / e.cfg.ClusterSize) * e.cfg.ClusterSize
 	for i := 0; i < e.cfg.ClusterSize; i++ {
 		member := mem.CoreID(base + i)

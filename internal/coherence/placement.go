@@ -118,7 +118,7 @@ func (e *Engine) replicaSliceFor(line mem.LineAddr, c mem.CoreID) mem.CoreID {
 func (e *Engine) flushPage(p mem.PageAddr, oldOwner mem.CoreID, t mem.Cycles) {
 	slice := e.tiles[oldOwner].llc
 	lines := slice.CollectIf(func(l *cacheLine) bool {
-		return l.Meta.home && mem.PageOfLine(l.Addr) == p
+		return l.Meta.home() && mem.PageOfLine(l.Addr) == p
 	})
 	for _, la := range lines {
 		e.evictHomeLine(oldOwner, la, t)

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"lard/internal/config"
+	"lard/internal/core"
 	"lard/internal/mem"
 )
 
@@ -14,10 +15,11 @@ import (
 // shared transaction machinery. The engine owns the invariant-preserving
 // mechanics (MESI, the directory, inclusion, timing and energy); a Policy
 // decides placement, replication and classifier bookkeeping. Implementations
-// are constructed per engine (Descriptor.New) and may keep run-local state;
-// per-line state belongs in the directory entry's opaque Classifier slot so
-// it dies with the home line. State with a Reset method is reset and kept
-// when the engine recycles the entry; other state is dropped.
+// are constructed per engine (Descriptor.New) and may keep run-local state.
+// Per-line state lives with the home line, whose metadata every per-line
+// hook receives: a few bytes inline in its directory entry (dir.Local,
+// zero at the line's birth), or a classifier in its side record
+// (SideClassifier). Either way it dies with the home line.
 //
 // The five paper schemes and any additional scheme register a Descriptor
 // via Register (typically from an init in the scheme's own policy file);
@@ -50,32 +52,38 @@ type Policy interface {
 	// read so the policy can observe reuse; the caller suppresses physical
 	// replica creation when the requester is the home or the replica slice
 	// is the home.
-	ReplicateOnRead(ent *dirEntry, c mem.CoreID) bool
+	ReplicateOnRead(m *llcMeta, c mem.CoreID) bool
 
 	// ReplicateOnWrite decides whether a write serialized at the home should
 	// grant c a Modified-state replica (migratory sharing, §2.3.1).
 	// soleSharer reports whether c was the only sharer before invalidation.
-	ReplicateOnWrite(ent *dirEntry, c mem.CoreID, soleSharer bool) bool
+	ReplicateOnWrite(m *llcMeta, c mem.CoreID, soleSharer bool) bool
 
 	// OnWrite records that writer performed a write serialized at the home,
 	// after all invalidation acknowledgements were processed (§2.2.2).
-	OnWrite(ent *dirEntry, writer mem.CoreID)
+	OnWrite(m *llcMeta, writer mem.CoreID)
 
 	// OnReplicaGone records that core c's replica left the LLC, carrying the
 	// replica-reuse counter from the acknowledgement; invalidation
 	// distinguishes a coherence invalidation from a capacity eviction
 	// (Figure 3's two demotion rules).
-	OnReplicaGone(ent *dirEntry, c mem.CoreID, reuse uint8, invalidation bool)
+	OnReplicaGone(m *llcMeta, c mem.CoreID, reuse uint8, invalidation bool)
 
 	// OnClusterReplicaGone is OnReplicaGone for a cluster replica at slice
 	// rs: the event applies to every core of the cluster it served.
-	OnClusterReplicaGone(ent *dirEntry, rs mem.CoreID, reuse uint8, invalidation bool)
+	OnClusterReplicaGone(m *llcMeta, rs mem.CoreID, reuse uint8, invalidation bool)
 
 	// VictimReplicate gives the policy the L1 victim before it is
 	// acknowledged to the home (§2.2.3): returning true means the victim was
 	// absorbed into the local slice (VR's victim caching, ASR's selective
 	// replication) and disposal is complete.
 	VictimReplicate(c mem.CoreID, victim l1Line, t mem.Cycles) bool
+
+	// SideClassifier returns a fresh per-line classifier in the Initial
+	// state when the scheme's per-line state does not fit dir.Local, and
+	// nil when it does or the scheme keeps none. A non-nil result makes
+	// the engine give every home line a side record holding one.
+	SideClassifier() core.Classifier
 }
 
 // Descriptor registers one LLC management scheme: its stable identity (the
@@ -187,10 +195,11 @@ func (basePolicy) InstrClusterHome() bool                               { return
 func (basePolicy) ClusterReplication() bool                             { return false }
 func (basePolicy) ReplicaSlice(_ mem.LineAddr, c mem.CoreID) mem.CoreID { return c }
 func (basePolicy) ConsumeReplicaOnHit() bool                            { return false }
-func (basePolicy) ReplicateOnRead(*dirEntry, mem.CoreID) bool           { return false }
-func (basePolicy) ReplicateOnWrite(*dirEntry, mem.CoreID, bool) bool    { return false }
-func (basePolicy) OnWrite(*dirEntry, mem.CoreID)                        {}
-func (basePolicy) OnReplicaGone(*dirEntry, mem.CoreID, uint8, bool)     {}
-func (basePolicy) OnClusterReplicaGone(*dirEntry, mem.CoreID, uint8, bool) {
+func (basePolicy) ReplicateOnRead(*llcMeta, mem.CoreID) bool            { return false }
+func (basePolicy) ReplicateOnWrite(*llcMeta, mem.CoreID, bool) bool     { return false }
+func (basePolicy) OnWrite(*llcMeta, mem.CoreID)                         {}
+func (basePolicy) OnReplicaGone(*llcMeta, mem.CoreID, uint8, bool)      {}
+func (basePolicy) OnClusterReplicaGone(*llcMeta, mem.CoreID, uint8, bool) {
 }
 func (basePolicy) VictimReplicate(mem.CoreID, l1Line, mem.Cycles) bool { return false }
+func (basePolicy) SideClassifier() core.Classifier                     { return nil }

@@ -30,39 +30,25 @@ const ExpectedHitCount Scheme = 5
 // replicas are local-slice only, so the scheme exercises the engine's
 // generic replica machinery (probe, reuse counters, invalidation,
 // modified-LRU ranking) with none of the RT-specific paths.
+//
+// The counter is the first of the home line's dir.Local bytes, zero when
+// the line is born, so the scheme allocates nothing per line.
 type ehcPolicy struct{ basePolicy }
-
-// ehcState is the per-line policy state, stored in the directory entry's
-// opaque Classifier slot so it lives and dies with the home copy, and is
-// recycled with the entry.
-type ehcState struct {
-	homeReads uint8
-}
-
-// Reset clears the counter; the state is recycled with its entry.
-func (s *ehcState) Reset() { *s = ehcState{} }
-
-func (p ehcPolicy) stateOf(ent *dirEntry) *ehcState {
-	if ent.Classifier == nil {
-		ent.Classifier = &ehcState{}
-	}
-	return ent.Classifier.(*ehcState)
-}
 
 // ReplicateOnRead advances the line's home-read counter (a directory-entry
 // update, charged like the RT classifier's) and grants a replica once it
 // reaches the threshold.
-func (p ehcPolicy) ReplicateOnRead(ent *dirEntry, c mem.CoreID) bool {
-	st := p.stateOf(ent)
-	st.homeReads = satReuse(st.homeReads, p.e.cfg.RT)
+func (p ehcPolicy) ReplicateOnRead(m *llcMeta, c mem.CoreID) bool {
+	reads := &m.dir.Local[0]
+	*reads = satReuse(*reads, p.e.cfg.RT)
 	p.e.chargeDir(true)
-	return int(st.homeReads) >= p.e.cfg.RT
+	return int(*reads) >= p.e.cfg.RT
 }
 
 // OnWrite resets the hit-count evidence: reads counted against the previous
 // version predict nothing about the data just written.
-func (p ehcPolicy) OnWrite(ent *dirEntry, writer mem.CoreID) {
-	p.stateOf(ent).homeReads = 0
+func (p ehcPolicy) OnWrite(m *llcMeta, writer mem.CoreID) {
+	m.dir.Local[0] = 0
 	p.e.chargeDir(true)
 }
 

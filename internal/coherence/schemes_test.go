@@ -107,7 +107,7 @@ func TestLARDTreatsInstructionsAsShared(t *testing.T) {
 		tm = e.Access(5, tm, Op{Type: mem.IFetch, Line: la, Class: mem.ClassInstruction}).Done
 		e.tiles[5].l1i.Invalidate(la)
 	}
-	if l := e.tiles[5].llc.Lookup(la); l == nil || l.Meta.home {
+	if l := e.tiles[5].llc.Lookup(la); l == nil || l.Meta.home() {
 		t.Fatal("instructions with reuse must be replicated like data")
 	}
 }
@@ -124,7 +124,7 @@ func TestVRVictimInsertion(t *testing.T) {
 	e.tiles[0].l1d.Invalidate(la)
 	e.handleL1Evict(0, victim, e.tiles[0].l1i, tm)
 	l := e.tiles[0].llc.Lookup(la)
-	if l == nil || l.Meta.home {
+	if l == nil || l.Meta.home() {
 		t.Fatal("VR must insert the victim into the local slice")
 	}
 	res := rd(e, 0, tm, la)
@@ -191,7 +191,7 @@ func TestASRLevelZeroNeverReplicates(t *testing.T) {
 		e.tiles[0].l1d.Invalidate(la)
 		e.handleL1Evict(0, victim, e.tiles[0].l1i, tm)
 	}
-	if l := e.tiles[0].llc.Lookup(la); l != nil && !l.Meta.home {
+	if l := e.tiles[0].llc.Lookup(la); l != nil && !l.Meta.home() {
 		t.Fatal("ASR level 0 must never replicate")
 	}
 }
@@ -214,7 +214,7 @@ func TestASRSharedReadOnlyGating(t *testing.T) {
 	tm := rd(e, 1, 0, ro).Done
 	tm = rd(e, 0, tm, ro).Done
 	evict(0, ro, tm)
-	if l := e.tiles[0].llc.Lookup(ro); l == nil || l.Meta.home {
+	if l := e.tiles[0].llc.Lookup(ro); l == nil || l.Meta.home() {
 		t.Fatal("ASR must replicate a shared read-only victim at level 1")
 	}
 	// Written line: excluded forever.
@@ -222,14 +222,14 @@ func TestASRSharedReadOnlyGating(t *testing.T) {
 	tm = wr(e, 1, tm, rw).Done
 	tm = rd(e, 0, tm, rw).Done
 	evict(0, rw, tm)
-	if l := e.tiles[0].llc.Lookup(rw); l != nil && !l.Meta.home {
+	if l := e.tiles[0].llc.Lookup(rw); l != nil && !l.Meta.home() {
 		t.Fatal("ASR must not replicate ever-written lines")
 	}
 	// Private (single-toucher) line: not classified shared, excluded.
 	pv := mem.LineAddr(0x4002)
 	tm = rd(e, 0, tm, pv).Done
 	evict(0, pv, tm)
-	if l := e.tiles[0].llc.Lookup(pv); l != nil && !l.Meta.home {
+	if l := e.tiles[0].llc.Lookup(pv); l != nil && !l.Meta.home() {
 		t.Fatal("ASR must not replicate private lines")
 	}
 }
@@ -258,7 +258,7 @@ func TestClusterReplicaPlacementAndLookup(t *testing.T) {
 		tm = rd(e, c, tm, la).Done
 		e.tiles[c].l1d.Invalidate(la)
 	}
-	if l := e.tiles[rs].llc.Lookup(la); l == nil || l.Meta.home {
+	if l := e.tiles[rs].llc.Lookup(la); l == nil || l.Meta.home() {
 		t.Fatalf("replica must be placed at the cluster slice %d", rs)
 	}
 	// Another cluster member hits the same replica.
@@ -269,7 +269,7 @@ func TestClusterReplicaPlacementAndLookup(t *testing.T) {
 	// A write from outside invalidates the cluster replica and every
 	// cluster L1 copy.
 	wr(e, 9, res.Done, la)
-	if l := e.tiles[rs].llc.Lookup(la); l != nil && !l.Meta.home {
+	if l := e.tiles[rs].llc.Lookup(la); l != nil && !l.Meta.home() {
 		t.Fatal("cluster replica must be invalidated on a write")
 	}
 	if e.tiles[2].l1d.Lookup(la) != nil {

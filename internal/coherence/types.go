@@ -77,15 +77,13 @@ type AccessResult struct {
 	Miss stats.MissType
 }
 
-// l1Meta is the per-line metadata of the private L1 caches. The home
-// back-handle takes the bytes that were padding after the one-byte
-// fields, so l1Meta stays 16 bytes and an L1 line 40.
+// l1Meta is the per-line metadata of the private L1 caches: 16 bytes, so
+// an L1 line is 40.
 type l1Meta struct {
 	// version is the home version of the data held (SWMR checking).
 	version uint64
-	// homeIdx and homeSlice locate the home line of the copy (see homeRef).
-	homeIdx   int32
-	homeSlice uint8
+	// home is the back-handle to the copy's home line.
+	home homeRef
 	// sharedRO is ASR's sticky classification bit: true while the line has
 	// never been written (conveyed by the home on the fill).
 	sharedRO bool
@@ -95,55 +93,78 @@ type l1Meta struct {
 	hintCount uint8
 }
 
-// ref returns the back-handle to the copy's home line.
-func (m *l1Meta) ref() homeRef { return homeRef{slice: m.homeSlice, idx: m.homeIdx} }
-
-// llcMeta is the per-line metadata of the LLC slices. Its fields are
-// ordered widest first so it packs into 32 bytes, and an LLC line into 56.
+// llcMeta is the per-line metadata of the LLC slices: 40 bytes with no
+// pointers, so an LLC line is 64 bytes, one host cache line, and the
+// garbage collector never scans the LLC arrays. A home line holds its
+// whole directory entry here, the policy's inline per-line state included
+// (dir.Local). A replica keeps the version it holds in dir.Version and
+// leaves the rest of dir zero. The one field whose meaning depends on the
+// role is link.
 type llcMeta struct {
-	// dir is the in-cache directory entry of a home line; under RT with
-	// k > 0 it is the entry of a homeRecord.
-	dir *directory.Entry
-	// version is the home version of the data held by a replica.
-	version uint64
-	// firstCore is the first core to access the line (with firstSeen), used
-	// to detect sharing.
-	firstCore mem.CoreID
-	// homeIdx and homeSlice locate a replica's home line (see homeRef).
-	homeIdx int32
-	// home marks the home copy (it carries the directory entry).
-	home bool
+	// dir is a home line's directory entry.
+	dir directory.Entry
+	// link is, for a replica, the homeRef of its home line; for a home line
+	// of an engine with side records, the index of its side record.
+	link uint32
+	// flags holds the lineHome, lineEverWritten and lineEverShared bits.
+	flags uint8
+	// firstCore is the first core to access a home line, used with
+	// lineEverShared to detect sharing.
+	firstCore uint8
 	// replicaReuse is the saturating reuse counter of a replica line
 	// (initialized to 1 on creation, incremented per replica hit, §2.2.1).
 	replicaReuse uint8
-	// everWritten is the home-side sticky "not read-only" bit used by ASR.
-	everWritten bool
-	// everShared is the home-side sticky "shared" bit used by ASR: set once
-	// a second distinct core accesses the line (ASR replicates only lines
-	// classified shared AND read-only, §3.3).
-	everShared bool
-	firstSeen  bool
 	// class is the ground-truth data class (statistics only).
-	class     mem.DataClass
-	homeSlice uint8
+	class mem.DataClass
 }
+
+// llcMeta flag bits.
+const (
+	// lineHome marks the home copy (it carries the directory entry).
+	lineHome = 1 << iota
+	// lineEverWritten is the sticky "not read-only" bit used by ASR: on a
+	// home line, set by its first write; on a replica, copied from the home.
+	lineEverWritten
+	// lineEverShared is the home-side sticky "shared" bit used by ASR: set
+	// once a second distinct core accesses the line (ASR replicates only
+	// lines classified shared AND read-only, §3.3).
+	lineEverShared
+)
+
+// home reports whether the line is a home copy.
+func (m *llcMeta) home() bool { return m.flags&lineHome != 0 }
+
+// everWritten reports the line's lineEverWritten bit.
+func (m *llcMeta) everWritten() bool { return m.flags&lineEverWritten != 0 }
 
 // ref returns the back-handle to a replica's home line.
-func (m *llcMeta) ref() homeRef { return homeRef{slice: m.homeSlice, idx: m.homeIdx} }
+func (m *llcMeta) ref() homeRef { return homeRef(m.link) }
 
-// homeRef is a back-handle to a home line: its LLC slice and its index in
-// that slice (cache.Index). L1 copies and replicas carry the handle of the
-// home they were filled from, so the engine reaches that home without a
-// placement lookup or a set scan. It stays exact because the LLC is
-// inclusive: a resident home line never changes ways, and disposeHome
-// back-invalidates every L1 copy and replica of the line before its way is
-// reused. A slice fits a byte because the sharer bitset caps a machine at
-// 64 cores. Under CheckInvariants, homeAt checks every use of a handle
-// against a fresh lookup.
-type homeRef struct {
-	idx   int32
-	slice uint8
+// homeRef is a back-handle to a home line: its LLC slice in the low six
+// bits and its index in that slice (cache.Index) above them. L1 copies and
+// replicas carry the handle of the home they were filled from, so the
+// engine reaches that home without a placement lookup or a set scan. It
+// stays exact because the LLC is inclusive: a resident home line never
+// changes ways, and disposeHome back-invalidates every L1 copy and replica
+// of the line before its way is reused. Six bits hold a slice because the
+// sharer bitset caps a machine at 64 cores, and config.Validate bounds a
+// slice to the 2^26 lines the rest of the handle can index. Under
+// CheckInvariants, homeAt checks every use of a handle against a fresh
+// lookup.
+type homeRef uint32
+
+const refSliceBits = 6
+
+// newHomeRef returns the handle of the line at index idx of slice.
+func newHomeRef(slice mem.CoreID, idx int) homeRef {
+	return homeRef(uint32(idx)<<refSliceBits | uint32(slice))
 }
+
+// slice returns the home line's LLC slice.
+func (r homeRef) slice() mem.CoreID { return mem.CoreID(r & (1<<refSliceBits - 1)) }
+
+// idx returns the home line's index in its slice.
+func (r homeRef) idx() int { return int(r >> refSliceBits) }
 
 // tile is one core's slice of the memory system: its private L1 caches and
 // its LLC slice.

@@ -155,6 +155,10 @@ func ForCores(n int) (*Config, error) {
 	return nil, fmt.Errorf("config: unsupported core count %d (use 4, 16 or 64)", n)
 }
 
+// MaxSliceLines bounds LLCSliceLines (a 4 GiB slice): the coherence
+// engine's back-handles to home lines index a slice in 26 bits.
+const MaxSliceLines = 1 << 26
+
 // Validate checks internal consistency and returns a descriptive error for
 // the first violated constraint.
 func (c *Config) Validate() error {
@@ -171,6 +175,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: bad L1-D geometry %d lines / %d ways", c.L1DLines, c.L1DWays)
 	case c.LLCSliceLines <= 0 || c.LLCWays <= 0 || c.LLCSliceLines%c.LLCWays != 0:
 		return fmt.Errorf("config: bad LLC geometry %d lines / %d ways", c.LLCSliceLines, c.LLCWays)
+	case c.LLCSliceLines > MaxSliceLines:
+		return fmt.Errorf("config: %d LLC lines per slice exceed the %d a home back-handle indexes", c.LLCSliceLines, MaxSliceLines)
 	case c.AckwisePointers < 0:
 		return fmt.Errorf("config: AckwisePointers must be >= 0, got %d", c.AckwisePointers)
 	case c.DRAMControllers <= 0 || c.DRAMControllers > c.Cores:

@@ -9,7 +9,9 @@
 //     every core in the system (Figure 4).
 //   - Limited-k: the same information for only k cores, with inactive-sharer
 //     replacement and majority-vote initialization of untracked cores
-//     (Figure 5, §2.2.5). Limited-3 is the paper's default.
+//     (Figure 5, §2.2.5). Limited-3 is the paper's default. For k <= InlineK
+//     the list is a 7-byte value (Inline) that lives in the line's directory
+//     entry; one Limited per run classifies any such list it is bound to.
 //
 // The classifier is decoupled from the sharer-tracking directory (ACKwise
 // pointers serve coherence; the locality list serves classification), which
@@ -80,8 +82,8 @@ type Classifier interface {
 
 	// Reset returns the classifier to the Initial state of Figure 3 (all
 	// cores in non-replica mode, no reuse), making it indistinguishable
-	// from a freshly constructed one — which lets an engine recycle
-	// classifiers of dead directory entries instead of allocating.
+	// from a freshly constructed one — which lets an engine reuse the
+	// classifier of a dead line for a new one instead of allocating.
 	Reset()
 }
 

@@ -421,3 +421,68 @@ func TestLimitedUntrackedReplicaGoneIsNoop(t *testing.T) {
 		t.Fatal("tracked entries must be unaffected")
 	}
 }
+
+// TestInlineMatchesLimited: a classifier bound to Inline lists decides
+// exactly like a Limited with a list of its own, for every k <= InlineK,
+// under arbitrary event sequences; rebinding between two lists keeps each
+// line's state apart.
+func TestInlineMatchesLimited(t *testing.T) {
+	for k := 1; k <= InlineK; k++ {
+		p := Params{RT: 3, Cores: 16, K: k}
+		f := func(ops []uint16) bool {
+			var lists [2]Inline
+			refs := [2]Classifier{New(p), New(p)}
+			v := NewInline(p)
+			for _, op := range ops {
+				line := int(op>>15) & 1
+				got, want := v.Bind(&lists[line]), refs[line]
+				c := mem.CoreID(op % 16)
+				reuse := uint8(op>>4) % 5
+				flag := op&0x100 != 0
+				switch (op >> 9) % 6 {
+				case 0:
+					if got.OnReadHome(c) != want.OnReadHome(c) {
+						return false
+					}
+				case 1:
+					if got.OnWriteHome(c, flag) != want.OnWriteHome(c, flag) {
+						return false
+					}
+				case 2:
+					got.OnOthersReset(c)
+					want.OnOthersReset(c)
+				case 3:
+					got.OnReplicaGone(c, reuse, flag)
+					want.OnReplicaGone(c, reuse, flag)
+				case 4:
+					got.Reset()
+					want.Reset()
+				}
+				for c := mem.CoreID(0); c < 16; c++ {
+					if got.ModeOf(c) != want.ModeOf(c) || got.Tracked(c) != want.Tracked(c) {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+}
+
+// TestNewInlineBounds: an inline classifier exists only for 1 <= k <=
+// InlineK.
+func TestNewInlineBounds(t *testing.T) {
+	for _, k := range []int{0, InlineK + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewInline with k=%d must panic", k)
+				}
+			}()
+			NewInline(Params{RT: 3, Cores: 16, K: k})
+		}()
+	}
+}

@@ -1,212 +1,229 @@
 package core
 
 import (
-	"math"
+	"fmt"
 
 	"lard/internal/mem"
 )
 
-// limEntry is one slot of the limited locality list (Figure 5): core ID,
-// replication mode bit and home-reuse counter, plus the active flag used for
-// replacement (§2.2.5).
-type limEntry struct {
-	core   mem.CoreID
-	mode   bool
-	reuse  uint8
-	active bool
-	valid  bool
-}
+// A locality-list slot (Figure 5) is two bytes: an id byte holding the core
+// ID in its low six bits (core IDs stay below 64, the sharer bitset's
+// limit) plus the replication-mode and active flags (§2.2.5), then the
+// home-reuse counter. The valid slots are a prefix of the
+// list: acquire fills the first free slot, and only a reset frees slots, so
+// one count replaces a valid bit per slot.
+const (
+	slotBytes  = 2
+	slotCore   = 0x3f
+	slotMode   = 1 << 6
+	slotActive = 1 << 7
+)
 
-// limitedInline is the number of tracked-core slots a Limited holds in
-// place. It covers the paper's default k=3; a larger k (Figure 9 sweeps up
-// to 64) keeps its slots in a heap slice instead.
-const limitedInline = 4
+// InlineK is the largest k whose locality list fits an Inline. It covers
+// the paper's default k = 3.
+const InlineK = 3
+
+// Inline is a Limited-k locality list with k <= InlineK, held by value: the
+// count of valid slots, then the slots. Seven bytes, no pointers, so the
+// list sits in the directory entry's Local bytes inside the LLC way, as it
+// does in hardware (§2.4.1). The zero value is the Initial state of
+// Figure 3. A Limited made by NewInline classifies it after Bind.
+type Inline [1 + InlineK*slotBytes]byte
 
 // Limited is the Limited-k locality classifier (§2.2.5). It keeps locality
 // information for at most k cores; other cores are classified by a majority
 // vote of the modes of the tracked cores.
 //
-// It is a value type so the locality list can live inside the structure
-// that holds the directory entry, as it does in hardware (§2.4.1): for
-// k <= limitedInline the slots need no allocation of their own. The zero
-// value is unusable; Init prepares one. A Limited must not be copied after
-// Init.
+// The list it runs over is buf: the valid-slot count, then k slots. New
+// gives a Limited a list of its own; NewInline makes one with none, to be
+// bound to a line's Inline list before each use, so RT and k live once per
+// run instead of once per line.
 type Limited struct {
-	rt     int32
-	k      int32
-	inline [limitedInline]limEntry
-	// heap holds the slots when k > limitedInline, else nil. A pointer
-	// rather than a slice keeps a Limited at 48 bytes, so a home record
-	// (80-byte directory entry plus classifier) fills one 128-byte size
-	// class, two whole host cache lines.
-	heap *[]limEntry
-}
-
-// Init makes k a fresh Limited-k classifier for p (p.K >= 1): every core in
-// the Initial state of Figure 3.
-func (k *Limited) Init(p Params) {
-	if p.RT < 1 || p.RT > math.MaxInt32 {
-		panic("core: RT must be in 1..MaxInt32")
-	}
-	*k = Limited{rt: int32(p.RT), k: int32(p.K)}
-	if p.K > limitedInline {
-		slots := make([]limEntry, p.K)
-		k.heap = &slots
-	}
+	rt  int
+	k   int
+	buf []byte
 }
 
 func newLimited(p Params) *Limited {
-	k := &Limited{}
-	k.Init(p)
+	return &Limited{rt: p.RT, k: p.K, buf: make([]byte, 1+p.K*slotBytes)}
+}
+
+// NewInline returns a Limited-k classifier for p (1 <= p.K <= InlineK)
+// with no list of its own: Bind must point it at an Inline list before
+// each use.
+func NewInline(p Params) *Limited {
+	if p.RT < 1 || p.K < 1 || p.K > InlineK {
+		panic(fmt.Sprintf("core: inline Limited-k needs RT >= 1 and 1 <= k <= %d, got RT %d, k %d", InlineK, p.RT, p.K))
+	}
+	return &Limited{rt: p.RT, k: p.K}
+}
+
+// Bind points k at list l and returns k: its decisions read and update l
+// until the next Bind.
+func (k *Limited) Bind(l *Inline) *Limited {
+	k.buf = l[:1+k.k*slotBytes]
 	return k
 }
 
-// slots returns the locality list: k entries, valid or free.
-func (k *Limited) slots() []limEntry {
-	if k.heap != nil {
-		return *k.heap
-	}
-	return k.inline[:k.k]
-}
+// n returns the number of valid slots.
+func (k *Limited) n() int { return int(k.buf[0]) }
 
-// find returns the entry tracking c, or nil.
-func (k *Limited) find(c mem.CoreID) *limEntry {
-	es := k.slots()
-	for i := range es {
-		if es[i].valid && es[i].core == c {
-			return &es[i]
+// id and reuse return slot i's id byte and home-reuse counter.
+func (k *Limited) id(i int) *byte    { return &k.buf[1+i*slotBytes] }
+func (k *Limited) reuse(i int) *byte { return &k.buf[2+i*slotBytes] }
+
+// find returns the slot tracking c, or -1.
+func (k *Limited) find(c mem.CoreID) int {
+	for i := 0; i < k.n(); i++ {
+		if mem.CoreID(*k.id(i)&slotCore) == c {
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+// mode reports slot i's replication mode.
+func (k *Limited) mode(i int) bool { return *k.id(i)&slotMode != 0 }
+
+// setMode sets slot i's replication mode.
+func (k *Limited) setMode(i int, m bool) {
+	if m {
+		*k.id(i) |= slotMode
+	} else {
+		*k.id(i) &^= slotMode
+	}
 }
 
 // majority returns the majority vote of the modes of the tracked cores;
 // ties (including an empty list) resolve to non-replica, the Initial mode of
 // Figure 3.
 func (k *Limited) majority() bool {
-	replica, valid := 0, 0
-	for _, e := range k.slots() {
-		if e.valid {
-			valid++
-			if e.mode {
-				replica++
-			}
+	replica := 0
+	for i := 0; i < k.n(); i++ {
+		if k.mode(i) {
+			replica++
 		}
 	}
-	return replica*2 > valid
+	return replica*2 > k.n()
 }
 
-// acquire returns the entry for c, allocating one if possible:
-//  1. an existing entry for c,
-//  2. a free (invalid) entry, started in the Initial mode,
+// fill makes slot i track c, active, with home reuse 0 and mode m.
+func (k *Limited) fill(i int, c mem.CoreID, m bool) {
+	id := uint8(c)&slotCore | slotActive
+	if m {
+		id |= slotMode
+	}
+	*k.id(i) = id
+	*k.reuse(i) = 0
+}
+
+// acquire returns the slot for c, allocating one if possible:
+//  1. an existing slot for c,
+//  2. a free slot, started in the Initial mode,
 //  3. replacement of an inactive sharer, started in the majority-vote mode
 //     (the requester's "most probable mode", §2.2.5).
 //
-// If no replacement candidate exists it returns nil and the caller falls
+// If no replacement candidate exists it returns -1 and the caller falls
 // back to the majority vote without modifying the list.
-func (k *Limited) acquire(c mem.CoreID) *limEntry {
-	if e := k.find(c); e != nil {
-		e.active = true
-		return e
+func (k *Limited) acquire(c mem.CoreID) int {
+	if i := k.find(c); i >= 0 {
+		*k.id(i) |= slotActive
+		return i
 	}
-	es := k.slots()
-	for i := range es {
-		if !es[i].valid {
-			es[i] = limEntry{core: c, active: true, valid: true}
-			return &es[i]
+	if n := k.n(); n < k.k {
+		k.buf[0]++
+		k.fill(n, c, false)
+		return n
+	}
+	for i := 0; i < k.k; i++ {
+		if *k.id(i)&slotActive == 0 {
+			k.fill(i, c, k.majority())
+			return i
 		}
 	}
-	for i := range es {
-		if !es[i].active {
-			es[i] = limEntry{core: c, mode: k.majority(), active: true, valid: true}
-			return &es[i]
-		}
+	return -1
+}
+
+// promote advances slot i's home reuse to v and promotes it at RT.
+func (k *Limited) promote(i int, v uint8) bool {
+	*k.reuse(i) = v
+	if int(v) >= k.rt {
+		k.setMode(i, true)
+		return true
 	}
-	return nil
+	return false
 }
 
 // OnReadHome implements Classifier.
 func (k *Limited) OnReadHome(c mem.CoreID) bool {
-	e := k.acquire(c)
-	if e == nil {
+	i := k.acquire(c)
+	if i < 0 {
 		// Untracked: classify by majority vote; no reuse can be accumulated,
 		// so a non-replica vote can never be promoted (this is the
 		// STREAMCLUSTER pathology discussed in §4.3).
 		return k.majority()
 	}
-	if e.mode {
+	if k.mode(i) {
 		return true
 	}
-	e.reuse = satIncr(e.reuse, int(k.rt))
-	if int32(e.reuse) >= k.rt {
-		e.mode = true
-		return true
-	}
-	return false
+	return k.promote(i, satIncr(*k.reuse(i), k.rt))
 }
 
 // OnWriteHome implements Classifier.
 func (k *Limited) OnWriteHome(c mem.CoreID, soleSharer bool) bool {
-	e := k.acquire(c)
-	if e == nil {
+	i := k.acquire(c)
+	if i < 0 {
 		return k.majority()
 	}
-	if e.mode {
+	if k.mode(i) {
 		return true
 	}
+	v := uint8(1)
 	if soleSharer {
-		e.reuse = satIncr(e.reuse, int(k.rt))
-	} else {
-		e.reuse = 1
+		v = satIncr(*k.reuse(i), k.rt)
 	}
-	if int32(e.reuse) >= k.rt {
-		e.mode = true
-		return true
-	}
-	return false
+	return k.promote(i, v)
 }
 
 // OnOthersReset implements Classifier.
 func (k *Limited) OnOthersReset(writer mem.CoreID) {
-	es := k.slots()
-	for i := range es {
-		e := &es[i]
-		if e.valid && e.core != writer && !e.mode {
-			e.reuse = 0
-			e.active = false
+	for i := 0; i < k.n(); i++ {
+		if id := *k.id(i); mem.CoreID(id&slotCore) != writer && id&slotMode == 0 {
+			*k.reuse(i) = 0
+			*k.id(i) = id &^ slotActive
 		}
 	}
 }
 
 // OnReplicaGone implements Classifier.
 func (k *Limited) OnReplicaGone(c mem.CoreID, replicaReuse uint8, invalidation bool) {
-	e := k.find(c)
-	if e == nil {
+	i := k.find(c)
+	if i < 0 {
 		return // untracked replicas carry no classifier state
 	}
 	x := int(replicaReuse)
 	if invalidation {
-		x += int(e.reuse)
+		x += int(*k.reuse(i))
 	}
-	if x < int(k.rt) {
-		e.mode = false
+	if x < k.rt {
+		k.setMode(i, false)
 	}
-	e.reuse = 0
-	e.active = false
+	*k.reuse(i) = 0
+	*k.id(i) &^= slotActive
 }
 
 // ModeOf implements Classifier.
 func (k *Limited) ModeOf(c mem.CoreID) bool {
-	if e := k.find(c); e != nil {
-		return e.mode
+	if i := k.find(c); i >= 0 {
+		return k.mode(i)
 	}
 	return k.majority()
 }
 
 // Tracked implements Classifier.
-func (k *Limited) Tracked(c mem.CoreID) bool { return k.find(c) != nil }
+func (k *Limited) Tracked(c mem.CoreID) bool { return k.find(c) >= 0 }
 
 // Reset implements Classifier.
 func (k *Limited) Reset() {
-	clear(k.slots())
+	clear(k.buf)
 }
