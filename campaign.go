@@ -22,26 +22,35 @@ type CampaignSpec struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	Schemes    []Scheme `json:"schemes"`
 	Options    Options  `json:"options"`
+	// AutoASR reports each ASR column the way the paper does (§3.3): as
+	// the best of the five ASRLevels per benchmark by energy-delay
+	// product. The column runs all five ASRCandidates under its one label
+	// and ReportedMembers picks among them; an ASR scheme's own level is
+	// ignored, so ASR schemes that differ only in level are one column.
+	AutoASR bool `json:"auto_asr,omitempty"`
 }
 
-// CampaignMember is one expanded (benchmark, scheme) cell of a campaign,
+// CampaignMember is one expanded (benchmark, scheme) run of a campaign,
 // carrying its canonical content address and the column label it renders
-// under.
+// under. The candidates of an auto-tuned ASR column share their column's
+// label; Name tells them apart ("ASR@0.25") and equals Label otherwise.
 type CampaignMember struct {
 	Benchmark string
 	Scheme    Scheme
 	Label     string
+	Name      string
 	Options   Options
 	Key       string
 }
 
 // ExpandCampaign expands a campaign into its member runs: the cross product
-// of benchmarks and schemes, each validated and content-addressed through
-// the exact same path as a single run. Members whose content address
-// coincides (duplicate scheme entries) are deduplicated, keeping the first
-// occurrence, so a campaign never simulates one run twice. Column labels are
-// made unique ("ASR", "ASR#2") so distinct schemes sharing a figure label
-// stay distinguishable in tables.
+// of benchmarks and columns, each run validated and content-addressed
+// through the exact same path as a single run. A column is one scheme, or
+// under AutoASR an ASR scheme's five candidates. Members whose content
+// address coincides (duplicate scheme entries) are deduplicated, keeping
+// the first occurrence, so a campaign never simulates one run twice.
+// Column labels are made unique ("ASR", "ASR#2") so distinct schemes
+// sharing a figure label stay distinguishable in tables.
 func ExpandCampaign(c CampaignSpec) ([]CampaignMember, error) {
 	if len(c.Schemes) == 0 {
 		return nil, errors.New("lard: campaign has no schemes")
@@ -51,28 +60,33 @@ func ExpandCampaign(c CampaignSpec) ([]CampaignMember, error) {
 		benches = Benchmarks()
 	}
 
-	// Dedup schemes first: two schemes denote the same run for every
-	// benchmark exactly when they share a content address for one, so
-	// probing against the first benchmark identifies duplicates. Labels are
-	// assigned after deduplication — a dropped duplicate must not leave a
-	// gap in the "#n" suffixes of the surviving columns.
-	var schemes []Scheme
-	seenScheme := make(map[string]bool, len(c.Schemes))
+	// Dedup columns first: two columns denote the same runs for every
+	// benchmark exactly when their first runs share a content address for
+	// one, so probing against the first benchmark identifies duplicates.
+	// Labels are assigned after deduplication — a dropped duplicate must
+	// not leave a gap in the "#n" suffixes of the surviving columns.
+	var cols [][]Scheme
+	seenCol := make(map[string]bool, len(c.Schemes))
 	for _, s := range c.Schemes {
+		col := []Scheme{s}
 		key, err := KeyFor(benches[0], s, c.Options)
+		if cands, notASR := ASRCandidates(s); err == nil && c.AutoASR && notASR == nil {
+			col = cands
+			key, err = KeyFor(benches[0], col[0], c.Options)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("campaign member %s/%s: %w", benches[0], s.Label(), err)
 		}
-		if seenScheme[key] {
+		if seenCol[key] {
 			continue
 		}
-		seenScheme[key] = true
-		schemes = append(schemes, s)
+		seenCol[key] = true
+		cols = append(cols, col)
 	}
-	labels := make([]string, len(schemes))
-	labelUses := make(map[string]int, len(schemes))
-	for i, s := range schemes {
-		l := s.Label()
+	labels := make([]string, len(cols))
+	labelUses := make(map[string]int, len(cols))
+	for i, col := range cols {
+		l := col[0].Label()
 		labelUses[l]++
 		if n := labelUses[l]; n > 1 {
 			l = fmt.Sprintf("%s#%d", l, n)
@@ -83,21 +97,54 @@ func ExpandCampaign(c CampaignSpec) ([]CampaignMember, error) {
 	seen := make(map[string]bool)
 	var members []CampaignMember
 	for _, b := range benches {
-		for i, s := range schemes {
-			key, err := KeyFor(b, s, c.Options)
-			if err != nil {
-				return nil, fmt.Errorf("campaign member %s/%s: %w", b, labels[i], err)
+		for i, col := range cols {
+			for _, s := range col {
+				key, err := KeyFor(b, s, c.Options)
+				if err != nil {
+					return nil, fmt.Errorf("campaign member %s/%s: %w", b, labels[i], err)
+				}
+				if seen[key] { // duplicate benchmark entries dedup whole rows
+					continue
+				}
+				seen[key] = true
+				name := labels[i]
+				if len(col) > 1 {
+					name = fmt.Sprintf("%s@%g", labels[i], s.ASRLevel)
+				}
+				members = append(members, CampaignMember{
+					Benchmark: b, Scheme: s, Label: labels[i], Name: name, Options: c.Options, Key: key,
+				})
 			}
-			if seen[key] { // duplicate benchmark entries dedup whole rows
-				continue
-			}
-			seen[key] = true
-			members = append(members, CampaignMember{
-				Benchmark: b, Scheme: s, Label: labels[i], Options: c.Options, Key: key,
-			})
 		}
 	}
 	return members, nil
+}
+
+// ReportedMembers applies a campaign's one selection rule: for each member
+// it returns the index of the member that the member's (benchmark, column)
+// cell reports. A column with one run per benchmark reports that run. An
+// auto-tuned ASR column reports the candidate with the lowest energy-delay
+// product — total energy times completion cycles, the paper's §3.3 metric
+// — and a tie goes to the earliest candidate, the lowest level. measure
+// returns member i's total energy in pJ and its completion cycles.
+func ReportedMembers(members []CampaignMember, measure func(i int) (energyPJ float64, cycles uint64)) []int {
+	edp := func(i int) float64 {
+		energy, cycles := measure(i)
+		return energy * float64(cycles)
+	}
+	type cell struct{ bench, label string }
+	best := make(map[cell]int, len(members))
+	for i, m := range members {
+		c := cell{m.Benchmark, m.Label}
+		if j, ok := best[c]; !ok || edp(i) < edp(j) {
+			best[c] = i
+		}
+	}
+	out := make([]int, len(members))
+	for i, m := range members {
+		out[i] = best[cell{m.Benchmark, m.Label}]
+	}
+	return out
 }
 
 // CampaignKeyFor returns the campaign's content address: a hex SHA-256 over

@@ -12,18 +12,23 @@
 // directory layout is the one lard-server -store uses, so a campaign can
 // warm a server's store or vice versa.
 //
-// With -remote, the figure matrix is submitted to a running lard-server as
-// ONE campaign (-fig 6, 7 or all) instead of simulating locally: the
-// service fans the members out over its worker pool, previously computed
-// members are served from its store, and the rendered table comes back over
-// HTTP. Adding -waterfall (against a server started with -trace) follows
-// the tables with each member's phase-timing waterfall — queue wait, the
-// simulator's setup / trace-decode / coherence-loop / finalize breakdown,
-// and the store write — pulled from GET /v1/runs/{id}/trace. Adding
-// -timeline (against a server started with -telemetry) follows the tables
-// with each member's epoch timeline: sparklines of the headline coherence
-// series plus a warmup/steady/tail phase summary, pulled from
-// GET /v1/runs/{id}/timeline.
+// Locally, a figure matrix runs as a campaign in-process
+// (harness.RunMatrix): the same expansion and the same per-benchmark pick
+// of the ASR column's best level as the service. With -remote, the figure
+// matrix is submitted to a running lard-server as ONE campaign (-fig 6, 7
+// or all, with auto_asr set) instead of simulating locally: the service
+// fans the members out over its worker pool, previously computed members
+// are served from its store, and the rendered table comes back over HTTP,
+// with the same rows as the local table. Status lines go to stderr, so
+// stdout holds only the tables. Adding -waterfall (against a server
+// started with -trace) follows the tables with each member's phase-timing
+// waterfall — queue wait, the simulator's setup / trace-decode /
+// coherence-loop / finalize breakdown, and the store write — pulled from
+// GET /v1/runs/{id}/trace. Adding -timeline (against a server started with
+// -telemetry) follows the tables with each member's epoch timeline:
+// sparklines of the headline coherence series plus a warmup/steady/tail
+// phase summary, pulled from GET /v1/runs/{id}/timeline. Both list each
+// level of the auto-tuned ASR column as its own member ("BARNES/ASR@0.25").
 //
 // Each figure prints an aligned text table.
 package main
@@ -73,6 +78,7 @@ func main() {
 			Benchmarks: base.Benchmarks,
 			Schemes:    lard.FigureSchemes(),
 			Options:    lard.Options{Cores: *cores, OpsScale: *scale, Seed: *seed},
+			AutoASR:    true,
 		}
 		fatal(remoteFigure(*remote, *fig, spec, *waterfall, *timeline))
 		return

@@ -42,7 +42,7 @@ func remoteFigure(base string, fig string, spec lard.CampaignSpec, waterfall, ti
 		switch code {
 		case http.StatusOK, http.StatusAccepted:
 		case http.StatusTooManyRequests:
-			fmt.Printf("lard-bench: %d/%d members accepted, server queue full, retrying\n",
+			fmt.Fprintf(os.Stderr, "lard-bench: %d/%d members accepted, server queue full, retrying\n",
 				view.Total-view.Counts[server.StatusPending], view.Total)
 			time.Sleep(time.Second)
 			continue
@@ -51,7 +51,7 @@ func remoteFigure(base string, fig string, spec lard.CampaignSpec, waterfall, ti
 		}
 		break
 	}
-	fmt.Printf("lard-bench: campaign %s: %d members\n", view.ID, view.Total)
+	fmt.Fprintf(os.Stderr, "lard-bench: campaign %s: %d members\n", view.ID, view.Total)
 
 	if !view.Complete {
 		if err := watchCampaign(base, &view); err != nil {
@@ -200,7 +200,7 @@ func pollCampaign(base string, viewp *server.CampaignView, body []byte) error {
 				return fmt.Errorf("remote poll: HTTP %d", code)
 			}
 		}
-		fmt.Printf("lard-bench: %d/%d done (%d cached, %d running, %d queued, %d pending)\n",
+		fmt.Fprintf(os.Stderr, "lard-bench: %d/%d done (%d cached, %d running, %d queued, %d pending)\n",
 			view.Counts[server.StatusDone], view.Total, view.Cached,
 			view.Counts[server.StatusRunning], view.Counts[server.StatusQueued],
 			view.Counts[server.StatusPending])

@@ -6,7 +6,7 @@ import "lard/internal/mem"
 // classified shared read-only are replicated into the local slice with a
 // per-run probability level (§3.3). The level lottery is the engine's only
 // randomness; the per-benchmark best-of-levels selection the paper applies
-// lives in the harness (AutoASR), not here.
+// lives in the campaign expansion (lard.CampaignSpec.AutoASR), not here.
 type asrPolicy struct{ basePolicy }
 
 // VictimReplicate replicates never-written (shared read-only) clean victims

@@ -18,21 +18,15 @@ const maxCampaigns = 1024
 // ErrUnknownCampaign reports an id absent from the campaign registry.
 var ErrUnknownCampaign = errors.New("unknown campaign")
 
-// memberRef is a campaign's view of one member run; the live state lives
-// in the shared job registry under key.
-type memberRef struct {
-	key       string
-	benchmark string
-	label     string
-}
-
 // campaign is the internal campaign record. The identity fields are
 // immutable after construction; the maps are guarded by the engine mutex.
 type campaign struct {
 	id      string
 	benches []string // row order (expansion order)
 	labels  []string // column order
-	members []memberRef
+	// members are the expanded member runs; each one's live state lives in
+	// the shared job registry under its key.
+	members []lard.CampaignMember
 	// enrolled marks members this campaign has already attached to or
 	// enqueued in some submission; cachedAttach marks the subset whose run
 	// was already computed at first enrollment (by an earlier direct
@@ -71,8 +65,8 @@ func newCampaign(id string, members []lard.CampaignMember) *campaign {
 			seenL[m.Label] = true
 			c.labels = append(c.labels, m.Label)
 		}
-		c.members = append(c.members, memberRef{key: m.Key, benchmark: m.Benchmark, label: m.Label})
 	}
+	c.members = members
 	return c
 }
 
@@ -80,8 +74,10 @@ func newCampaign(id string, members []lard.CampaignMember) *campaign {
 type CampaignMemberView struct {
 	ID        string `json:"id"`
 	Benchmark string `json:"benchmark"`
-	Scheme    string `json:"scheme"`
-	Status    string `json:"status"`
+	// Scheme is the member's column label, with the level appended for
+	// the candidates of an auto-tuned ASR column ("ASR@0.25").
+	Scheme string `json:"scheme"`
+	Status string `json:"status"`
 	// Progress is the member's instructions-retired fraction in [0,1].
 	Progress float64 `json:"progress"`
 	Cached   bool    `json:"cached"`
@@ -144,12 +140,12 @@ func (e *Engine) campaignViewLocked(c *campaign) CampaignView {
 		// cached=true, and trusting that flag would launder a member this
 		// campaign simulated into the cached count.
 		mv := CampaignMemberView{
-			ID: m.key, Benchmark: m.benchmark, Scheme: m.label,
-			Status: StatusPending, Cached: c.cachedAttach[m.key],
+			ID: m.Key, Benchmark: m.Benchmark, Scheme: m.Name,
+			Status: StatusPending, Cached: c.cachedAttach[m.Key],
 		}
-		if j, ok := e.jobs[m.key]; ok {
+		if j, ok := e.jobs[m.Key]; ok {
 			mv.Status, mv.Error, mv.Progress = j.status, j.err, j.progress
-		} else if st, ok := c.terminal[m.key]; ok && st == StatusDone {
+		} else if st, ok := c.terminal[m.Key]; ok && st == StatusDone {
 			// Evicted after completion; the terminal ledger remembers.
 			mv.Status, mv.Progress = StatusDone, 1
 		}
@@ -179,7 +175,7 @@ func (e *Engine) Campaign(id string) (CampaignView, bool, error) {
 	// probing them again would double the fan-out's I/O for nothing.
 	enrolled := make(map[string]bool, len(c.members))
 	for _, m := range c.members {
-		enrolled[m.key] = c.enrolled[m.key]
+		enrolled[m.Key] = c.enrolled[m.Key]
 	}
 	e.mu.Unlock()
 	changed := false
@@ -225,10 +221,10 @@ func (e *Engine) RegisterCampaign(id string, members []lard.CampaignMember) erro
 	e.campaigns[id] = c
 	e.campOrder = append(e.campOrder, c)
 	for _, m := range c.members {
-		camps, ok := e.memberCamps[m.key]
+		camps, ok := e.memberCamps[m.Key]
 		if !ok {
 			camps = make(map[string]bool, 1)
-			e.memberCamps[m.key] = camps
+			e.memberCamps[m.Key] = camps
 		}
 		camps[id] = true
 	}
@@ -247,10 +243,10 @@ func (e *Engine) RegisterCampaign(id string, members []lard.CampaignMember) erro
 func (e *Engine) evictCampaignLocked(c *campaign) {
 	delete(e.campaigns, c.id)
 	for _, m := range c.members {
-		if camps, ok := e.memberCamps[m.key]; ok {
+		if camps, ok := e.memberCamps[m.Key]; ok {
 			delete(camps, c.id)
 			if len(camps) == 0 {
-				delete(e.memberCamps, m.key)
+				delete(e.memberCamps, m.Key)
 			}
 		}
 	}
@@ -357,19 +353,21 @@ func (e *Engine) campaignCompletionLocked(c *campaign) {
 	e.bus.publish(c.id, Event{Campaign: c.id, State: state, Progress: 1, Terminal: true})
 }
 
-// CampaignResults collects a completed campaign's member results for table
-// rendering, resolving evicted job records from the store. complete=false
-// when any member is not done (the view explains why).
+// CampaignResults collects a completed campaign's reported results for
+// table rendering, resolving evicted job records from the store.
+// complete=false when any member is not done (the view explains why).
 type CampaignResults struct {
 	Benches []string
 	Labels  []string
-	// Results[bench][label] is the member result.
+	// Results[bench][label] is the result the cell reports: the member
+	// lard.ReportedMembers picks (an auto-tuned column's best candidate).
 	Results  map[string]map[string]*lard.Result
 	Complete bool
 }
 
 // CampaignResults gathers every member result of the campaign with the
-// given id. ok=false for unknown ids; a store fault is an error.
+// given id and applies the campaign's pick. ok=false for unknown ids; a
+// store fault is an error.
 func (e *Engine) CampaignResults(id string) (CampaignResults, bool, error) {
 	e.mu.Lock()
 	c, ok := e.campaigns[id]
@@ -378,45 +376,50 @@ func (e *Engine) CampaignResults(id string) (CampaignResults, bool, error) {
 		return CampaignResults{}, false, nil
 	}
 	out := CampaignResults{
-		Benches:  append([]string(nil), c.benches...),
-		Labels:   append([]string(nil), c.labels...),
-		Results:  make(map[string]map[string]*lard.Result, len(c.benches)),
-		Complete: true,
+		Benches: append([]string(nil), c.benches...),
+		Labels:  append([]string(nil), c.labels...),
+		Results: make(map[string]map[string]*lard.Result, len(c.benches)),
 	}
-	var missing []memberRef // evicted job records; resolved from the store
-	for _, m := range c.members {
-		j, ok := e.jobs[m.key]
+	// A nil entry is an evicted job record, resolved from the store below.
+	results := make([]*lard.Result, len(c.members))
+	for i, m := range c.members {
+		j, ok := e.jobs[m.Key]
 		if !ok {
-			missing = append(missing, m)
 			continue
 		}
 		if j.status != StatusDone || j.result == nil {
-			out.Complete = false
-			break
+			e.mu.Unlock()
+			return out, true, nil
 		}
-		if out.Results[m.benchmark] == nil {
-			out.Results[m.benchmark] = make(map[string]*lard.Result, len(c.labels))
-		}
-		out.Results[m.benchmark][m.label] = j.result
+		results[i] = j.result
 	}
 	e.mu.Unlock()
-	for _, m := range missing {
-		if !out.Complete {
-			break
+	for i, m := range c.members {
+		if results[i] != nil {
+			continue
 		}
-		res, ok, err := lard.StoredByKey(e.store, m.key)
+		res, ok, err := lard.StoredByKey(e.store, m.Key)
 		if err != nil {
 			return CampaignResults{}, true, err
 		}
 		if !ok {
-			out.Complete = false
-			break
+			return out, true, nil
 		}
-		if out.Results[m.benchmark] == nil {
-			out.Results[m.benchmark] = make(map[string]*lard.Result, len(c.labels))
-		}
-		out.Results[m.benchmark][m.label] = res
+		results[i] = res
 	}
+	reported := lard.ReportedMembers(c.members, func(i int) (float64, uint64) {
+		return results[i].EnergyTotalPJ(), results[i].CompletionCycles
+	})
+	for i, m := range c.members {
+		if reported[i] != i {
+			continue
+		}
+		if out.Results[m.Benchmark] == nil {
+			out.Results[m.Benchmark] = make(map[string]*lard.Result, len(c.labels))
+		}
+		out.Results[m.Benchmark][m.Label] = results[i]
+	}
+	out.Complete = true
 	return out, true, nil
 }
 

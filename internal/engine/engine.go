@@ -831,7 +831,7 @@ func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	for _, c := range e.campaigns {
 		for _, mem := range c.members {
 			status := StatusPending
-			if j, ok := e.jobs[mem.key]; ok {
+			if j, ok := e.jobs[mem.Key]; ok {
 				status = j.status
 			}
 			m.Members[status]++

@@ -71,10 +71,7 @@ func RenderNormalizedTable(title string, benches, cols []string, baselineCol str
 // benchmark across schemes (the per-benchmark bars of Figure 6), normalized
 // to the S-NUCA total.
 func EnergyBreakdownTable(m *Matrix, bench string) string {
-	headers := []string{"Component"}
-	for _, v := range m.Variants {
-		headers = append(headers, v.Label)
-	}
+	headers := append([]string{"Component"}, labels(m.Variants)...)
 	base := m.Get(bench, "S-NUCA").EnergyTotal()
 	var rows [][]string
 	for c := 0; c < energy.NumComponents; c++ {
@@ -96,10 +93,7 @@ func EnergyBreakdownTable(m *Matrix, bench string) string {
 // TimeBreakdownTable renders the per-component completion-time stack of one
 // benchmark across schemes (the per-benchmark bars of Figure 7).
 func TimeBreakdownTable(m *Matrix, bench string) string {
-	headers := []string{"Component"}
-	for _, v := range m.Variants {
-		headers = append(headers, v.Label)
-	}
+	headers := append([]string{"Component"}, labels(m.Variants)...)
 	base := float64(m.Get(bench, "S-NUCA").Time.Total())
 	var rows [][]string
 	for c := 0; c < stats.NumTimeComponents; c++ {
@@ -116,10 +110,7 @@ func TimeBreakdownTable(m *Matrix, bench string) string {
 // Fig8MissTypes renders the Figure-8 table: the L1-miss service breakdown
 // (replica hit / home hit / off-chip) as percentages per cell.
 func Fig8MissTypes(m *Matrix) string {
-	headers := []string{"Benchmark"}
-	for _, v := range m.Variants {
-		headers = append(headers, v.Label)
-	}
+	headers := append([]string{"Benchmark"}, labels(m.Variants)...)
 	var rows [][]string
 	for _, b := range m.Benches {
 		row := []string{b}
@@ -162,7 +153,8 @@ func Headline(m *Matrix) string {
 // and renders the Figure-1 distribution: percentage of LLC accesses per
 // (data class, run-length bucket).
 func Fig1RunLengths(base Base) (string, map[string]*stats.RunLengthHist, error) {
-	v := Variant{Label: "S-NUCA", Scheme: lard.SNUCA(), TrackRuns: true}
+	v := Variant{Label: "S-NUCA", Scheme: lard.SNUCA()}
+	base.TrackRuns = true
 	headers := []string{"Benchmark"}
 	for c := 0; c < mem.NumDataClasses; c++ {
 		for bkt := 0; bkt < stats.NumRunBuckets; bkt++ {

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -27,6 +28,8 @@ type Base struct {
 	OpsScale float64
 	// Seed selects the workload instance.
 	Seed uint64
+	// TrackRuns collects the Figure-1 run-length histogram in every run.
+	TrackRuns bool
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
 	// Benchmarks restricts the benchmark set (nil = all 21).
@@ -80,66 +83,34 @@ type Variant struct {
 	Scheme lard.Scheme
 	// AutoASR reports the best of the five lard.ASRLevels per benchmark by
 	// energy-delay product (§3.3) instead of Scheme's own level; Scheme
-	// must be ASR.
+	// must be ASR. It is the harness's spelling of lard.CampaignSpec's
+	// AutoASR, which applies to a whole matrix, so a matrix cannot mix
+	// auto-tuned and fixed-level ASR variants.
 	AutoASR bool
-	// TrackRuns enables the Figure-1 histogram.
-	TrackRuns bool
 }
 
 // StandardVariants returns the scheme columns of Figures 6-8 (the seven
 // paper columns, in figure order), as the facade's scheme registrations
-// declare them (lard.FigureColumns).
+// declare them (lard.FigureSchemes), with the ASR column auto-tuned.
 func StandardVariants() []Variant {
 	var vs []Variant
-	for _, col := range lard.FigureColumns() {
-		vs = append(vs, Variant{Label: col.Scheme.Label(), Scheme: col.Scheme, AutoASR: col.AutoASR})
+	for _, s := range lard.FigureSchemes() {
+		_, notASR := lard.ASRCandidates(s)
+		vs = append(vs, Variant{Label: s.Label(), Scheme: s, AutoASR: notASR == nil})
 	}
 	return vs
 }
 
-// Run executes one (benchmark, variant) simulation through the facade's
-// run path, so it shares the facade's validation and store keys. An
-// AutoASR variant runs the five ASR levels and returns the one with the
-// lowest energy-delay product, as the paper's methodology does. The levels
-// are independent simulations, so they run concurrently; the pick is an
-// index-ordered scan, so a tie goes to the earliest level.
+// Run executes one (benchmark, variant) cell: RunMatrix over one
+// benchmark and one variant.
 func Run(base Base, bench string, v Variant) (*sim.Result, error) {
-	schemes := []lard.Scheme{v.Scheme}
-	if v.AutoASR {
-		var err error
-		if schemes, err = lard.ASRCandidates(v.Scheme); err != nil {
-			return nil, fmt.Errorf("harness: variant %q: %w", v.Label, err)
-		}
+	base.Benchmarks = []string{bench}
+	m, err := RunMatrix(base, []Variant{v})
+	if err != nil {
+		return nil, err
 	}
-	opts := lard.Options{Cores: base.Cores, OpsScale: base.OpsScale, Seed: base.Seed, TrackRuns: v.TrackRuns}
-	results := make([]*sim.Result, len(schemes))
-	errs := make([]error, len(schemes))
-	var wg sync.WaitGroup
-	for i, s := range schemes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], _, errs[i] = lard.Simulate(context.Background(), base.Store, bench, s, opts)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", bench, v.Label, err)
-		}
-	}
-	best, bestEDP := results[0], edp(results[0])
-	for _, res := range results[1:] {
-		if e := edp(res); e < bestEDP {
-			best, bestEDP = res, e
-		}
-	}
-	best.Scheme = v.Label
-	return best, nil
+	return m.Get(bench, v.Label), nil
 }
-
-// edp is a run's energy-delay product, the AutoASR selection metric.
-func edp(r *sim.Result) float64 { return r.EnergyTotal() * float64(r.CompletionTime) }
 
 // Matrix holds the results of a benchmark x variant campaign.
 type Matrix struct {
@@ -149,10 +120,69 @@ type Matrix struct {
 	Results map[string]map[string]*sim.Result
 }
 
-// RunMatrix executes every (benchmark, variant) pair, fanning the
-// independent simulations out over Parallelism workers.
+// RunMatrix executes every (benchmark, variant) cell as one local
+// campaign: the same expansion (lard.ExpandCampaign) and the same pick
+// (lard.ReportedMembers) as the run service, so a local figure and a
+// served one agree cell for cell. Every member simulates through the
+// facade's run path (lard.Simulate), sharing its validation and store
+// keys, on one pool of Parallelism workers in bench-major order. Each cell
+// holds a copy of the reported result, its Scheme set to the variant's
+// label.
 func RunMatrix(base Base, variants []Variant) (*Matrix, error) {
 	benches := base.benchmarks()
+	opts := lard.Options{Cores: base.Cores, OpsScale: base.OpsScale, Seed: base.Seed, TrackRuns: base.TrackRuns}
+	spec := lard.CampaignSpec{Benchmarks: benches, Options: opts}
+	fixedASR := false
+	for _, v := range variants {
+		_, notASR := lard.ASRCandidates(v.Scheme)
+		switch {
+		case v.AutoASR && notASR != nil:
+			return nil, fmt.Errorf("harness: variant %q: %w", v.Label, notASR)
+		case v.AutoASR:
+			spec.AutoASR = true
+		case notASR == nil:
+			fixedASR = true
+		}
+		spec.Schemes = append(spec.Schemes, v.Scheme)
+	}
+	if spec.AutoASR && fixedASR {
+		return nil, errors.New("harness: a matrix auto-tunes all of its ASR variants or none; it cannot mix AutoASR and fixed-level ASR variants")
+	}
+	members, err := lard.ExpandCampaign(spec)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+
+	results := make([]*sim.Result, len(members))
+	errs := make([]error, len(members))
+	par := base.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	slots := make(chan struct{}, par)
+	var wg sync.WaitGroup
+	for i, mb := range members {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			results[i], _, errs[i] = lard.Simulate(context.Background(), base.Store, mb.Benchmark, mb.Scheme, mb.Options)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("harness: %s/%s: %w", members[i].Benchmark, members[i].Name, err)
+		}
+	}
+
+	reported := lard.ReportedMembers(members, func(i int) (float64, uint64) {
+		return results[i].EnergyTotal(), uint64(results[i].CompletionTime)
+	})
+	index := make(map[string]int, len(members))
+	for i, mb := range members {
+		index[mb.Key] = i
+	}
 	m := &Matrix{
 		Benches:  benches,
 		Variants: variants,
@@ -160,47 +190,17 @@ func RunMatrix(base Base, variants []Variant) (*Matrix, error) {
 	}
 	for _, b := range benches {
 		m.Results[b] = make(map[string]*sim.Result, len(variants))
-	}
-	type job struct {
-		bench string
-		v     Variant
-	}
-	jobs := make(chan job)
-	par := base.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				res, err := Run(base, j.bench, j.v)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if err == nil {
-					m.Results[j.bench][j.v.Label] = res
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, b := range benches {
 		for _, v := range variants {
-			jobs <- job{b, v}
+			// An auto-tuned variant's own level is one of its column's
+			// candidates, so its key finds the column's cell too.
+			key, err := lard.KeyFor(b, v.Scheme, opts)
+			if err != nil {
+				return nil, fmt.Errorf("harness: %s/%s: %w", b, v.Label, err)
+			}
+			res := *results[reported[index[key]]]
+			res.Scheme = v.Label
+			m.Results[b][v.Label] = &res
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return m, nil
 }

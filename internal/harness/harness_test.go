@@ -153,6 +153,19 @@ func TestAutoASRValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestAutoASRMixRejected: AutoASR applies to a whole campaign, so a matrix
+// holding an auto-tuned and a fixed-level ASR variant cannot be run as
+// asked and must be rejected before anything simulates.
+func TestAutoASRMixRejected(t *testing.T) {
+	_, err := RunMatrix(smallBase("DEDUP"), []Variant{
+		{Label: "ASR", Scheme: lard.ASR(0.5), AutoASR: true},
+		{Label: "ASR-0.25", Scheme: lard.ASR(0.25)},
+	})
+	if err == nil || !strings.Contains(err.Error(), "cannot mix") {
+		t.Fatalf("mixed auto-tuned and fixed ASR variants must be rejected, got %v", err)
+	}
+}
+
 // TestVariantRTZeroRejected: the facade's RT-0 guard holds at the harness
 // layer too: a locality-aware variant without an explicit threshold must
 // error, never silently simulate the config default under the variant's
@@ -178,8 +191,9 @@ func TestAutoASRPicksALevel(t *testing.T) {
 // TrackRuns from the per-level options, so an AutoASR variant could never
 // collect the Figure-1 histogram.
 func TestAutoASRTracksRuns(t *testing.T) {
-	res, err := Run(smallBase(), "DEDUP",
-		Variant{Label: "ASR", Scheme: lard.ASR(0.5), AutoASR: true, TrackRuns: true})
+	base := smallBase()
+	base.TrackRuns = true
+	res, err := Run(base, "DEDUP", Variant{Label: "ASR", Scheme: lard.ASR(0.5), AutoASR: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,38 +56,9 @@ func Fig9LimitedK(base Base) (string, map[string]map[int][2]float64, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	vals := make(map[string]map[int][2]float64)
-	render := func(title string, metric func(*sim.Result) float64, idx int) string {
-		headers := append([]string{"Benchmark"}, labels(variants)...)
-		var rows [][]string
-		geos := make([][]float64, len(variants))
-		for _, b := range m.Benches {
-			ref := metric(m.Get(b, baseLabel))
-			row := []string{b}
-			for i, v := range variants {
-				val := metric(m.Get(b, v.Label)) / ref
-				if vals[b] == nil {
-					vals[b] = make(map[int][2]float64)
-				}
-				pair := vals[b][ks[i]]
-				pair[idx] = val
-				vals[b][ks[i]] = pair
-				geos[i] = append(geos[i], val)
-				row = append(row, fmt.Sprintf("%.3f", val))
-			}
-			rows = append(rows, row)
-		}
-		gr := []string{"GEOMEAN"}
-		for i := range variants {
-			gr = append(gr, fmt.Sprintf("%.3f", stats.Geomean(geos[i])))
-		}
-		rows = append(rows, gr)
-		return title + "\n" + stats.Table(headers, rows)
-	}
-	out := render("Figure 9a: energy vs Limited-k (normalized to Complete, RT=3)",
-		func(r *sim.Result) float64 { return r.EnergyTotal() }, 0) + "\n" +
-		render("Figure 9b: completion time vs Limited-k (normalized to Complete, RT=3)",
-			func(r *sim.Result) float64 { return float64(r.CompletionTime) }, 1)
+	out, vals := sweepTables(m, ks, baseLabel,
+		"Figure 9a: energy vs Limited-k (normalized to Complete, RT=3)",
+		"Figure 9b: completion time vs Limited-k (normalized to Complete, RT=3)")
 	return out, vals, nil
 }
 
@@ -138,38 +109,9 @@ func Fig10ClusterSize(base Base) (string, map[string]map[int][2]float64, error) 
 	if err != nil {
 		return "", nil, err
 	}
-	vals := make(map[string]map[int][2]float64)
-	render := func(title string, metric func(*sim.Result) float64, idx int) string {
-		headers := append([]string{"Benchmark"}, labels(variants)...)
-		var rows [][]string
-		geos := make([][]float64, len(variants))
-		for _, b := range m.Benches {
-			ref := metric(m.Get(b, "C-1"))
-			row := []string{b}
-			for i, v := range variants {
-				val := metric(m.Get(b, v.Label)) / ref
-				if vals[b] == nil {
-					vals[b] = make(map[int][2]float64)
-				}
-				pair := vals[b][clusters[i]]
-				pair[idx] = val
-				vals[b][clusters[i]] = pair
-				geos[i] = append(geos[i], val)
-				row = append(row, fmt.Sprintf("%.3f", val))
-			}
-			rows = append(rows, row)
-		}
-		gr := []string{"GEOMEAN"}
-		for i := range variants {
-			gr = append(gr, fmt.Sprintf("%.3f", stats.Geomean(geos[i])))
-		}
-		rows = append(rows, gr)
-		return title + "\n" + stats.Table(headers, rows)
-	}
-	out := render("Figure 10a: energy vs cluster size (normalized to C-1, RT=3)",
-		func(r *sim.Result) float64 { return r.EnergyTotal() }, 0) + "\n" +
-		render("Figure 10b: completion time vs cluster size (normalized to C-1, RT=3)",
-			func(r *sim.Result) float64 { return float64(r.CompletionTime) }, 1)
+	out, vals := sweepTables(m, clusters, "C-1",
+		"Figure 10a: energy vs cluster size (normalized to C-1, RT=3)",
+		"Figure 10b: completion time vs cluster size (normalized to C-1, RT=3)")
 	return out, vals, nil
 }
 
@@ -209,51 +151,79 @@ func ReplacementAblation(base Base) (string, map[string][2]float64, error) {
 // eviction against the rejected keep-L1-valid strategy (§2.2.3); the paper
 // reports a negligible difference.
 func ReplicaEvictAblation(base Base) (string, map[string][2]float64, error) {
-	variants := []Variant{
-		{Label: "back-inv", Scheme: lard.LocalityAware(3)},
-		{Label: "keep-L1", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1, KeepL1OnReplicaEvict: true}},
-	}
-	m, err := RunMatrix(base, variants)
-	if err != nil {
-		return "", nil, err
-	}
-	headers := []string{"Benchmark", "energy back/keep", "time back/keep"}
-	vals := make(map[string][2]float64)
-	var rows [][]string
-	for _, b := range m.Benches {
-		bi, kp := m.Get(b, "back-inv"), m.Get(b, "keep-L1")
-		e := bi.EnergyTotal() / kp.EnergyTotal()
-		t := float64(bi.CompletionTime) / float64(kp.CompletionTime)
-		vals[b] = [2]float64{e, t}
-		rows = append(rows, []string{b, fmt.Sprintf("%.3f", e), fmt.Sprintf("%.3f", t)})
-	}
-	return "§2.2.3: back-invalidation vs keep-L1 replica eviction (paper: negligible difference)\n" +
-		stats.Table(headers, rows), vals, nil
+	return pairAblation(base,
+		Variant{Label: "back-inv", Scheme: lard.LocalityAware(3)},
+		Variant{Label: "keep-L1", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1, KeepL1OnReplicaEvict: true}},
+		"§2.2.3: back-invalidation vs keep-L1 replica eviction (paper: negligible difference)",
+		"back/keep", "%.3f")
 }
 
 // OracleAblation compares the always-lookup policy against the §2.3.2
 // dynamic oracle under RT-3; the paper reports a <1 % difference.
 func OracleAblation(base Base) (string, map[string][2]float64, error) {
-	variants := []Variant{
-		{Label: "lookup", Scheme: lard.LocalityAware(3)},
-		{Label: "oracle", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1, LookupOracle: true}},
-	}
-	m, err := RunMatrix(base, variants)
+	return pairAblation(base,
+		Variant{Label: "lookup", Scheme: lard.LocalityAware(3)},
+		Variant{Label: "oracle", Scheme: lard.Scheme{Kind: "RT", RT: 3, ClassifierK: 3, ClusterSize: 1, LookupOracle: true}},
+		"§2.3.2: always-lookup vs dynamic oracle (RT-3; paper reports <1% apart)",
+		"lookup/oracle", "%.4f")
+}
+
+// pairAblation runs variants a and b and renders their energy and
+// completion-time ratios a/b per benchmark, returning the table and the
+// ratios keyed [bench] as {energy, time}.
+func pairAblation(base Base, a, b Variant, title, ratio, format string) (string, map[string][2]float64, error) {
+	m, err := RunMatrix(base, []Variant{a, b})
 	if err != nil {
 		return "", nil, err
 	}
-	headers := []string{"Benchmark", "energy lookup/oracle", "time lookup/oracle"}
+	headers := []string{"Benchmark", "energy " + ratio, "time " + ratio}
 	vals := make(map[string][2]float64)
 	var rows [][]string
-	for _, b := range m.Benches {
-		lk, or := m.Get(b, "lookup"), m.Get(b, "oracle")
-		e := lk.EnergyTotal() / or.EnergyTotal()
-		t := float64(lk.CompletionTime) / float64(or.CompletionTime)
-		vals[b] = [2]float64{e, t}
-		rows = append(rows, []string{b, fmt.Sprintf("%.4f", e), fmt.Sprintf("%.4f", t)})
+	for _, bench := range m.Benches {
+		ra, rb := m.Get(bench, a.Label), m.Get(bench, b.Label)
+		e := ra.EnergyTotal() / rb.EnergyTotal()
+		t := float64(ra.CompletionTime) / float64(rb.CompletionTime)
+		vals[bench] = [2]float64{e, t}
+		rows = append(rows, []string{bench, fmt.Sprintf(format, e), fmt.Sprintf(format, t)})
 	}
-	return "§2.3.2: always-lookup vs dynamic oracle (RT-3; paper reports <1% apart)\n" +
-		stats.Table(headers, rows), vals, nil
+	return title + "\n" + stats.Table(headers, rows), vals, nil
+}
+
+// sweepTables renders a sensitivity sweep's energy and completion-time
+// tables, each normalized per benchmark to the ref column and closed by a
+// GEOMEAN row. It returns them with the normalized {energy, time} pairs,
+// keyed [bench][keys[i]] for the matrix's variant i.
+func sweepTables(m *Matrix, keys []int, ref, energyTitle, timeTitle string) (string, map[string]map[int][2]float64) {
+	vals := make(map[string]map[int][2]float64)
+	render := func(title string, metric func(*sim.Result) float64, idx int) string {
+		headers := append([]string{"Benchmark"}, labels(m.Variants)...)
+		var rows [][]string
+		geos := make([][]float64, len(m.Variants))
+		for _, b := range m.Benches {
+			base := metric(m.Get(b, ref))
+			row := []string{b}
+			for i, v := range m.Variants {
+				val := metric(m.Get(b, v.Label)) / base
+				if vals[b] == nil {
+					vals[b] = make(map[int][2]float64)
+				}
+				pair := vals[b][keys[i]]
+				pair[idx] = val
+				vals[b][keys[i]] = pair
+				geos[i] = append(geos[i], val)
+				row = append(row, fmt.Sprintf("%.3f", val))
+			}
+			rows = append(rows, row)
+		}
+		gr := []string{"GEOMEAN"}
+		for i := range m.Variants {
+			gr = append(gr, fmt.Sprintf("%.3f", stats.Geomean(geos[i])))
+		}
+		rows = append(rows, gr)
+		return title + "\n" + stats.Table(headers, rows)
+	}
+	return render(energyTitle, func(r *sim.Result) float64 { return r.EnergyTotal() }, 0) + "\n" +
+		render(timeTitle, func(r *sim.Result) float64 { return float64(r.CompletionTime) }, 1), vals
 }
 
 func labels(vs []Variant) []string {

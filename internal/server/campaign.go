@@ -19,7 +19,10 @@
 //	GET  /v1/campaigns/{id}/table  render a completed campaign as a
 //	                               figure-style table (?metric=time|energy),
 //	                               normalized to the S-NUCA column when the
-//	                               campaign has one; 409 until complete.
+//	                               campaign has one; an auto_asr campaign's
+//	                               ASR cells report the lowest-EDP level,
+//	                               as the local figures do; 409 until
+//	                               complete.
 //
 // A campaign's id is content-addressed over its sorted member keys, so
 // resubmitting a figure's matrix attaches to the in-flight campaign — or,
@@ -48,12 +51,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "campaign", &spec) {
 		return
 	}
-	for _, sch := range spec.Schemes {
-		if err := validateScheme(sch); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
+	// The expansion validates every scheme through the single-run path.
 	members, err := lard.ExpandCampaign(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lard"
+	"lard/internal/harness"
 	"lard/internal/resultstore"
 )
 
@@ -500,5 +501,63 @@ func TestCampaignFigure7CachedTwice(t *testing.T) {
 	}
 	if !strings.Contains(tbl.Table, "RT-3") || tbl.Averages["S-NUCA"] != 1.0 {
 		t.Fatalf("table incomplete:\n%s", tbl.Table)
+	}
+}
+
+// TestCampaignAutoASRMatchesHarness: an auto_asr campaign's served table
+// holds the same rows as the local harness figure on the same matrix, so
+// the two paths share one expansion and one pick. Only the title differs,
+// since /table serves any matrix. The campaign's per-member views tell
+// the five ASR candidates apart.
+func TestCampaignAutoASRMatchesHarness(t *testing.T) {
+	benches := []string{"BARNES", "DEDUP"}
+	spec := lard.CampaignSpec{
+		Benchmarks: benches,
+		Schemes:    lard.FigureSchemes(),
+		Options:    lard.Options{Cores: 16, OpsScale: 0.02},
+		AutoASR:    true,
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 32})
+	code, v := postCampaign(t, ts, spec)
+	if code != http.StatusAccepted || v.Total != 22 {
+		t.Fatalf("submit = %d with %d members, want 202 with 22", code, v.Total)
+	}
+	done := pollCampaign(t, ts, v.ID)
+	if !done.Complete {
+		t.Fatalf("campaign = %+v", done)
+	}
+	rows := make(map[string]bool, len(done.Members))
+	for _, m := range done.Members {
+		row := m.Benchmark + "/" + m.Scheme
+		if rows[row] {
+			t.Fatalf("two members render as %s", row)
+		}
+		rows[row] = true
+	}
+	for _, want := range []string{"BARNES/ASR@0", "BARNES/ASR@0.25", "DEDUP/ASR@1", "DEDUP/RT-3"} {
+		if !rows[want] {
+			t.Errorf("member row %s missing from %v", want, rows)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + v.ID + "/table?metric=time")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tbl campaignTableView
+	err = json.NewDecoder(resp.Body).Decode(&tbl)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("table = %d (%v)", resp.StatusCode, err)
+	}
+	m, err := harness.RunMatrix(harness.Base{Cores: 16, OpsScale: 0.02, Benchmarks: benches}, harness.StandardVariants())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, _ := harness.Fig7Time(m)
+	_, servedRows, _ := strings.Cut(tbl.Table, "\n")
+	_, localRows, _ := strings.Cut(local, "\n")
+	if servedRows != localRows {
+		t.Fatalf("served table rows differ from the local figure:\nserved:\n%s\nlocal:\n%s", tbl.Table, local)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,11 +25,20 @@ type sseClient struct {
 // openSSE attaches to an event stream; the returned client must be closed.
 func openSSE(t *testing.T, url string) *sseClient {
 	t.Helper()
+	return openSSEAfter(t, url, "")
+}
+
+// openSSEAfter is openSSE with a Last-Event-ID header, unless lastID is "".
+func openSSEAfter(t *testing.T, url, lastID string) *sseClient {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		cancel()
 		t.Fatal(err)
+	}
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -475,3 +485,43 @@ func TestRunEventsReplayAfterRetry(t *testing.T) {
 
 // errBoom is a distinguishable failure for flaky-run tests.
 var errBoom = errors.New("boom")
+
+// TestSSELastEventID pins reconnect replay on both stream kinds: a
+// Last-Event-ID header replays only the history after that seq, one past
+// the end replays nothing (and a finished topic still ends the stream),
+// and a malformed header replays everything.
+func TestSSELastEventID(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, SSEHeartbeat: 20 * time.Millisecond})
+	_, run := post(t, ts, smallRun(1))
+	poll(t, ts, run.ID)
+	_, camp := postCampaign(t, ts, smallCampaign("BARNES"))
+	pollCampaign(t, ts, camp.ID)
+
+	for _, url := range []string{
+		ts.URL + "/v1/runs/" + run.ID + "/events",
+		ts.URL + "/v1/campaigns/" + camp.ID + "/events",
+	} {
+		replay := func(lastID string) []Event {
+			t.Helper()
+			c := openSSEAfter(t, url, lastID)
+			defer c.close()
+			// The topic is finished, so the server ends each stream.
+			return c.collect(t, 10*time.Second, func(Event) bool { return false })
+		}
+		all := replay("")
+		if len(all) < 3 {
+			t.Fatalf("%s: history has %d events, want at least 3", url, len(all))
+		}
+		mid := all[len(all)/2].Seq
+		after := replay(strconv.FormatUint(mid, 10))
+		if len(after) == 0 || after[0].Seq != mid+1 || after[len(after)-1].Seq != all[len(all)-1].Seq {
+			t.Fatalf("%s: Last-Event-ID %d replayed %+v, want seqs %d..%d", url, mid, after, mid+1, all[len(all)-1].Seq)
+		}
+		if past := replay(strconv.FormatUint(all[len(all)-1].Seq+10, 10)); len(past) != 0 {
+			t.Fatalf("%s: Last-Event-ID past the end replayed %d events, want 0", url, len(past))
+		}
+		if bad := replay("not-a-seq"); len(bad) != len(all) {
+			t.Fatalf("%s: malformed Last-Event-ID replayed %d events, want all %d", url, len(bad), len(all))
+		}
+	}
+}

@@ -213,17 +213,6 @@ func (s *Server) Engine() *engine.Engine { return s.engine }
 // failed. It returns ctx.Err() if the workers outlive the context.
 func (s *Server) Shutdown(ctx context.Context) error { return s.engine.Shutdown(ctx) }
 
-// validateScheme rejects decoded scheme shapes whose silent acceptance
-// would simulate something other than what the client asked for: unknown
-// kinds and invalid policy parameters (an RT run without a threshold, an
-// ASR run at an unlabeled probability). The check is the registry's own
-// (lard.ValidateScheme), so a scheme registered in the facade is accepted
-// here with no server edit — and one rejected there can never slip in
-// through the service.
-func validateScheme(sch lard.Scheme) error {
-	return lard.ValidateScheme(sch)
-}
-
 // maxRequestBody bounds a POST /v1/runs or /v1/campaigns body; a
 // campaign over every benchmark and scheme is a few KiB.
 const maxRequestBody = 1 << 20
@@ -258,10 +247,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "request", &req) {
 		return
 	}
-	if err := validateScheme(req.Scheme); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+	// KeyFor validates the scheme against the registry (lard.ValidateScheme)
+	// and the options, so a run the facade rejects never enters the queue.
 	key, err := lard.KeyFor(req.Benchmark, req.Scheme, req.Options)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

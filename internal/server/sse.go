@@ -7,6 +7,8 @@
 // history is replayed (so a late subscriber sees everything that already
 // happened, in order), then live events flow as they are published, with
 // comment heartbeats in between so idle connections stay provably alive.
+// A reconnecting client that sends a Last-Event-ID header gets only the
+// history after that seq; a header that is not a seq replays everything.
 // Each frame is
 //
 //	id: <seq>
@@ -29,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"lard"
@@ -67,14 +70,25 @@ func writeSSE(w http.ResponseWriter, ev engine.Event) error {
 	return err
 }
 
-// stream replays history and then relays the live subscription until the
-// stop condition fires, the client disconnects, or the subscription
-// closes. Heartbeat comments flow while nothing else does.
+// stream replays history after the request's Last-Event-ID and then
+// relays the live subscription until the stop condition fires, the client
+// disconnects, or the subscription closes. Heartbeat comments flow while
+// nothing else does.
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, history []engine.Event, sub *engine.Subscription, done func(engine.Event) bool) {
 	defer sub.Close()
 	f, ok := sseHandshake(w)
 	if !ok {
 		return
+	}
+	// A terminal event mid-history is stale: a failed or cancelled job may
+	// have been re-enqueued since, and the newer events follow it in the
+	// replay. Only a terminal event that is the topic's LAST word means
+	// the stream is over, whether or not the client had already seen it.
+	over := len(history) > 0 && done(history[len(history)-1])
+	if seen, err := strconv.ParseUint(r.Header.Get("Last-Event-ID"), 10, 64); err == nil {
+		for len(history) > 0 && history[0].Seq <= seen {
+			history = history[1:]
+		}
 	}
 	for _, ev := range history {
 		if err := writeSSE(w, ev); err != nil {
@@ -82,11 +96,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, history []engine
 		}
 	}
 	f.Flush()
-	// A terminal event mid-history is stale: a failed or cancelled job may
-	// have been re-enqueued since, and the newer events follow it in the
-	// replay. Only a terminal event that is the topic's LAST word means
-	// the stream is over.
-	if len(history) > 0 && done(history[len(history)-1]) {
+	if over {
 		return
 	}
 

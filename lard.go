@@ -141,11 +141,14 @@ type Result struct {
 	Ops uint64 `json:"ops"`
 }
 
-// EnergyTotalPJ returns the total dynamic energy of the run.
+// EnergyTotalPJ returns the total dynamic energy of the run. It sums the
+// components in Figure-6 order, as sim.Result.EnergyTotal does, so the two
+// agree bit for bit and an auto-tuned column picks the same candidate
+// from either (ReportedMembers).
 func (r *Result) EnergyTotalPJ() float64 {
 	var t float64
-	for _, v := range r.EnergyPJ {
-		t += v
+	for i := 0; i < energy.NumComponents; i++ {
+		t += r.EnergyPJ[energy.Component(i).String()]
 	}
 	return t
 }

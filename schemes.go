@@ -17,7 +17,7 @@ import (
 // Scheme shape (Kind string + parameters) onto the internal configuration,
 // validates the parameters the policy consumes, and declares the scheme's
 // columns in the paper's Figures 6-8 as wire schemes. buildConfig,
-// ValidateScheme, FigureColumns (and through it the harness's figure
+// ValidateScheme, FigureSchemes (and through it the harness's figure
 // matrix) and the server's /v1/schemes endpoint are all derived from it,
 // so landing a new scheme means one policy file in internal/coherence plus
 // one registerScheme call here — no switch ladder edits in any layer.
@@ -66,19 +66,9 @@ type schemeDef struct {
 	// run options. nil means the scheme consumes no parameters.
 	apply func(s Scheme, cfg *config.Config, opt *sim.Options)
 	// columns are the scheme's columns in Figures 6-8, in figure order
-	// (nil for schemes outside the paper's main matrix).
-	columns []FigureColumn
-}
-
-// FigureColumn is one scheme column of the paper's Figures 6-8; its header
-// is Scheme.Label().
-type FigureColumn struct {
-	Scheme Scheme
-	// AutoASR marks the column the paper reports as the best of the five
-	// ASRLevels per benchmark by energy-delay product (§3.3). Scheme pins
-	// level 0.5: a best-of-five selection is not a single content-addressed
-	// run, so a remote campaign submits that level instead.
-	AutoASR bool
+	// (nil for schemes outside the paper's main matrix); each column's
+	// header is its Label().
+	columns []Scheme
 }
 
 var (
@@ -171,34 +161,24 @@ func RegisteredSchemes() []SchemeInfo {
 			Example:     def.example,
 		}
 		for _, col := range def.columns {
-			info.FigureLabels = append(info.FigureLabels, col.Scheme.Label())
+			info.FigureLabels = append(info.FigureLabels, col.Label())
 		}
 		out = append(out, info)
 	}
 	return out
 }
 
-// FigureColumns returns the scheme columns of Figures 6-8 as each
-// registration declares them, in engine order. internal/harness runs them
-// as its figure matrix, auto-tuning the AutoASR column.
-func FigureColumns() []FigureColumn {
-	var out []FigureColumn
+// FigureSchemes returns the scheme columns of Figures 6-8 as each
+// registration declares them, in engine order. The paper reports its ASR
+// column as the best of the five ASRLevels per benchmark, so a figure is a
+// campaign of these schemes with AutoASR set; the ASR scheme's own level
+// (0.5) is what a campaign without AutoASR runs.
+func FigureSchemes() []Scheme {
+	var out []Scheme
 	for _, kind := range SchemeKinds() {
 		schemeMu.RLock()
 		out = append(out, schemeDefs[kind].columns...)
 		schemeMu.RUnlock()
-	}
-	return out
-}
-
-// FigureSchemes returns the scheme columns of Figures 6-8 as wire schemes,
-// for submitting a figure as one campaign: FigureColumns with the ASR
-// column pinned at level 0.5.
-func FigureSchemes() []Scheme {
-	cols := FigureColumns()
-	out := make([]Scheme, len(cols))
-	for i, col := range cols {
-		out[i] = col.Scheme
 	}
 	return out
 }
@@ -213,8 +193,9 @@ const maxThreshold = 255
 var ASRLevels = []float64{0, 0.25, 0.5, 0.75, 1}
 
 // ASRCandidates returns s at each of ASRLevels: the runs among which an
-// AutoASR column picks the best per benchmark. Any other kind is rejected,
-// since only ASR has a replication level to tune.
+// auto-tuned ASR column (CampaignSpec.AutoASR) picks the best per
+// benchmark. Any other kind is rejected, since only ASR has a replication
+// level to tune.
 func ASRCandidates(s Scheme) ([]Scheme, error) {
 	if s.Kind != "ASR" {
 		return nil, fmt.Errorf("lard: only an ASR scheme can be auto-tuned over the replication levels, got kind %q", s.Kind)
@@ -234,17 +215,17 @@ func init() {
 	registerScheme("S-NUCA", schemeDef{
 		engine:  coherence.SNUCA,
 		example: SNUCA(),
-		columns: []FigureColumn{{Scheme: SNUCA()}},
+		columns: []Scheme{SNUCA()},
 	})
 	registerScheme("R-NUCA", schemeDef{
 		engine:  coherence.RNUCA,
 		example: RNUCA(),
-		columns: []FigureColumn{{Scheme: RNUCA()}},
+		columns: []Scheme{RNUCA()},
 	})
 	registerScheme("VR", schemeDef{
 		engine:  coherence.VR,
 		example: VictimReplication(),
-		columns: []FigureColumn{{Scheme: VictimReplication()}},
+		columns: []Scheme{VictimReplication()},
 	})
 	registerScheme("ASR", schemeDef{
 		engine: coherence.ASR,
@@ -264,7 +245,7 @@ func init() {
 		apply: func(s Scheme, _ *config.Config, opt *sim.Options) {
 			opt.ASRLevel = s.ASRLevel
 		},
-		columns: []FigureColumn{{Scheme: ASR(0.5), AutoASR: true}},
+		columns: []Scheme{ASR(0.5)},
 	})
 	registerScheme("RT", schemeDef{
 		engine: coherence.LocalityAware,
@@ -297,10 +278,6 @@ func init() {
 				cfg.ClusterSize = s.ClusterSize
 			}
 		},
-		columns: []FigureColumn{
-			{Scheme: LocalityAware(1)},
-			{Scheme: LocalityAware(3)},
-			{Scheme: LocalityAware(8)},
-		},
+		columns: []Scheme{LocalityAware(1), LocalityAware(3), LocalityAware(8)},
 	})
 }
