@@ -61,12 +61,8 @@ func remoteFigure(base string, fig string, spec lard.CampaignSpec, waterfall, ti
 			}
 		}
 	}
-	if n := view.Counts[server.StatusFailed] + view.Counts[server.StatusCancelled]; n > 0 {
-		for _, m := range view.Members {
-			if m.Status == server.StatusFailed || m.Status == server.StatusCancelled {
-				return fmt.Errorf("remote member %s/%s %s: %s", m.Benchmark, m.Scheme, m.Status, m.Error)
-			}
-		}
+	if err := failedMember(view); err != nil {
+		return err
 	}
 
 	metrics := map[string][]string{
@@ -171,12 +167,8 @@ func pollCampaign(base string, viewp *server.CampaignView, body []byte) error {
 		// Failed AND cancelled members are both terminal-but-not-done:
 		// without this check the campaign never completes and the loop
 		// would poll an unchanging view forever.
-		if n := view.Counts[server.StatusFailed] + view.Counts[server.StatusCancelled]; n > 0 {
-			for _, m := range view.Members {
-				if m.Status == server.StatusFailed || m.Status == server.StatusCancelled {
-					return fmt.Errorf("remote member %s/%s %s: %s", m.Benchmark, m.Scheme, m.Status, m.Error)
-				}
-			}
+		if err := failedMember(view); err != nil {
+			return err
 		}
 		time.Sleep(time.Second)
 		if view.Counts[server.StatusPending] > 0 {
@@ -206,6 +198,17 @@ func pollCampaign(base string, viewp *server.CampaignView, body []byte) error {
 			view.Counts[server.StatusPending])
 	}
 	*viewp = view
+	return nil
+}
+
+// failedMember returns an error naming the first failed or cancelled
+// member of view, or nil when every member is done or still in flight.
+func failedMember(view server.CampaignView) error {
+	for _, m := range view.Members {
+		if m.Status == server.StatusFailed || m.Status == server.StatusCancelled {
+			return fmt.Errorf("remote member %s/%s %s: %s", m.Benchmark, m.Scheme, m.Status, m.Error)
+		}
+	}
 	return nil
 }
 

@@ -4,7 +4,32 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"lard/internal/server"
 )
+
+// TestFailedMember: a failed or a cancelled member is an error naming the
+// member and its status; members that are done or in flight are not.
+func TestFailedMember(t *testing.T) {
+	view := server.CampaignView{Members: []server.CampaignMemberView{
+		{Benchmark: "BARNES", Scheme: "S-NUCA", Status: server.StatusDone},
+		{Benchmark: "BARNES", Scheme: "RT-3", Status: server.StatusRunning},
+		{Benchmark: "DEDUP", Scheme: "S-NUCA", Status: server.StatusPending},
+	}}
+	if err := failedMember(view); err != nil {
+		t.Fatalf("no member failed, got %v", err)
+	}
+	for _, status := range []string{server.StatusFailed, server.StatusCancelled} {
+		view.Members[1].Status, view.Members[1].Error = status, "boom"
+		err := failedMember(view)
+		if err == nil {
+			t.Fatalf("%s member not reported", status)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "BARNES/RT-3 "+status) || !strings.Contains(msg, "boom") {
+			t.Fatalf("%s member: error %q does not name the member, status and cause", status, msg)
+		}
+	}
+}
 
 // TestProgressBarOffTerminal: off a terminal the bar writes no carriage
 // returns, only one summary line when the campaign ends.

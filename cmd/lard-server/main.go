@@ -77,9 +77,8 @@ func main() {
 		fatal(fmt.Errorf("-max-timelines requires -telemetry (there is no timeline registry to bound)"))
 	}
 
-	st, err := resultstore.NewWithLimit(*storeDir, *maxEntries)
+	st, err := resultstore.Open(resultstore.BackendConfig{Dir: *storeDir, MaxEntries: *maxEntries})
 	fatal(err)
-	defer st.Close()
 	ob := obs.New(obs.Options{Tracing: *trace, MaxTraces: *maxTraces, Telemetry: *telemetry, MaxTimelines: *maxTimel, Log: logger})
 	svc, err := server.New(server.Config{Store: st, Workers: *workers, QueueDepth: *queue, Obs: ob})
 	fatal(err)

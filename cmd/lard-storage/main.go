@@ -9,12 +9,14 @@
 //	lard-storage gc -store DIR -older-than DUR
 //	                [-benchmark NAME] [-dry-run]
 //
-// The gc subcommand walks the store index and deletes entries whose
+// The gc subcommand walks the store's keys and deletes entries whose
 // backing files are older than -older-than (by last-modified time),
 // optionally restricted to one benchmark, through the same Delete path as
-// DELETE /v1/results/{key} — every layer, atomically per entry. -dry-run
-// reports what a real sweep would remove without touching anything.
-// Entries the backend cannot date are counted and left alone.
+// DELETE /v1/results/{key} — every layer, atomically per entry. An old
+// entry that no longer decodes is deleted too, unless -benchmark is set:
+// it matches no benchmark. -dry-run reports what a real sweep would
+// remove without touching anything. Entries the backend cannot date are
+// counted and left alone.
 package main
 
 import (

@@ -33,7 +33,7 @@ func TestCtxFlow(t *testing.T) {
 
 func TestCheckedErr(t *testing.T) {
 	analysistest.Run(t, "testdata/checkederr", analysis.CheckedErrAnalyzer,
-		"lard/internal/store")
+		"lard/internal/resultstore")
 }
 
 // TestSuppressions proves the //lint:allow contract: a well-formed
@@ -42,5 +42,5 @@ func TestCheckedErr(t *testing.T) {
 // and is reported itself.
 func TestSuppressions(t *testing.T) {
 	analysistest.Run(t, "testdata/suppress", analysis.CheckedErrAnalyzer,
-		"lard/internal/store")
+		"lard/internal/resultstore")
 }

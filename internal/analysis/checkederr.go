@@ -9,7 +9,6 @@ import (
 // result silently not persisted (or a corrupt entry silently served),
 // which the caller then trusts as a cache hit forever.
 var checkedErrPkgs = map[string]bool{
-	"lard/internal/store":       true,
 	"lard/internal/resultstore": true,
 }
 

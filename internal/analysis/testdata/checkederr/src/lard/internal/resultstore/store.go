@@ -1,4 +1,4 @@
-package store
+package resultstore
 
 func write() error       { return nil }
 func read() (int, error) { return 0, nil }

@@ -1,4 +1,4 @@
-package store
+package resultstore
 
 func remove() error { return nil }
 

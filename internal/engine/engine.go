@@ -169,7 +169,7 @@ type Engine struct {
 	campOrder   []*campaign                // registration order, for eviction
 	memberCamps map[string]map[string]bool // member key -> campaign ids
 
-	// Monotonic counters (see MetricsSnapshot).
+	// Monotonic counters (see Stats).
 	runsStarted   uint64
 	runsCompleted uint64
 	runsFailed    uint64
@@ -762,60 +762,36 @@ func (e *Engine) publishEpoch(j *job, f obs.EpochFrame) {
 	e.publishJobLocked(j, Event{State: StatusRunning, Progress: j.progress, Epoch: &f})
 }
 
-// Stats is the engine's point-in-time operational snapshot.
+// Stats is the engine's point-in-time operational snapshot, the one that
+// /stats and /metrics both render.
 type Stats struct {
-	Workers  int `json:"workers"`
-	QueueLen int `json:"queue_len"`
-	QueueCap int `json:"queue_cap"`
-	// Busy is the number of workers currently simulating; 0 with an empty
-	// queue means the pool is idle.
-	Busy int            `json:"busy"`
-	Jobs map[string]int `json:"jobs"`
-	// Campaigns is the registered-campaign count.
-	Campaigns int `json:"campaigns"`
-	// Cancellations counts jobs that reached the cancelled state.
-	Cancellations uint64 `json:"cancellations"`
-	// Events is the bus snapshot.
-	Events EventStats `json:"events"`
-}
-
-// Stats returns the engine snapshot.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	s := Stats{
-		Workers:       e.workers,
-		QueueLen:      len(e.pending),
-		QueueCap:      e.queueCap,
-		Busy:          e.busy,
-		Jobs:          map[string]int{StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0, StatusCancelled: 0},
-		Campaigns:     len(e.campaigns),
-		Cancellations: e.runsCancelled,
-	}
-	for _, j := range e.jobs {
-		s.Jobs[j.status]++
-	}
-	e.mu.Unlock()
-	s.Events = e.bus.stats()
-	return s
-}
-
-// MetricsSnapshot is the consistent counter snapshot /metrics renders.
-type MetricsSnapshot struct {
+	// Workers is the pool size; Busy the workers currently simulating (0
+	// with an empty queue means the pool is idle).
+	Workers, Busy int
+	// QueueLen and QueueCap are the bounded queue's depth and capacity.
+	QueueLen, QueueCap int
+	// Jobs counts registry jobs by status.
+	Jobs map[string]int
+	// Members counts the members of registered campaigns by job status.
+	Members map[string]int
+	// Campaigns is the registered-campaign count; CampaignsSeen counts
+	// registrations ever made.
+	Campaigns     int
+	CampaignsSeen uint64
+	// The run lifecycle counters. RunsCancelled counts jobs that reached
+	// the cancelled state.
 	RunsStarted, RunsCompleted, RunsFailed, RunsCached, RunsCancelled uint64
-	CampaignsSeen                                                     uint64
-	Jobs, Members                                                     map[string]int
-	Campaigns                                                         int
-	QueueLen, QueueCap, Workers, Busy                                 int
-	Events                                                            EventStats
+	// Events is the bus snapshot.
+	Events EventStats
 }
 
-// MetricsSnapshot gathers every gauge and counter under one hold of the
-// engine mutex so a scrape never mixes states from different instants. The
-// campaign-member states come from the job registry alone (no store I/O on
-// the scrape path): members evicted after completion report as pending
-// here, exactly as the campaign view renders them.
-func (e *Engine) MetricsSnapshot() MetricsSnapshot {
-	m := MetricsSnapshot{
+// Stats gathers every gauge and counter under one hold of the engine
+// mutex so a reader never mixes states from different instants. The
+// campaign-member states come from the job registry alone (no store I/O):
+// members evicted after completion report as pending here, exactly as
+// the campaign view renders them.
+func (e *Engine) Stats() Stats {
+	m := Stats{
 		Jobs:    map[string]int{StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0, StatusCancelled: 0},
 		Members: map[string]int{StatusPending: 0, StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0, StatusCancelled: 0},
 	}

@@ -175,7 +175,7 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil || v.Status != StatusCancelled {
 		t.Fatalf("cancel queued = %+v, %v", v, err)
 	}
-	if st := e.Stats(); st.QueueLen != 0 || st.Cancellations != 1 {
+	if st := e.Stats(); st.QueueLen != 0 || st.RunsCancelled != 1 {
 		t.Fatalf("stats after cancel = %+v", st)
 	}
 	// Cancelling again reports terminal.
@@ -384,7 +384,7 @@ func TestRetryKeepsRegistryEntry(t *testing.T) {
 	awaitFailures := func(n uint64) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for e.MetricsSnapshot().RunsFailed < n {
+		for e.Stats().RunsFailed < n {
 			if time.Now().After(deadline) {
 				t.Fatalf("never saw %d failed runs", n)
 			}
@@ -453,8 +453,8 @@ func TestFinishIdempotent(t *testing.T) {
 	e.finish(j, nil, false, context.Canceled)
 	e.finish(j, nil, false, context.Canceled)
 
-	if st := e.Stats(); st.Cancellations != 1 {
-		t.Fatalf("cancellations = %d, want 1", st.Cancellations)
+	if st := e.Stats(); st.RunsCancelled != 1 {
+		t.Fatalf("cancellations = %d, want 1", st.RunsCancelled)
 	}
 	terminals := 0
 	for {

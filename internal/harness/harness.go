@@ -51,8 +51,8 @@ func (b Base) StoreSummary() string {
 	st := b.Store.Stats()
 	s := fmt.Sprintf("store: %d simulated, %d from memory, %d from backend, %d shared in flight",
 		st.Computes, st.MemHits, st.DiskHits, st.Shared)
-	if bs, ok := b.Store.BackendStats(); ok {
-		s += fmt.Sprintf("; %s backend: %d entries", bs.Kind, bs.Entries)
+	if b.Store.Backend() != nil {
+		s += fmt.Sprintf("; disk backend: %d entries", st.DiskEntries)
 	}
 	return s
 }

@@ -51,8 +51,9 @@ type Observer struct {
 	RunDuration *HistogramVec
 	// QueueWait observes admitted->worker-pickup latency.
 	QueueWait *HistogramVec
-	// StoreOp observes result-store operation latency, labeled by
-	// operation (get, put, delete, index) and backend kind.
+	// StoreOp observes result-store disk operation latency, labeled by
+	// operation (get, put, delete, index). Its _count per op is the one
+	// count of disk calls.
 	StoreOp *HistogramVec
 	// HTTP observes request latency at the API edge, labeled by route
 	// pattern and status code.
@@ -93,8 +94,8 @@ func New(o Options) *Observer {
 			"Job latency from queue admission to worker pickup.",
 			nil, DurationBuckets),
 		StoreOp: NewHistogramVec("lard_store_op_seconds",
-			"Result-store operation latency by operation and backend kind.",
-			[]string{"op", "backend"}, FastBuckets),
+			"Result-store disk operation latency by operation.",
+			[]string{"op"}, FastBuckets),
 		HTTP: NewHistogramVec("lard_http_request_seconds",
 			"HTTP request latency by route pattern and status code.",
 			[]string{"route", "code"}, DurationBuckets),

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lard/internal/sim"
-	"lard/internal/store"
 )
 
 // faults is one fault-injection setting of a faultBackend.
@@ -21,9 +20,9 @@ type faults struct {
 
 // faultBackend wraps a Disk and injects faults beneath the store: read and
 // write errors, truncated writes, and latency. Everything else (Delete,
-// Index, Stats, Path, ModTime) is the Disk's own.
+// Index, ModTime, Entries, Path) is the Disk's own.
 type faultBackend struct {
-	*store.Disk
+	*Disk
 	mu sync.Mutex
 	f  faults
 }
@@ -32,7 +31,7 @@ type faultBackend struct {
 // memory layer bounded to maxEntries.
 func newFaultStore(t *testing.T, dir string, maxEntries int) (*Store, *faultBackend) {
 	t.Helper()
-	d, err := store.NewDisk("disk", dir)
+	d, err := NewDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,23 +320,32 @@ func TestIndexPage(t *testing.T) {
 
 	// A fresh store decodes a page once, then serves the specs from the
 	// metadata index: the second identical page triggers no backend reads.
-	st2, fb2 := newFaultStore(t, dir, 0)
+	st2, _ := newFaultStore(t, dir, 0)
+	var gets atomic.Int64
+	st2.SetOpObserver(func(op string, _ time.Duration) {
+		if op == "get" {
+			gets.Add(1)
+		}
+	})
 	if _, _, err := st2.IndexPage(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	gets := fb2.Stats().Gets
+	first := gets.Load()
+	if first != 4 {
+		t.Fatalf("first page read %d entries, want 4", first)
+	}
 	if _, _, err := st2.IndexPage(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if after := fb2.Stats().Gets; after != gets {
-		t.Fatalf("repeated index page re-read the backend (%d -> %d gets)", gets, after)
+	if after := gets.Load(); after != first {
+		t.Fatalf("repeated index page re-read the backend (%d -> %d gets)", first, after)
 	}
 }
 
 // TestSpecIndexBounded: with -max-entries set, the spec metadata cache
 // must not grow without bound either.
 func TestSpecIndexBounded(t *testing.T) {
-	st, err := NewWithLimit("", 1)
+	st, err := Open(BackendConfig{MaxEntries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +363,7 @@ func TestSpecIndexBounded(t *testing.T) {
 		t.Fatalf("spec index grew to %d, bound %d", n, bound)
 	}
 	// Unbounded stores keep every spec (the index never re-decodes).
-	st2, _ := NewWithLimit("", 0)
+	st2, _ := New("")
 	if st2.specsBound() != 0 {
 		t.Fatal("unbounded store must keep every spec")
 	}
@@ -419,14 +427,14 @@ func TestRawRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenComposition: Open is NewWithLimit — a disk backend for a
-// directory, memory-only for none, with the memory bound applied.
+// TestOpenComposition: Open puts a disk backend under a directory,
+// opens memory-only for none, and applies the memory bound.
 func TestOpenComposition(t *testing.T) {
 	flat, err := Open(BackendConfig{Dir: t.TempDir(), MaxEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := flat.Backend().(*store.Disk); !ok {
+	if _, ok := flat.Backend().(*Disk); !ok {
 		t.Fatalf("flat config opened %T", flat.Backend())
 	}
 	if flat.MaxEntries() != 8 {

@@ -3,17 +3,10 @@ package resultstore
 import "time"
 
 // OpObserver receives the wall-clock latency of one persistent-backend
-// operation: op is "get", "put", "delete" or "index", backend the
-// backend's kind ("disk"). Implementations
+// operation: op is "get", "put", "delete" or "index". It is the one count
+// of backend calls: each call is observed exactly once. Implementations
 // must be fast and must not call back into the Store.
-type OpObserver func(op, backend string, d time.Duration)
-
-// opObserver pairs the callback with the backend kind, resolved once at
-// installation so the per-op path never takes the backend's stats lock.
-type opObserver struct {
-	fn   OpObserver
-	kind string
-}
+type OpObserver func(op string, d time.Duration)
 
 // SetOpObserver installs (or, with nil, removes) the store's backend
 // operation observer — the hook the serving layer uses to feed its
@@ -25,14 +18,14 @@ func (s *Store) SetOpObserver(fn OpObserver) {
 		s.opObs.Store(nil)
 		return
 	}
-	s.opObs.Store(&opObserver{fn: fn, kind: s.backend.Stats().Kind})
+	s.opObs.Store(&fn)
 }
 
 // observeOp reports one backend operation to the installed observer, if
 // any. Call sites bracket only the backend call itself, never the
 // store's own locking or decode work.
 func (s *Store) observeOp(op string, start time.Time) {
-	if o := s.opObs.Load(); o != nil {
-		o.fn(op, o.kind, time.Since(start))
+	if fn := s.opObs.Load(); fn != nil {
+		(*fn)(op, time.Since(start))
 	}
 }

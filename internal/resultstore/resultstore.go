@@ -12,8 +12,8 @@
 //   - an in-memory map of decoded results seen this process, optionally
 //     bounded by an LRU entry limit so long-lived servers don't grow
 //     without bound,
-//   - an optional persistent backend (internal/store) holding the encoded
-//     entries: one disk directory, one file per key, and
+//   - an optional persistent Backend holding the encoded entries: a Disk,
+//     one directory with one file per key (disk.go), and
 //   - singleflight deduplication: concurrent GetOrCompute calls for the
 //     same key share one computation instead of racing to duplicate it.
 //
@@ -24,6 +24,10 @@
 // entry format and every content address are byte-identical to the
 // original single-directory store, so existing store directories keep
 // resolving unchanged.
+//
+// Each store event is counted once: Stats counts hits, computes and
+// corrupt entries, and the OpObserver (observe.go) sees every backend
+// call. The Disk counts nothing but its entries.
 package resultstore
 
 import (
@@ -41,7 +45,6 @@ import (
 	"lard/internal/coherence"
 	"lard/internal/config"
 	"lard/internal/sim"
-	"lard/internal/store"
 )
 
 // keyVersion is folded into every hash so that future changes to the Spec
@@ -99,17 +102,15 @@ func (s Spec) SchemeLabel() string {
 }
 
 // Stats counts store traffic. Computes is the number of times a compute
-// callback actually ran — the store's cache-effectiveness ground truth.
+// callback actually ran — the store's cache-effectiveness ground truth,
+// and its miss count: every GetOrCompute lookup that found nothing in
+// either layer computes. Backend call counts and latencies are the
+// OpObserver's (observe.go), not counted here.
 type Stats struct {
 	// MemHits and DiskHits count Get/GetOrCompute calls served from the
 	// in-memory map and the persistent backend respectively.
 	MemHits  uint64 `json:"mem_hits"`
 	DiskHits uint64 `json:"disk_hits"`
-	// Misses counts GetOrCompute lookups that found nothing in either
-	// layer and went on to compute. Plain Get misses are not counted, so a
-	// peek-then-compute caller (the server's POST fast path) does not
-	// double-count one logical miss.
-	Misses uint64 `json:"misses"`
 	// Computes counts compute callbacks executed (singleflight leaders).
 	Computes uint64 `json:"computes"`
 	// Shared counts GetOrCompute callers that piggybacked on another
@@ -121,6 +122,9 @@ type Stats struct {
 	// Evictions counts memory-layer entries dropped by the LRU bound.
 	// Evicted results remain readable from the persistent backend.
 	Evictions uint64 `json:"evictions"`
+	// DiskEntries is the number of entries in the persistent backend (0
+	// for a memory-only store).
+	DiskEntries int `json:"disk_entries"`
 }
 
 // entry is the encoded envelope: the spec is stored alongside the result so
@@ -162,12 +166,11 @@ type memEntry struct {
 }
 
 // Store is a content-addressed result cache. The zero value is not usable;
-// call New, NewWithLimit, NewWithBackend or Open. A Store is safe for
-// concurrent use.
+// call New, Open or NewWithBackend. A Store is safe for concurrent use.
 type Store struct {
-	backend store.Backend // nil = memory only
-	dir     string        // display root ("" = memory only or custom backend)
-	max     int           // memory-layer LRU bound; 0 = unbounded
+	backend Backend // nil = memory only
+	dir     string  // display root ("" = memory only or custom backend)
+	max     int     // memory-layer LRU bound; 0 = unbounded
 
 	mu  sync.Mutex
 	mem map[string]*list.Element // of *memEntry
@@ -182,40 +185,18 @@ type Store struct {
 
 	// opObs observes persistent-backend operation latencies (observe.go);
 	// atomic so installation never contends with the op hot path.
-	opObs atomic.Pointer[opObserver]
+	opObs atomic.Pointer[OpObserver]
 }
 
 // New opens an unbounded store. dir is the on-disk backend directory,
 // created if missing; an empty dir selects a memory-only store.
-func New(dir string) (*Store, error) { return NewWithLimit(dir, 0) }
-
-// NewWithLimit opens a store whose memory layer holds at most maxEntries
-// results, evicting least-recently-used entries beyond that (0 = unbounded).
-// With a persistent backend, evicted results stay readable from it;
-// memory-only stores lose them outright, trading recomputation for bounded
-// memory.
-func NewWithLimit(dir string, maxEntries int) (*Store, error) {
-	var b store.Backend
-	if dir != "" {
-		d, err := store.NewDisk("disk", dir)
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		b = d
-	}
-	st, err := NewWithBackend(b, maxEntries)
-	if err != nil {
-		return nil, err
-	}
-	st.dir = dir
-	return st, nil
-}
+func New(dir string) (*Store, error) { return Open(BackendConfig{Dir: dir}) }
 
 // NewWithBackend opens a store over an arbitrary persistent backend — in
 // practice a Disk, or a test wrapper around one — with the given
 // memory-layer LRU bound (0 = unbounded). A nil backend selects a
 // memory-only store.
-func NewWithBackend(b store.Backend, maxEntries int) (*Store, error) {
+func NewWithBackend(b Backend, maxEntries int) (*Store, error) {
 	if maxEntries < 0 {
 		return nil, fmt.Errorf("resultstore: negative entry limit %d", maxEntries)
 	}
@@ -234,13 +215,30 @@ func NewWithBackend(b store.Backend, maxEntries int) (*Store, error) {
 type BackendConfig struct {
 	// Dir is the store directory ("" = memory only).
 	Dir string
-	// MaxEntries bounds the in-memory decoded layer (0 = unbounded).
+	// MaxEntries bounds the in-memory decoded layer, evicting
+	// least-recently-used results beyond it (0 = unbounded). With a disk
+	// backend, evicted results stay readable from it; a memory-only store
+	// loses them outright, trading recomputation for bounded memory.
 	MaxEntries int
 }
 
-// Open opens the store cfg describes: NewWithLimit(cfg.Dir, cfg.MaxEntries).
+// Open opens the store cfg describes: a Disk under cfg.Dir (memory-only
+// when Dir is empty) beneath a memory layer bounded by cfg.MaxEntries.
 func Open(cfg BackendConfig) (*Store, error) {
-	return NewWithLimit(cfg.Dir, cfg.MaxEntries)
+	var b Backend
+	if cfg.Dir != "" {
+		d, err := NewDisk(cfg.Dir)
+		if err != nil {
+			return nil, err
+		}
+		b = d
+	}
+	st, err := NewWithBackend(b, cfg.MaxEntries)
+	if err != nil {
+		return nil, err
+	}
+	st.dir = cfg.Dir
+	return st, nil
 }
 
 // Dir returns the store's root directory ("" for a memory-only store or a
@@ -251,30 +249,22 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) MaxEntries() int { return s.max }
 
 // Backend returns the persistent backend (nil for a memory-only store).
-func (s *Store) Backend() store.Backend { return s.backend }
+func (s *Store) Backend() Backend { return s.backend }
 
-// BackendStats returns the persistent backend's counters, ok=false for a
-// memory-only store.
-func (s *Store) BackendStats() (store.Stats, bool) {
-	if s.backend == nil {
-		return store.Stats{}, false
-	}
-	return s.backend.Stats(), true
-}
+// Close is a no-op kept for callers that close what they open: a Disk
+// holds no open files between operations.
+func (s *Store) Close() error { return nil }
 
-// Close releases the persistent backend's resources.
-func (s *Store) Close() error {
-	if s.backend == nil {
-		return nil
-	}
-	return s.backend.Close()
-}
-
-// Stats returns a snapshot of the traffic counters.
+// Stats returns a snapshot of the traffic counters and the backend's
+// entry count.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	s.mu.Unlock()
+	if s.backend != nil {
+		st.DiskEntries = s.backend.Entries()
+	}
+	return st
 }
 
 // Len returns the number of results resident in memory.
@@ -339,21 +329,6 @@ func (s *Store) memPutLocked(key string, spec Spec, r *sim.Result) {
 	}
 }
 
-// path returns the entry file for key when the backend can name one (a
-// disk backend); "" otherwise.
-func (s *Store) path(key string) string {
-	if p, ok := s.backend.(interface{ Path(string) string }); ok {
-		return p.Path(key)
-	}
-	return ""
-}
-
-// validKey reports whether key is a well-formed content address (64
-// lowercase hex digits). Lookups by raw key strings (GET /v1/runs/{id}
-// fallbacks) pass through here, so a malformed or path-traversing id can
-// never touch a backend.
-func validKey(key string) bool { return store.ValidKey(key) }
-
 // Get returns the cached result for spec, or (nil, false) on a miss.
 func (s *Store) Get(spec Spec) (*sim.Result, bool, error) {
 	r, _, ok, err := s.GetByKey(spec.Key())
@@ -365,7 +340,7 @@ func (s *Store) Get(spec Spec) (*sim.Result, bool, error) {
 // is the lookup path for callers that hold only a raw id (the server's
 // GET-after-eviction fallback and the index).
 func (s *Store) GetByKey(key string) (*sim.Result, Spec, bool, error) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return nil, Spec{}, false, nil
 	}
 	s.mu.Lock()
@@ -409,7 +384,7 @@ func (s *Store) Put(spec Spec, r *sim.Result) error {
 // reads as a miss, never leaves the store — and is the server's
 // GET /v1/results/{key} path (the export side of export/import).
 func (s *Store) GetRaw(key string) ([]byte, bool, error) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return nil, false, nil
 	}
 	if s.backend != nil {
@@ -461,7 +436,7 @@ var ErrInvalidEntry = errors.New("invalid entry")
 // Validation failures wrap ErrInvalidEntry; other errors are storage
 // faults.
 func (s *Store) PutRaw(key string, b []byte) error {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return fmt.Errorf("resultstore: put: %w: malformed key %q", ErrInvalidEntry, key)
 	}
 	var e entry
@@ -503,41 +478,49 @@ type GCStats struct {
 // backend's last-modified time (a write refreshes it, so GC measures
 // staleness of the bytes, not of first computation); entries the backend
 // cannot date are counted Undatable and left alone — age-based deletion
-// must never guess. With dryRun, nothing is deleted and Matched reports
-// what a real sweep would remove.
+// must never guess. GC walks keys, not decoded specs, so an old entry
+// that no longer decodes is collected too; an entry is decoded only when
+// a benchmark filter needs its spec, and one that cannot be decoded then
+// matches no benchmark. With dryRun, nothing is deleted and Matched
+// reports what a real sweep would remove.
 func (s *Store) GC(olderThan time.Duration, benchmark string, dryRun bool) (GCStats, error) {
 	var st GCStats
-	mt, ok := s.backend.(store.ModTimer)
-	if !ok {
-		return st, errors.New("resultstore: gc: backend cannot date entries (memory-only store?)")
+	if s.backend == nil {
+		return st, errors.New("resultstore: gc: a memory-only store cannot date entries")
 	}
-	idx, err := s.Index()
+	keys, err := s.Keys()
 	if err != nil {
 		return st, err
 	}
 	cutoff := time.Now().Add(-olderThan)
-	for _, e := range idx {
+	for _, key := range keys {
 		st.Scanned++
-		if benchmark != "" && e.Benchmark != benchmark {
+		t, dated, err := s.backend.ModTime(key)
+		if err != nil {
+			return st, fmt.Errorf("resultstore: gc: date %s: %w", key, err)
+		}
+		if dated && !t.Before(cutoff) {
 			continue
 		}
-		t, dated, err := mt.ModTime(e.Key)
-		if err != nil {
-			return st, fmt.Errorf("resultstore: gc: date %s: %w", e.Key, err)
+		if benchmark != "" {
+			spec, ok, err := s.spec(key)
+			if err != nil {
+				return st, fmt.Errorf("resultstore: gc: %w", err)
+			}
+			if !ok || spec.Benchmark != benchmark {
+				continue
+			}
 		}
 		if !dated {
 			st.Undatable++
-			continue
-		}
-		if !t.Before(cutoff) {
 			continue
 		}
 		st.Matched++
 		if dryRun {
 			continue
 		}
-		if err := s.Delete(e.Key); err != nil {
-			return st, fmt.Errorf("resultstore: gc: delete %s: %w", e.Key, err)
+		if err := s.Delete(key); err != nil {
+			return st, fmt.Errorf("resultstore: gc: delete %s: %w", key, err)
 		}
 		st.Deleted++
 	}
@@ -546,7 +529,7 @@ func (s *Store) GC(olderThan time.Duration, benchmark string, dryRun bool) (GCSt
 
 // Delete removes key from every layer.
 func (s *Store) Delete(key string) error {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return nil
 	}
 	s.mu.Lock()
@@ -622,7 +605,6 @@ func (s *Store) leader(key string, spec Spec, compute func() (*sim.Result, error
 	}
 
 	s.mu.Lock()
-	s.stats.Misses++
 	s.stats.Computes++
 	s.mu.Unlock()
 	r, err := compute()
@@ -676,49 +658,67 @@ func (s *Store) Index() ([]IndexEntry, error) {
 	return out, err
 }
 
-// IndexPage returns the [offset, offset+limit) window of the sorted index
-// plus the total key count (limit 0 = to the end). Decoding cost is
-// bounded by the window: a page over a million-entry store touches at most
-// `limit` entry files, and none whose spec is already known in memory.
-func (s *Store) IndexPage(offset, limit int) ([]IndexEntry, int, error) {
+// KeyPage returns the [offset, offset+limit) window of the sorted keys
+// plus the total key count (limit 0 = to the end; an offset past the end
+// yields an empty window). It never decodes entries.
+func (s *Store) KeyPage(offset, limit int) ([]string, int, error) {
 	keys, err := s.Keys()
 	if err != nil {
 		return nil, 0, err
 	}
 	total := len(keys)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
+	offset = min(max(offset, 0), total)
 	end := total
 	if limit > 0 && offset+limit < total {
 		end = offset + limit
 	}
+	return keys[offset:end], total, nil
+}
 
-	out := make([]IndexEntry, 0, end-offset)
-	for _, key := range keys[offset:end] {
+// IndexPage returns the KeyPage window of the sorted index plus the total
+// key count. Decoding cost is bounded by the window: a page over a
+// million-entry store touches at most `limit` entry files, and none whose
+// spec is already known in memory.
+func (s *Store) IndexPage(offset, limit int) ([]IndexEntry, int, error) {
+	keys, total, err := s.KeyPage(offset, limit)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([]IndexEntry, 0, len(keys))
+	for _, key := range keys {
+		spec, ok, err := s.spec(key)
+		if err != nil {
+			return nil, 0, fmt.Errorf("resultstore: index: %w", err)
+		}
+		if !ok {
+			continue // corrupt or concurrently deleted
+		}
 		s.mu.Lock()
 		_, inMem := s.mem[key]
-		spec, known := s.specs[key]
 		s.mu.Unlock()
-		if !known {
-			e, err := s.readBackend(key)
-			if err != nil {
-				return nil, 0, fmt.Errorf("resultstore: index: %w", err)
-			}
-			if e == nil {
-				continue // corrupt or concurrently deleted
-			}
-			spec = e.Spec
-			s.mu.Lock()
-			s.cacheSpecLocked(key, spec) // next index need not re-decode
-			s.mu.Unlock()
-		}
 		out = append(out, indexEntryFor(key, spec, inMem))
 	}
 	return out, total, nil
+}
+
+// spec returns key's spec from the metadata index, else by reading and
+// decoding its backend entry (caching the spec so the next lookup need
+// not re-decode). ok=false means no layer holds a decodable entry.
+func (s *Store) spec(key string) (Spec, bool, error) {
+	s.mu.Lock()
+	spec, known := s.specs[key]
+	s.mu.Unlock()
+	if known {
+		return spec, true, nil
+	}
+	e, err := s.readBackend(key)
+	if err != nil || e == nil {
+		return Spec{}, false, err
+	}
+	s.mu.Lock()
+	s.cacheSpecLocked(key, e.Spec)
+	s.mu.Unlock()
+	return e.Spec, true, nil
 }
 
 // indexEntryFor summarizes a spec into an index row.

@@ -3,9 +3,11 @@
 // dependency-free. The families cover the run lifecycle (started, completed,
 // failed, cached, cancelled), the job and campaign-member state gauges, the
 // engine's event bus (events emitted/dropped, live subscribers), the
-// result store's traffic counters, and the worker
-// pool's depth — everything needed to alert on a wedged pool, a cold store,
-// a failing campaign or a stalled event feed.
+// result store's counters, and the worker pool's depth — everything
+// needed to alert on a wedged pool, a cold store, a failing campaign or a
+// stalled event feed. Each store event is counted once: disk calls by the
+// lard_store_op_seconds histogram (its _count per op), hits and
+// corruption by the lard_store_* counters.
 package server
 
 import (
@@ -13,29 +15,11 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-
-	"lard/internal/store"
 )
-
-// renderBackendMetrics exposes the persistent backend's traffic and
-// entry count: one row per family, labeled with the backend's name and
-// kind.
-func renderBackendMetrics(b *strings.Builder, st store.Stats) {
-	series := func(name, help, metric string, v uint64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s{backend=%q,kind=%q} %d\n",
-			name, help, name, metric, name, st.Name, st.Kind, v)
-	}
-	series("lard_backend_entries", "Entries stored in the persistent backend.", "gauge", uint64(st.Entries))
-	series("lard_backend_gets_total", "Backend Get calls.", "counter", st.Gets)
-	series("lard_backend_hits_total", "Backend Get hits.", "counter", st.Hits)
-	series("lard_backend_misses_total", "Backend Get misses.", "counter", st.Misses)
-	series("lard_backend_puts_total", "Backend Put calls.", "counter", st.Puts)
-	series("lard_backend_deletes_total", "Backend Delete calls.", "counter", st.Deletes)
-}
 
 // handleMetrics implements GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.engine.MetricsSnapshot()
+	m := s.engine.Stats()
 	st := s.store.Stats()
 
 	var b strings.Builder
@@ -84,15 +68,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("lard_store_mem_hits_total", "Store lookups served from the in-memory layer.", st.MemHits)
 	counter("lard_store_disk_hits_total", "Store lookups served from the disk backend.", st.DiskHits)
-	counter("lard_store_misses_total", "Store lookups that found nothing and went on to compute.", st.Misses)
 	counter("lard_store_computes_total", "Compute callbacks executed (singleflight leaders).", st.Computes)
 	counter("lard_store_shared_total", "Callers that piggybacked on an in-flight computation.", st.Shared)
 	counter("lard_store_evictions_total", "Memory-layer entries dropped by the LRU bound.", st.Evictions)
 	counter("lard_store_corrupt_entries_total", "On-disk entries that failed to decode and were recomputed.", st.CorruptEntries)
 	gauge("lard_store_entries", "Entries in the store's in-memory layer.", s.store.Len())
-	if bs, ok := s.store.BackendStats(); ok {
-		renderBackendMetrics(&b, bs)
-	}
+	gauge("lard_store_disk_entries", "Entries in the store's disk backend (0 for a memory-only store).", st.DiskEntries)
 	// The observability layer's latency histograms (run duration, queue
 	// wait, store ops, HTTP) and the process-level families
 	// (build info, goroutines, heap, GC, uptime).

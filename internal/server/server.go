@@ -75,7 +75,6 @@ import (
 	"lard/internal/engine"
 	"lard/internal/obs"
 	"lard/internal/resultstore"
-	"lard/internal/store"
 )
 
 // Job states, re-exported from the engine for wire compatibility.
@@ -152,8 +151,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The store reports its backend operation latencies into the shared
 	// histogram; installed before any traffic can flow.
-	cfg.Store.SetOpObserver(func(op, backend string, d time.Duration) {
-		ob.StoreOp.ObserveDuration(d, op, backend)
+	cfg.Store.SetOpObserver(func(op string, d time.Duration) {
+		ob.StoreOp.ObserveDuration(d, op)
 	})
 	eng, err := engine.New(engine.Config{
 		Store:            cfg.Store,
@@ -386,24 +385,16 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if q.Get("keys") != "" {
-		keys, err := s.store.Keys()
+		keys, total, err := s.store.KeyPage(offset, limit)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		total := len(keys)
-		if offset > total {
-			offset = total
-		}
-		end := total
-		if limit > 0 && offset+limit < total {
-			end = offset + limit
-		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"count":  total,
-			"offset": offset,
+			"offset": min(offset, total),
 			"limit":  limit,
-			"keys":   keys[offset:end],
+			"keys":   keys,
 		})
 		return
 	}
@@ -519,9 +510,6 @@ type statsView struct {
 	Store        resultstore.Stats `json:"store"`
 	StoreEntries int               `json:"store_entries"`
 	StoreDir     string            `json:"store_dir,omitempty"`
-	// Backend is the persistent backend's traffic and entry count, absent
-	// on memory-only stores.
-	Backend *store.Stats `json:"backend,omitempty"`
 	// UptimeSeconds is how long this server process has been serving.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Tracing reports whether run tracing (GET /v1/runs/{id}/trace) is on.
@@ -549,7 +537,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Jobs:      es.Jobs,
 		Campaigns: es.Campaigns,
 		Engine: engineStatsView{
-			Cancellations: es.Cancellations,
+			Cancellations: es.RunsCancelled,
 			Events:        es.Events,
 		},
 		Store:         s.store.Stats(),
@@ -558,9 +546,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: s.obs.Uptime().Seconds(),
 		Tracing:       s.obs.Tracer.Enabled(),
 		Telemetry:     s.obs.Timelines.Enabled(),
-	}
-	if bs, ok := s.store.BackendStats(); ok {
-		view.Backend = &bs
 	}
 	writeJSON(w, http.StatusOK, view)
 }

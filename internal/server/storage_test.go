@@ -14,7 +14,6 @@ import (
 
 	"lard"
 	"lard/internal/resultstore"
-	"lard/internal/store"
 )
 
 // TestRawResultEndpoints covers the export/import raw entry surface over
@@ -157,15 +156,18 @@ func TestResultsPaging(t *testing.T) {
 }
 
 // faultyDisk wraps a Disk so backend reads or writes can be made to fail
-// on demand.
+// on demand, and counts the Get and Put calls the store makes, failed or
+// not.
 type faultyDisk struct {
-	*store.Disk
+	*resultstore.Disk
 	failGets, failPuts atomic.Bool
+	gets, puts         atomic.Int64
 }
 
 var errDiskFault = errors.New("injected disk fault")
 
 func (d *faultyDisk) Get(key string) ([]byte, bool, error) {
+	d.gets.Add(1)
 	if d.failGets.Load() {
 		return nil, false, errDiskFault
 	}
@@ -173,6 +175,7 @@ func (d *faultyDisk) Get(key string) ([]byte, bool, error) {
 }
 
 func (d *faultyDisk) Put(key string, val []byte) error {
+	d.puts.Add(1)
 	if d.failPuts.Load() {
 		return errDiskFault
 	}
@@ -183,7 +186,7 @@ func (d *faultyDisk) Put(key string, val []byte) error {
 // fail.
 func newFaultyServer(t *testing.T) (*Server, *httptest.Server, *faultyDisk) {
 	t.Helper()
-	d, err := store.NewDisk("disk", t.TempDir())
+	d, err := resultstore.NewDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +259,38 @@ func TestFailedPersistIsNotCached(t *testing.T) {
 	}
 }
 
-// TestBackendMetricsOneRow: a disk-backed server reports its backend as
-// one row per lard_backend_* family, in /metrics and /stats alike.
-func TestBackendMetricsOneRow(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	_, v := post(t, ts, smallRun(43))
-	poll(t, ts, v.ID)
+// TestStoreOpCountsMatchDiskCalls: the store-op histogram is the one
+// count of disk calls. Across a cold run, a memory hit, a raw export, a
+// failed write and a read error, lard_store_op_seconds_count{op="get"}
+// and {op="put"} equal the Get and Put calls the disk itself saw.
+func TestStoreOpCountsMatchDiskCalls(t *testing.T) {
+	_, ts, fd := newFaultyServer(t)
+	req := smallRun(44)
+	key, _ := lard.KeyFor(req.Benchmark, req.Scheme, req.Options)
+	_, v := post(t, ts, req)
+	if done := poll(t, ts, v.ID); done.Status != StatusDone {
+		t.Fatalf("run = %s (%s)", done.Status, done.Error)
+	}
+	if code, _ := post(t, ts, req); code != http.StatusOK {
+		t.Fatalf("cached re-POST = %d", code)
+	}
+	get := func(path string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	get("/v1/results/" + key)
+	fd.failPuts.Store(true)
+	_, v = post(t, ts, smallRun(45))
+	if failed := poll(t, ts, v.ID); failed.Status != StatusFailed {
+		t.Fatalf("run over a failing disk = %s, want failed", failed.Status)
+	}
+	fd.failGets.Store(true)
+	get("/v1/results/" + key)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -269,27 +298,57 @@ func TestBackendMetricsOneRow(t *testing.T) {
 	}
 	mb, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, family := range []string{"lard_backend_entries", "lard_backend_gets_total", "lard_backend_puts_total"} {
-		rows := grepLines(string(mb), family+"{")
-		if want := fmt.Sprintf("%s{backend=%q,kind=%q}", family, "disk", "disk"); strings.Count(rows, "\n") != 0 || !strings.HasPrefix(rows, want) {
-			t.Errorf("%s rows:\n%s\nwant one %s row", family, rows, want)
+	for op, calls := range map[string]int64{"get": fd.gets.Load(), "put": fd.puts.Load()} {
+		if calls < 2 {
+			t.Fatalf("disk saw %d %s calls; the scenario should make at least 2", calls, op)
+		}
+		want := fmt.Sprintf("lard_store_op_seconds_count{op=%q} %d", op, calls)
+		if !strings.Contains(string(mb), want+"\n") {
+			t.Errorf("want %s, got:\n%s", want, grepLines(string(mb), "lard_store_op_seconds_count"))
 		}
 	}
-	if !strings.Contains(string(mb), `lard_backend_entries{backend="disk",kind="disk"} 1`) {
-		t.Errorf("entry gauge:\n%s", grepLines(string(mb), "lard_backend_entries"))
+	if strings.Contains(string(mb), "backend=") || strings.Contains(string(mb), "lard_backend_") {
+		t.Errorf("/metrics still carries a backend label or lard_backend_* family:\n%s", grepLines(string(mb), "backend"))
+	}
+}
+
+// TestStoreDiskEntries: the disk's entry count is one unlabeled gauge on
+// /metrics and store.disk_entries on /stats.
+func TestStoreDiskEntries(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for seed := uint64(46); seed <= 47; seed++ {
+		_, v := post(t, ts, smallRun(seed))
+		poll(t, ts, v.ID)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(mb), "\nlard_store_disk_entries 2\n") {
+		t.Errorf("entry gauge:\n%s", grepLines(string(mb), "lard_store_disk_entries"))
 	}
 
 	sresp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sv struct {
-		Backend map[string]any `json:"backend"`
-	}
+	var sv map[string]json.RawMessage
 	err = json.NewDecoder(sresp.Body).Decode(&sv)
 	sresp.Body.Close()
-	if err != nil || sv.Backend == nil || sv.Backend["kind"] != "disk" || sv.Backend["entries"] != float64(1) {
-		t.Fatalf("/stats backend = %v (%v)", sv.Backend, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sv["backend"]; ok {
+		t.Error("/stats still carries a backend object")
+	}
+	var store struct {
+		DiskEntries *int `json:"disk_entries"`
+	}
+	if err := json.Unmarshal(sv["store"], &store); err != nil || store.DiskEntries == nil || *store.DiskEntries != 2 {
+		t.Fatalf("/stats store = %s (%v), want disk_entries 2", sv["store"], err)
 	}
 }
 
