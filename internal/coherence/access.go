@@ -14,12 +14,25 @@ import (
 // The simulator presents accesses in global event order; the engine is
 // deterministic for a given order.
 func (e *Engine) Access(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
+	var res AccessResult
+	e.AccessInto(&res, c, t, op)
+	return res
+}
+
+// AccessInto is Access writing its result into *res, for a caller that
+// reuses one result across accesses instead of copying it out.
+func (e *Engine) AccessInto(res *AccessResult, c mem.CoreID, t mem.Cycles, op Op) {
 	if e.opts.CheckInvariants && t < e.watermark {
 		panic(fmt.Sprintf("coherence: core %d access at cycle %d, before the watermark %d", c, t, e.watermark))
 	}
-	res := e.doAccess(c, t, op)
+	*res = AccessResult{}
 	// Reconcile: every cycle of the access span is attributed to exactly one
-	// component, so per-core component sums add up to completion time.
+	// component, so per-core component sums add up to completion time. An
+	// L1 hit charges no component, so its whole span is Compute.
+	if e.doAccess(res, c, t, op) {
+		res.Breakdown[stats.Compute] = res.Done - t
+		return
+	}
 	span := res.Done - t
 	var assigned mem.Cycles
 	for _, v := range res.Breakdown {
@@ -27,18 +40,16 @@ func (e *Engine) Access(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
 	}
 	resid := span - assigned
 	switch res.Miss {
-	case stats.L1Hit:
-		res.Breakdown[stats.Compute] += resid
 	case stats.LLCReplicaHit:
 		res.Breakdown[stats.L1ToLLCReplica] += resid
 	default:
 		res.Breakdown[stats.L1ToLLCHome] += resid
 	}
-	return res
 }
 
-func (e *Engine) doAccess(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
-	res := AccessResult{}
+// doAccess performs the access into *res, which starts zeroed, and
+// reports whether it hit the L1.
+func (e *Engine) doAccess(res *AccessResult, c mem.CoreID, t mem.Cycles, op Op) (l1Hit bool) {
 	tl := e.tiles[c]
 	l1 := tl.l1For(op.Type)
 
@@ -47,22 +58,22 @@ func (e *Engine) doAccess(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
 	e.chargeL1(op.Type.IsInstr(), false)
 	if line := l1.Lookup(op.Line); line != nil {
 		if !op.Type.IsWrite() {
-			e.checkVersion(c, op.Line, line.Meta.version)
+			e.checkVersion(c, op.Line, uint64(line.Meta.version))
 			l1.Touch(line)
 			e.temporalHint(c, line, t)
 			res.Done, res.Miss = t, stats.L1Hit
-			return res
+			return true
 		}
 		if line.State.Writable() {
 			// Write hit on M, or silent E->M upgrade.
-			e.checkVersion(c, op.Line, line.Meta.version)
+			e.checkVersion(c, op.Line, uint64(line.Meta.version))
 			line.State = mem.Modified
 			line.Dirty = true
 			l1.Touch(line)
 			e.temporalHint(c, line, t)
 			e.chargeL1(op.Type.IsInstr(), true)
 			res.Done, res.Miss = t, stats.L1Hit
-			return res
+			return true
 		}
 		// S-state write: the home upgrade path; the local copy stays valid
 		// until the home grants write permission.
@@ -75,16 +86,16 @@ func (e *Engine) doAccess(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
 	if e.usesReplicas {
 		rslice := e.policy.ReplicaSlice(op.Line, c)
 		if rslice != home {
-			if done, hit := e.replicaLookup(c, rslice, op, t, &res); hit {
+			if done, hit := e.replicaLookup(c, rslice, op, t, res); hit {
 				res.Done = done
-				return res
+				return false
 			}
-			t = e.afterReplicaMiss(c, rslice, op, t, &res)
+			t = e.afterReplicaMiss(c, rslice, op, t, res)
 		}
 	}
 
-	res.Done = e.atHome(c, home, op, t, &res)
-	return res
+	res.Done = e.atHome(c, home, op, t, res)
+	return false
 }
 
 // replicaLookup probes the replica slice. On a usable hit (any valid state
@@ -647,7 +658,7 @@ func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version
 	if existing := l1.Lookup(op.Line); existing != nil {
 		existing.State = state
 		existing.Dirty = existing.Dirty || dirty
-		existing.Meta.version = version
+		existing.Meta.version = e.l1Version(version)
 		l1.Touch(existing)
 		e.chargeL1(op.Type.IsInstr(), true)
 		return
@@ -655,7 +666,7 @@ func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version
 	idx, victim, evicted := l1.Insert(op.Line, state, lruL1)
 	ins := l1.At(idx)
 	ins.Dirty = dirty
-	ins.Meta = l1Meta{version: version, home: home, sharedRO: sharedRO, class: op.Class}
+	ins.Meta = l1Meta{version: e.l1Version(version), home: home, sharedRO: sharedRO, class: op.Class}
 	e.chargeL1(op.Type.IsInstr(), true)
 	if evicted {
 		e.handleL1Evict(c, victim, sib, t)

@@ -26,20 +26,19 @@ func benchWorkload(tb testing.TB, cfg *config.Config) []benchAccess {
 	}
 	w := trace.Generate(p, cfg, 0.05, 1)
 	var accs []benchAccess
+	buf := make([]trace.Op, 256)
 	for c, s := range w.Streams {
-		for {
-			op, ok := s.Next()
-			if !ok {
-				break
+		for n := s.Fill(buf); n > 0; n = s.Fill(buf) {
+			for _, op := range buf[:n] {
+				if op.Barrier {
+					continue
+				}
+				accs = append(accs, benchAccess{mem.CoreID(c), Op{
+					Type:  op.Type,
+					Line:  mem.LineOf(op.Addr),
+					Class: op.Class,
+				}})
 			}
-			if op.Barrier {
-				continue
-			}
-			accs = append(accs, benchAccess{mem.CoreID(c), Op{
-				Type:  op.Type,
-				Line:  mem.LineOf(op.Addr),
-				Class: op.Class,
-			}})
 		}
 	}
 	return accs

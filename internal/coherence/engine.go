@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"lard/internal/cache"
@@ -388,6 +389,16 @@ func (e *Engine) homeAt(r homeRef, la mem.LineAddr, c mem.CoreID) *cacheLine {
 	return hl
 }
 
+// l1Version narrows a home version to the L1's 32 bits. Under
+// CheckInvariants a version that does not fit panics, so no L1 copy ever
+// holds a truncated version the SWMR check could mistake for current.
+func (e *Engine) l1Version(v uint64) uint32 {
+	if e.opts.CheckInvariants && v > math.MaxUint32 {
+		panic(fmt.Sprintf("coherence: home version %d exceeds the L1's 32-bit version", v))
+	}
+	return uint32(v)
+}
+
 // checkVersion enforces the single-writer/multiple-reader invariant: any
 // valid copy read by a core must carry the current home version.
 func (e *Engine) checkVersion(c mem.CoreID, la mem.LineAddr, ver uint64) {
@@ -398,6 +409,9 @@ func (e *Engine) checkVersion(c mem.CoreID, la mem.LineAddr, ver uint64) {
 	hl := e.homeEntry(home, la)
 	if hl == nil {
 		panic(fmt.Sprintf("coherence: core %d holds line %#x with no home copy (inclusion violated)", c, uint64(la)))
+	}
+	if hl.Meta.dir.Version > math.MaxUint32 {
+		panic(fmt.Sprintf("coherence: line %#x home version %d exceeds the L1's 32-bit version", uint64(la), hl.Meta.dir.Version))
 	}
 	if hl.Meta.dir.Version != ver {
 		panic(fmt.Sprintf("coherence: SWMR violation on line %#x: core %d read version %d, home has %d",

@@ -348,7 +348,7 @@ func (e *Engine) tryVictimInsert(c mem.CoreID, victim l1Line, t mem.Cycles) bool
 	ins := tl.llc.At(idx)
 	ins.Dirty = victim.Dirty
 	ins.Meta = llcMeta{
-		dir:          directory.Entry{Version: victim.Meta.version},
+		dir:          directory.Entry{Version: uint64(victim.Meta.version)},
 		link:         uint32(victim.Meta.home),
 		replicaReuse: 1,
 		class:        victim.Meta.class,

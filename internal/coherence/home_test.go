@@ -155,15 +155,16 @@ func sameModes(a, b core.Classifier, cores int) bool {
 // directory entry and the policy's inline state, so a home access touches
 // no other memory. Large slice arrays are page-aligned, so every way is
 // one aligned host line, and an 8-way set spans 8. The metadata holds no
-// Go pointer, so the garbage collector never scans the LLC arrays. The L1
-// line keeps its 40 bytes. A field added to llcMeta or l1Meta that grows
-// either line must earn its host cache misses.
+// Go pointer, so the garbage collector never scans the LLC arrays. An L1
+// line is 32 bytes, two to a host line, so a 4-way set spans two aligned
+// host lines. A field added to llcMeta or l1Meta that grows either line
+// must earn its host cache misses.
 func TestLineLayout(t *testing.T) {
 	if n := unsafe.Sizeof(cacheLine{}); n != 64 {
 		t.Errorf("LLC line is %d bytes, want 64", n)
 	}
-	if n := unsafe.Sizeof(l1Line{}); n != 40 {
-		t.Errorf("L1 line is %d bytes, want 40", n)
+	if n := unsafe.Sizeof(l1Line{}); n != 32 {
+		t.Errorf("L1 line is %d bytes, want 32", n)
 	}
 	if p := pointerPath(reflect.TypeOf(llcMeta{}), "llcMeta"); p != "" {
 		t.Errorf("LLC metadata holds a pointer at %s", p)

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lard/internal/config"
@@ -204,5 +205,30 @@ func TestRunTrackerWriteEndsOthers(t *testing.T) {
 	}
 	if got := h[mem.ClassSharedRW][0]; got != 2 { // run of 1 (write) + run of 1 (final read)
 		t.Fatalf("[1-2] bucket = %d, want 2", got)
+	}
+}
+
+// TestL1VersionRange pins the 32-bit L1 version under the checker: a home
+// version past 2^32-1 panics where an L1 hit would compare it and where a
+// fill would narrow it, so the SWMR check never passes on a truncated
+// version.
+func TestL1VersionRange(t *testing.T) {
+	cfg := config.Small()
+	e := New(cfg, Options{Scheme: SNUCA, CheckInvariants: true})
+	op := Op{Type: mem.Load, Line: 0x1234, Class: mem.ClassSharedRO}
+	e.Access(0, 0, op)
+	e.homeEntry(e.homeOfLine(op.Line, 0), op.Line).Meta.dir.Version = 1 << 32
+	for _, tc := range []struct {
+		name string
+		core mem.CoreID
+	}{{"compared on an L1 hit", 0}, {"narrowed on a fill", 1}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "32-bit version") {
+					t.Errorf("version 2^32 %s: panic %q, want the 32-bit version panic", tc.name, msg)
+				}
+			}()
+			e.Access(tc.core, 1000, op)
+		}()
 	}
 }

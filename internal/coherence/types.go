@@ -77,11 +77,15 @@ type AccessResult struct {
 	Miss stats.MissType
 }
 
-// l1Meta is the per-line metadata of the private L1 caches: 16 bytes, so
-// an L1 line is 40.
+// l1Meta is the per-line metadata of the private L1 caches: 12 bytes, so
+// an L1 line is 32 and a 4-way set spans two aligned host cache lines.
 type l1Meta struct {
-	// version is the home version of the data held (SWMR checking).
-	version uint64
+	// version is the home version of the data held, narrowed to 32 bits:
+	// only the SWMR check and VR's victim replica read it. Under
+	// CheckInvariants every narrowing and every comparison panics on a
+	// home version past 2^32-1 (Engine.l1Version, checkVersion), so the
+	// check stays exact.
+	version uint32
 	// home is the back-handle to the copy's home line.
 	home homeRef
 	// sharedRO is ASR's sticky classification bit: true while the line has

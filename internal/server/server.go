@@ -384,30 +384,26 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Both listings answer the offset the store's page applied: the
+	// requested one, clamped to the total.
+	var page any
+	var total int
+	field := "results"
 	if q.Get("keys") != "" {
-		keys, total, err := s.store.KeyPage(offset, limit)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"count":  total,
-			"offset": min(offset, total),
-			"limit":  limit,
-			"keys":   keys,
-		})
-		return
+		field = "keys"
+		page, total, err = s.store.KeyPage(offset, limit)
+	} else {
+		page, total, err = s.store.IndexPage(offset, limit)
 	}
-	idx, total, err := s.store.IndexPage(offset, limit)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"count":   total,
-		"offset":  offset,
-		"limit":   limit,
-		"results": idx,
+		"count":  total,
+		"offset": min(offset, total),
+		"limit":  limit,
+		field:    page,
 	})
 }
 

@@ -155,6 +155,54 @@ func TestResultsPaging(t *testing.T) {
 	}
 }
 
+// TestResultsOffsetPastTotal pins the offset both /v1/results listings
+// answer when the request skips past every entry: the offset the store's
+// page applied, which is the total, on an empty store and a non-empty one.
+func TestResultsOffsetPastTotal(t *testing.T) {
+	full, err := resultstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		o := lard.Options{Cores: 16, OpsScale: 0.02, Seed: seed}
+		if _, _, err := lard.RunWithStore(full, "BARNES", lard.SNUCA(), o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	empty, err := resultstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		store *resultstore.Store
+		total int
+	}{{"empty", empty, 0}, {"two entries", full, 2}} {
+		_, ts := newTestServer(t, Config{Store: tc.store, Workers: 1})
+		for _, q := range []string{"?offset=7&limit=3", "?keys=1&offset=7&limit=3"} {
+			resp, err := http.Get(ts.URL + "/v1/results" + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var page struct {
+				Count   int               `json:"count"`
+				Offset  int               `json:"offset"`
+				Keys    []string          `json:"keys"`
+				Results []json.RawMessage `json:"results"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&page)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status %d, decode error %v", tc.name, q, resp.StatusCode, err)
+			}
+			if page.Count != tc.total || page.Offset != tc.total || len(page.Keys)+len(page.Results) != 0 {
+				t.Errorf("%s %s: count %d, offset %d, %d rows; want count %d, offset %d, no rows",
+					tc.name, q, page.Count, page.Offset, len(page.Keys)+len(page.Results), tc.total, tc.total)
+			}
+		}
+	}
+}
+
 // faultyDisk wraps a Disk so backend reads or writes can be made to fail
 // on demand, and counts the Get and Put calls the store makes, failed or
 // not.

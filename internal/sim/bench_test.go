@@ -13,8 +13,9 @@ import (
 )
 
 // BenchmarkCommit times one commit — the run aggregates and the scheduler
-// update that reschedules the core — without an observer: the simulator's
-// own share of every simulated access after the engine returns.
+// update that retimes the core — without an observer: the simulator's own
+// share of every simulated access after the engine returns. Its results
+// carry what the engine reports: an L1 hit's whole span in Compute.
 func BenchmarkCommit(b *testing.B) {
 	const n = 64
 	st := &runState{
@@ -27,15 +28,20 @@ func BenchmarkCommit(b *testing.B) {
 	for i := range results {
 		r := &results[i]
 		r.Miss = stats.MissType(rng.IntN(int(stats.NumMissTypes)))
-		r.Breakdown[stats.L1ToLLCHome] = mem.Cycles(rng.IntN(100))
 		r.Done = mem.Cycles(1 + rng.IntN(200))
+		if r.Miss == stats.L1Hit {
+			r.Breakdown[stats.Compute] = r.Done
+		} else {
+			r.Breakdown[stats.L1ToLLCHome] = mem.Cycles(rng.IntN(100))
+		}
 	}
+	var res coherence.AccessResult
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		now, c := st.sch.pop()
-		res := results[i&255]
+		now, c := st.sch.peek()
+		res = results[i&255]
 		res.Done += now
-		st.commit(c, 10, res)
+		st.commit(c, 10, &res)
 	}
 }
 

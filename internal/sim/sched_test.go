@@ -12,23 +12,32 @@ import (
 // wake time per core and a full scan for the earliest (time, lowest core).
 type refSched []mem.Cycles
 
-func (r refSched) pop() (mem.Cycles, mem.CoreID) {
+// refIdle marks a core with no pending event in the model.
+const refIdle = ^mem.Cycles(0)
+
+func (r refSched) peek() (mem.Cycles, mem.CoreID) {
 	best := -1
 	for c, t := range r {
-		if t != schedIdle && (best < 0 || t < r[best]) {
+		if t != refIdle && (best < 0 || t < r[best]) {
 			best = c
 		}
 	}
-	t := r[best]
-	r[best] = schedIdle
-	return t, mem.CoreID(best)
+	return r[best], mem.CoreID(best)
+}
+
+func (r refSched) pop() (mem.Cycles, mem.CoreID) {
+	t, c := r.peek()
+	r[c] = refIdle
+	return t, c
 }
 
 // TestSchedMatchesScan drives the tree and the scan through the same random
-// pop/push sequences — single re-pushes, cores parked at a barrier and
-// released together at one time, and wake times drawn from a narrow range
-// so ties are common — and requires every pop to agree. The core counts
-// include non-powers of two, whose idle padding leaves must never win.
+// sequences and requires every peek and pop to agree. Most steps are the
+// event loop's per-access step, a peek and a retime of the peeked core;
+// the rest pop a core and either push it back or park it at a barrier,
+// and parked cores are released together at one time. Wake times are
+// drawn from a narrow range so ties are common. The core counts include
+// non-powers of two, whose idle padding leaves must never win.
 func TestSchedMatchesScan(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 16, 36, 64} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -46,8 +55,19 @@ func TestSchedMatchesScan(t *testing.T) {
 					}
 					parked = parked[:0]
 				}
-				gt, gc := s.pop()
-				wt, wc := ref.pop()
+				gt, gc := s.peek()
+				wt, wc := ref.peek()
+				if gt != wt || gc != wc {
+					t.Fatalf("step %d: tree peeked (%d, core %d), scan (%d, core %d)", step, gt, gc, wt, wc)
+				}
+				if rng.IntN(2) == 0 {
+					next := gt + mem.Cycles(rng.IntN(4))
+					s.retime(gc, next)
+					ref[gc] = next
+					continue
+				}
+				gt, gc = s.pop()
+				wt, wc = ref.pop()
 				if gt != wt || gc != wc {
 					t.Fatalf("step %d: tree popped (%d, core %d), scan (%d, core %d)", step, gt, gc, wt, wc)
 				}
@@ -75,16 +95,42 @@ func TestSchedMatchesScan(t *testing.T) {
 	}
 }
 
-// BenchmarkSched times one pop plus the push that reschedules the popped
-// core, the scheduler's share of every simulated access.
+// TestSchedWakeRange pins the key's range: the last wake time below 2^58
+// keeps its order, and 2^58, which would wrap into the core bits, panics
+// rather than reorder the queue.
+func TestSchedWakeRange(t *testing.T) {
+	s := newSched(64)
+	s.retime(0, maxWake-1)
+	if gt, gc := s.peek(); gt != 0 || gc != 1 {
+		t.Fatalf("peek = (%d, core %d), want (0, core 1)", gt, gc)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("retime to 2^58 did not panic")
+		}
+	}()
+	s.retime(63, 1<<58)
+}
+
+// BenchmarkSched times the scheduler's share of a simulated access: the
+// event loop's peek plus one retime, and the pop plus push pair that a
+// barrier or drained core costs.
 func BenchmarkSched(b *testing.B) {
 	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
-			var lat [256]mem.Cycles
-			rng := rand.New(rand.NewPCG(1, 2))
-			for i := range lat {
-				lat[i] = mem.Cycles(1 + rng.IntN(200))
+		var lat [256]mem.Cycles
+		rng := rand.New(rand.NewPCG(1, 2))
+		for i := range lat {
+			lat[i] = mem.Cycles(1 + rng.IntN(200))
+		}
+		b.Run(fmt.Sprintf("retime/cores=%d", n), func(b *testing.B) {
+			s := newSched(n)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				t, c := s.peek()
+				s.retime(c, t+lat[i&255])
 			}
+		})
+		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
 			s := newSched(n)
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {

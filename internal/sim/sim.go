@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 	"time"
 
@@ -113,28 +114,36 @@ func (r *Result) EnergyTotal() float64 {
 
 // sched is the event scheduler. The simulated cores are the only event
 // sources and each has at most one pending wake-up, so the queue is a
-// tournament (winner) tree over the cores: the leaves are the cores'
-// next wake times, padded with idle leaves to a power of two, and every
-// internal node holds the earlier of its two children's winners — the
-// left one on equal times. Left subtrees hold the lower core ids, so the
-// root is the earliest pending (time, lowest core id) pair: exactly the
-// total order of the container/heap queue this loop once ran, without
-// its per-operation interface boxing. pop and push each replay one
-// leaf-to-root path, log2(n) compares (6 at 64 cores) instead of a scan
-// over every pending core.
+// tournament tree over the cores: the leaves hold the cores' wake-up keys,
+// padded with idle leaves to a power of two, and every internal node holds
+// the smaller of its two children's keys. A key packs a wake time above
+// the core id, uint64(t)<<coreBits | c, so comparing keys orders by time
+// and then by the lowest core id, and the root is the earliest pending
+// (time, lowest core id) pair: exactly the total order of the
+// container/heap queue this loop once ran. No node reads a side array. An
+// update replays one leaf-to-root path, log2(n) compares (6 at 64 cores).
+//
+// The event loop peeks at the root and, after the access, retimes that
+// leaf: one path pass per access. Only a drained core or one reaching a
+// barrier is popped, and the barrier release pushes it back.
 type sched struct {
-	// next is the per-leaf next wake time; schedIdle = no event. Leaves
-	// past the core count stay idle.
-	next []mem.Cycles
-	// win[i] is the leaf winning node i's subtree. Node 1 is the root, the
-	// children of node i are 2i and 2i+1, and leaf c is node len(next)+c.
-	win    []int32
+	// key[i] is node i's key. Node 1 is the root, the children of node i
+	// are 2i and 2i+1, and core c's leaf is node len(key)/2+c. Leaves past
+	// the core count stay idle.
+	key    []uint64
 	active int // number of cores with a pending wake-up
 }
 
-// schedIdle marks a core with no pending event. Real wake times grow by
-// bounded per-operation latencies from zero and can never reach it.
-const schedIdle = ^mem.Cycles(0)
+// coreBits is the width of the core id in a scheduler key:
+// config.Validate caps a machine at 64 cores.
+const coreBits = 6
+
+// schedIdle is the key of a core with no pending event. Real keys are
+// smaller: pack refuses wake times whose shift would reach it.
+const schedIdle = ^uint64(0)
+
+// maxWake bounds the wake times a key can hold.
+const maxWake = mem.Cycles(1) << (64 - coreBits)
 
 // opChunk is the per-core trace window, in operations: large enough to
 // amortize the refill call, small enough that 64 cores' windows stay
@@ -144,51 +153,65 @@ const opChunk = 256
 // newSched returns a scheduler with all n cores pending at time 0.
 func newSched(n int) *sched {
 	size := 1 << bits.Len(uint(n-1))
-	s := &sched{next: make([]mem.Cycles, size), win: make([]int32, 2*size), active: n}
+	s := &sched{key: make([]uint64, 2*size), active: n}
 	for c := range size {
-		if c >= n {
-			s.next[c] = schedIdle
+		s.key[size+c] = schedIdle
+		if c < n {
+			s.key[size+c] = uint64(c)
 		}
-		s.win[size+c] = int32(c)
 	}
 	for i := size - 1; i > 0; i-- {
-		s.win[i] = s.earlier(s.win[2*i], s.win[2*i+1])
+		s.key[i] = min(s.key[2*i], s.key[2*i+1])
 	}
 	return s
 }
 
-// earlier returns the leaf with the earlier wake time, l on ties.
-func (s *sched) earlier(l, r int32) int32 {
-	if s.next[r] < s.next[l] {
-		return r
+// pack returns core c's key for wake time t. A wake time at or past
+// maxWake would wrap into the core bits and reorder the queue, so it
+// panics instead.
+func pack(t mem.Cycles, c mem.CoreID) uint64 {
+	if t >= maxWake {
+		panic(fmt.Sprintf("sim: core %d wake time %d reaches the scheduler's 2^%d-cycle range", c, t, 64-coreBits))
 	}
-	return l
+	return uint64(t)<<coreBits | uint64(c)
 }
 
-// replay recomputes the winners on leaf c's path to the root after its
-// wake time changed.
-func (s *sched) replay(c int32) {
-	for i := (len(s.next) + int(c)) >> 1; i > 0; i >>= 1 {
-		s.win[i] = s.earlier(s.win[2*i], s.win[2*i+1])
+// set stores key k at core c's leaf and replays the leaf's path to the
+// root.
+func (s *sched) set(c mem.CoreID, k uint64) {
+	i := len(s.key)/2 + int(c)
+	s.key[i] = k
+	for ; i > 1; i >>= 1 {
+		k = min(k, s.key[i^1])
+		s.key[i>>1] = k
 	}
+}
+
+// peek returns the earliest pending (time, core) pair, lowest core id on
+// ties, and leaves it pending. Only valid while active > 0.
+func (s *sched) peek() (mem.Cycles, mem.CoreID) {
+	k := s.key[1]
+	return mem.Cycles(k >> coreBits), mem.CoreID(k & (1<<coreBits - 1))
+}
+
+// retime moves pending core c's wake-up to time t.
+func (s *sched) retime(c mem.CoreID, t mem.Cycles) {
+	s.set(c, pack(t, c))
 }
 
 // pop removes and returns the earliest pending (time, core) pair, lowest
 // core id on ties. Only valid while active > 0.
 func (s *sched) pop() (mem.Cycles, mem.CoreID) {
-	c := s.win[1]
-	t := s.next[c]
-	s.next[c] = schedIdle
-	s.replay(c)
+	t, c := s.peek()
+	s.set(c, schedIdle)
 	s.active--
-	return t, mem.CoreID(c)
+	return t, c
 }
 
 // push schedules core c's next wake-up at time t. c must have no pending
 // wake-up.
 func (s *sched) push(t mem.Cycles, c mem.CoreID) {
-	s.next[c] = t
-	s.replay(int32(c))
+	s.set(c, pack(t, c))
 	s.active++
 }
 
@@ -332,9 +355,10 @@ type runState struct {
 // a time. It returns true when the observer stopped the run.
 func (st *runState) loop() (stopped bool) {
 	sch, bufs, pos, cnt := st.sch, st.bufs, st.pos, st.cnt
+	var res coherence.AccessResult
 	for sch.active > 0 {
-		now, c := sch.pop()
-		// Popped times never go backwards while no core waits at a
+		now, c := sch.peek()
+		// Scheduled times never go backwards while no core waits at a
 		// barrier, so now bounds every later access from below. During a
 		// barrier the watermark stays at the first arrival: a core that
 		// finishes without reaching the barrier releases the waiting cores
@@ -348,22 +372,24 @@ func (st *runState) loop() (stopped bool) {
 			pos[c] = 0
 		}
 		if cnt[c] == 0 {
+			sch.pop()
 			st.coreFinished(c, now)
 			continue
 		}
 		op := &bufs[int(c)*opChunk+pos[c]]
 		pos[c]++
 		if op.Barrier {
+			sch.pop()
 			st.coreAtBarrier(c, now)
 			continue
 		}
-		t := now + mem.Cycles(op.Gap)
-		res := st.eng.Access(c, t, coherence.Op{
+		gap := mem.Cycles(op.Gap)
+		st.eng.AccessInto(&res, c, now+gap, coherence.Op{
 			Type:  op.Type,
 			Line:  mem.LineOf(op.Addr),
 			Class: op.Class,
 		})
-		if st.commit(c, mem.Cycles(op.Gap), res) {
+		if st.commit(c, gap, &res) {
 			return true
 		}
 	}
@@ -393,11 +419,17 @@ func (st *runState) coreAtBarrier(c mem.CoreID, now mem.Cycles) {
 }
 
 // commit applies one executed access to the run aggregates, delivers the
-// observer's epoch when one is due, and reschedules the core. It returns
-// true when the observer stopped the run.
-func (st *runState) commit(c mem.CoreID, gap mem.Cycles, res coherence.AccessResult) (stop bool) {
-	st.breakdown[c][stats.Compute] += gap
-	st.breakdown[c].Add(res.Breakdown)
+// observer's epoch when one is due, and moves the core's wake-up to the
+// access's completion. It returns true when the observer stopped the run.
+// An L1 hit's breakdown is all Compute, so it adds that one component.
+func (st *runState) commit(c mem.CoreID, gap mem.Cycles, res *coherence.AccessResult) (stop bool) {
+	b := &st.breakdown[c]
+	if res.Miss == stats.L1Hit {
+		b[stats.Compute] += gap + res.Breakdown[stats.Compute]
+	} else {
+		b[stats.Compute] += gap
+		b.Add(res.Breakdown)
+	}
 	st.miss[c][res.Miss]++
 	st.totalOps++
 	if st.ob != nil {
@@ -409,7 +441,7 @@ func (st *runState) commit(c mem.CoreID, gap mem.Cycles, res coherence.AccessRes
 			}
 		}
 	}
-	st.sch.push(res.Done, c)
+	st.sch.retime(c, res.Done)
 	return false
 }
 

@@ -70,14 +70,26 @@ type Stream struct {
 	perPhase       int // ops between barriers
 	sincePhase     int
 	barriersLeft   int
-	pendingBarrier bool
 
-	weights classWeights
-	deficit classWeights
+	// slots is the workload's class schedule, shared by every core: op k
+	// of the stream (barriers not counted) draws from slot slots[k].
+	slots []uint8
 
-	instrPos, privPos, roPos, rwPos, rwPass, rwStart, hotPos int
+	// Region sizes in lines, at least 1: the cursors below wrap at them
+	// by comparison, never by division.
+	instrN, privN, roN, rwN int
 
-	// Migratory cursor state (sharedRW with Migratory).
+	instrPos, privPos, roPos, hotPos int
+
+	// Read-write cursor state: rwPos counts every step from rwStart,
+	// rwIdx is rwPos mod rwN (the line within the region) and rwOwner is
+	// rwIdx mod cores (the line's owning core).
+	rwPos, rwIdx, rwOwner, rwPass, rwStart int
+
+	// Migratory cursor state (sharedRW with Migratory): migBlock lines per
+	// core block, and migOwned = (core + migPass) mod cores, the block
+	// the core sweeps this pass.
+	migBlock, migOwned        int
 	migPass, migSweep, migIdx int
 }
 
@@ -101,6 +113,23 @@ func Generate(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Wor
 		ops = 1
 	}
 	w := &Workload{Name: p.Name, Streams: make([]*Stream, cfg.Cores)}
+	migBlock := max(sp.RWLines/cfg.Cores, 1)
+	// The profile's class mix describes the LLC-relevant traffic; the hot
+	// fraction models the L1-resident accesses of real programs and scales
+	// the rest down. Every core draws from the same weights, so one class
+	// schedule serves them all.
+	var weights classWeights
+	cold := 1 - sp.FracHot
+	weights[hotSlot] = sp.FracHot
+	weights[mem.ClassInstruction] = cold * sp.FracInstr
+	weights[mem.ClassSharedRO] = cold * sp.FracSharedRO
+	weights[mem.ClassSharedRW] = cold * sp.FracSharedRW
+	priv := 1 - sp.FracInstr - sp.FracSharedRO - sp.FracSharedRW
+	if priv < 0 {
+		priv = 0
+	}
+	weights[mem.ClassPrivate] = cold * priv
+	slots := classSchedule(weights, ops)
 	for c := 0; c < cfg.Cores; c++ {
 		s := &Stream{
 			core:  mem.CoreID(c),
@@ -108,20 +137,8 @@ func Generate(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Wor
 			p:     sp,
 			rng:   rand.New(rand.NewPCG(seed, uint64(c)*0x9E3779B97F4A7C15+1)),
 			total: ops,
+			slots: slots,
 		}
-		// The profile's class mix describes the LLC-relevant traffic; the
-		// hot fraction models the L1-resident accesses of real programs and
-		// scales the rest down.
-		cold := 1 - sp.FracHot
-		s.weights[hotSlot] = sp.FracHot
-		s.weights[mem.ClassInstruction] = cold * sp.FracInstr
-		s.weights[mem.ClassSharedRO] = cold * sp.FracSharedRO
-		s.weights[mem.ClassSharedRW] = cold * sp.FracSharedRW
-		priv := 1 - sp.FracInstr - sp.FracSharedRO - sp.FracSharedRW
-		if priv < 0 {
-			priv = 0
-		}
-		s.weights[mem.ClassPrivate] = cold * priv
 		s.barriersLeft = sp.Barriers
 		if sp.Barriers > 0 {
 			s.perPhase = ops / (sp.Barriers + 1)
@@ -144,6 +161,11 @@ func Generate(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Wor
 		if sp.InstrLines > 0 {
 			s.instrPos = ((c*sp.InstrLines)/(cfg.Cores*4) + c) % sp.InstrLines
 		}
+		s.instrN, s.privN = max(sp.InstrLines, 1), max(sp.PrivLines, 1)
+		s.roN, s.rwN = max(sp.ROLines, 1), max(sp.RWLines, 1)
+		s.rwIdx = s.rwPos
+		s.rwOwner = s.rwIdx % cfg.Cores
+		s.migBlock, s.migOwned = migBlock, c
 		w.Streams[c] = s
 	}
 	return w
@@ -154,19 +176,34 @@ func Generate(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Wor
 func (s *Stream) Remaining() int { return s.total - s.emitted }
 
 // Fill writes the stream's next operations into dst and returns how many it
-// produced; 0 means the stream is exhausted. Semantics are exactly those of
-// len(dst) successive Next calls — Fill exists so a consumer can refill a
-// reusable chunk buffer and iterate a flat []Op instead of paying a method
-// call per access on its hot loop.
+// produced; 0 means the stream is exhausted. A consumer refills a reusable
+// chunk buffer and iterates a flat []Op instead of paying a call per
+// access on its hot loop. The stream is the same however it is split into
+// fills.
 func (s *Stream) Fill(dst []Op) int {
 	n := 0
-	for n < len(dst) {
-		op, ok := s.Next()
-		if !ok {
+	for ; n < len(dst); n++ {
+		if s.emitted >= s.total {
 			break
 		}
-		dst[n] = op
-		n++
+		op := &dst[n]
+		if s.barriersLeft > 0 && s.sincePhase >= s.perPhase {
+			s.sincePhase = 0
+			s.barriersLeft--
+			*op = Op{Barrier: true}
+			continue
+		}
+		slot := s.slots[s.emitted]
+		s.emitted++
+		s.sincePhase++
+		if slot == hotSlot {
+			s.emitHot(op)
+		} else {
+			s.emit(op, mem.DataClass(slot))
+		}
+		if s.p.Gap > 0 {
+			op.Gap = uint16(s.rng.IntN(2*s.p.Gap + 1))
+		}
 	}
 	return n
 }
@@ -174,79 +211,58 @@ func (s *Stream) Fill(dst []Op) int {
 // Core returns the stream's core.
 func (s *Stream) Core() mem.CoreID { return s.core }
 
-// Next returns the next operation. ok is false when the stream is exhausted.
-func (s *Stream) Next() (op Op, ok bool) {
-	if s.pendingBarrier {
-		s.pendingBarrier = false
-		return Op{Barrier: true}, true
-	}
-	if s.emitted >= s.total {
-		return Op{}, false
-	}
-	if s.barriersLeft > 0 && s.sincePhase >= s.perPhase {
-		s.sincePhase = 0
-		s.barriersLeft--
-		return Op{Barrier: true}, true
-	}
-	s.emitted++
-	s.sincePhase++
-
-	slot := s.pickClass()
-	var op2 Op
-	if slot == hotSlot {
-		op2 = s.emitHot()
-	} else {
-		op2 = s.emit(mem.DataClass(slot))
-	}
-	op = op2
-	if s.p.Gap > 0 {
-		op.Gap = uint16(s.rng.IntN(2*s.p.Gap + 1))
-	}
-	return op, true
-}
-
-// pickClass runs the deterministic deficit interleaver: the slot furthest
-// behind its target fraction goes next, so the realized mix matches the
-// profile exactly even for short streams. The returned value is either a
-// data class or hotSlot.
-func (s *Stream) pickClass() int {
-	best, bestV := 0, -1.0
-	for i := range s.deficit {
-		s.deficit[i] += s.weights[i]
-		if s.deficit[i] > bestV {
-			best, bestV = i, s.deficit[i]
+// classSchedule runs the deterministic deficit interleaver for ops steps:
+// at each step the slot furthest behind its target fraction goes next, so
+// the realized mix matches the weights exactly even for short streams.
+// Each returned slot is a data class or hotSlot.
+func classSchedule(weights classWeights, ops int) []uint8 {
+	slots := make([]uint8, ops)
+	var deficit classWeights
+	for k := range slots {
+		best, bestV := 0, -1.0
+		for i := range deficit {
+			deficit[i] += weights[i]
+			if deficit[i] > bestV {
+				best, bestV = i, deficit[i]
+			}
 		}
+		deficit[best]--
+		slots[k] = uint8(best)
 	}
-	s.deficit[best]--
-	return best
+	return slots
 }
 
-// emitHot produces an access to the per-core L1-resident hot set: the
-// register-spill/stack traffic of a real thread that the L1 filters out
-// before the LLC ever sees it. It is private data at an address range next
-// to the core's private region.
-func (s *Stream) emitHot() Op {
+// emitHot writes an access to the per-core L1-resident hot set into op:
+// the register-spill/stack traffic of a real thread that the L1 filters
+// out before the LLC ever sees it. It is private data at an address range
+// next to the core's private region.
+func (s *Stream) emitHot(op *Op) {
 	line := privBase + mem.LineAddr(s.core)*privStride + privStride/2 + mem.LineAddr(s.hotPos)
-	s.hotPos = (s.hotPos + 1) % hotLines
+	if s.hotPos++; s.hotPos == hotLines {
+		s.hotPos = 0
+	}
 	typ := mem.Load
 	if s.rng.Float64() < 0.3 {
 		typ = mem.Store
 	}
-	return Op{Addr: mem.AddrOfLine(line), Type: typ, Class: mem.ClassPrivate}
+	*op = Op{Addr: mem.AddrOfLine(line), Type: typ, Class: mem.ClassPrivate}
 }
 
-// emit produces the next reference of the given class.
-func (s *Stream) emit(class mem.DataClass) Op {
+// emit writes the next reference of the given class into op.
+func (s *Stream) emit(op *Op, class mem.DataClass) {
 	switch class {
 	case mem.ClassInstruction:
 		line := instrBase + mem.LineAddr(s.instrPos)
-		s.instrPos = (s.instrPos + 1) % maxInt(s.p.InstrLines, 1)
-		return Op{Addr: mem.AddrOfLine(line), Type: mem.IFetch, Class: class}
+		if s.instrPos++; s.instrPos == s.instrN {
+			s.instrPos = 0
+		}
+		*op = Op{Addr: mem.AddrOfLine(line), Type: mem.IFetch, Class: class}
 
 	case mem.ClassPrivate:
-		n := maxInt(s.p.PrivLines, 1)
 		idx := s.privPos
-		s.privPos = (s.privPos + 1) % n
+		if s.privPos++; s.privPos == s.privN {
+			s.privPos = 0
+		}
 		var line mem.LineAddr
 		if s.p.FalseShare {
 			// Page-level false sharing (BLACKSCHOLES, §4.1): line i of core
@@ -263,23 +279,28 @@ func (s *Stream) emit(class mem.DataClass) Op {
 		if s.rng.Float64() < s.p.PrivWriteFrac {
 			typ = mem.Store
 		}
-		return Op{Addr: mem.AddrOfLine(line), Type: typ, Class: class}
+		*op = Op{Addr: mem.AddrOfLine(line), Type: typ, Class: class}
 
 	case mem.ClassSharedRO:
-		n := maxInt(s.p.ROLines, 1)
-		line := roBase + mem.LineAddr(s.roPos%n)
-		s.roPos = (s.roPos + 1) % n
-		return Op{Addr: mem.AddrOfLine(line), Type: mem.Load, Class: class}
+		line := roBase + mem.LineAddr(s.roPos)
+		if s.roPos++; s.roPos == s.roN {
+			s.roPos = 0
+		}
+		*op = Op{Addr: mem.AddrOfLine(line), Type: mem.Load, Class: class}
 
 	default: // ClassSharedRW
 		if s.p.Migratory {
-			return s.emitMigratory()
+			s.emitMigratory(op)
+			return
 		}
-		n := maxInt(s.p.RWLines, 1)
-		idx := s.rwPos % n
+		idx, owner, first := s.rwIdx, s.rwOwner, s.rwPos < s.rwStart+s.rwN
 		line := rwBase + mem.LineAddr(idx)
 		s.rwPos++
-		if s.rwPos%n == 0 {
+		if s.rwOwner++; s.rwOwner == s.cores {
+			s.rwOwner = 0
+		}
+		if s.rwIdx++; s.rwIdx == s.rwN {
+			s.rwIdx, s.rwOwner = 0, 0
 			s.rwPass++
 		}
 		typ := mem.Load
@@ -291,48 +312,42 @@ func (s *Stream) emit(class mem.DataClass) Op {
 		// and then once every RWOwnerPeriod passes, as a program phase
 		// would. Every other core then observes an LLC run-length of about
 		// RWOwnerPeriod on the line, independent of the core count.
-		if s.p.RWOwnerPeriod > 0 && idx%s.cores == int(s.core) &&
-			(s.rwPass%s.p.RWOwnerPeriod == 0 || s.rwPos-1 < s.rwStart+n) {
+		if s.p.RWOwnerPeriod > 0 && owner == int(s.core) &&
+			(s.rwPass%s.p.RWOwnerPeriod == 0 || first) {
 			typ = mem.Store
 		}
-		return Op{Addr: mem.AddrOfLine(line), Type: typ, Class: mem.ClassSharedRW}
+		*op = Op{Addr: mem.AddrOfLine(line), Type: typ, Class: mem.ClassSharedRW}
 	}
 }
 
-// emitMigratory produces the migratory hand-off pattern of LU-NC: the shared
-// region is partitioned into per-core blocks larger than the L1, ownership
-// of each block rotates across cores every pass, and the owner sweeps its
-// block MigSweeps times (the final sweep writing), giving each line a
-// run-length of MigSweeps at the LLC before the next owner's conflicting
-// access. Replicating such lines requires an Exclusive/Modified-state
-// replica (§2.3.1).
-func (s *Stream) emitMigratory() Op {
-	block := maxInt(s.p.RWLines/s.cores, 1)
-	sweeps := maxInt(s.p.MigSweeps, 1)
-	owned := (int(s.core) + s.migPass) % s.cores
-	line := rwBase + mem.LineAddr(owned*block+s.migIdx)
+// emitMigratory writes the migratory hand-off pattern of LU-NC into op: the
+// shared region is partitioned into per-core blocks larger than the L1,
+// ownership of each block rotates across cores every pass, and the owner
+// sweeps its block MigSweeps times (the final sweep writing), giving each
+// line a run-length of MigSweeps at the LLC before the next owner's
+// conflicting access. Replicating such lines requires an
+// Exclusive/Modified-state replica (§2.3.1).
+func (s *Stream) emitMigratory(op *Op) {
+	sweeps := max(s.p.MigSweeps, 1)
+	line := rwBase + mem.LineAddr(s.migOwned*s.migBlock+s.migIdx)
 
 	typ := mem.Load
 	if s.migSweep == sweeps-1 {
 		typ = mem.Store
 	}
 	s.migIdx++
-	if s.migIdx >= block {
+	if s.migIdx >= s.migBlock {
 		s.migIdx = 0
 		s.migSweep++
 		if s.migSweep >= sweeps {
 			s.migSweep = 0
 			s.migPass++
+			if s.migOwned++; s.migOwned == s.cores {
+				s.migOwned = 0
+			}
 		}
 	}
-	return Op{Addr: mem.AddrOfLine(line), Type: typ, Class: mem.ClassSharedRW}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	*op = Op{Addr: mem.AddrOfLine(line), Type: typ, Class: mem.ClassSharedRW}
 }
 
 // CoreLine returns the address of the stream core's i-th private line

@@ -9,14 +9,53 @@ import (
 )
 
 func collect(p Profile, cfg *config.Config, scale float64, seed uint64, core int) []Op {
-	w := Generate(p, cfg, scale, seed)
+	return drain(Generate(p, cfg, scale, seed).Streams[core], 256)
+}
+
+// drain returns the rest of s, filled chunk operations at a time.
+func drain(s *Stream, chunk int) []Op {
 	var ops []Op
+	buf := make([]Op, chunk)
 	for {
-		op, ok := w.Streams[core].Next()
-		if !ok {
+		n := s.Fill(buf)
+		if n == 0 {
 			return ops
 		}
-		ops = append(ops, op)
+		ops = append(ops, buf[:n]...)
+	}
+}
+
+// TestFillChunking requires the same stream whatever the fill size, over
+// a buffer that holds stale operations from earlier fills: every field of
+// every written op must be rewritten.
+func TestFillChunking(t *testing.T) {
+	cfg := config.Small()
+	for _, name := range []string{"BARNES", "LU-NC", "BLACKSCH."} {
+		p := mustProfile(t, name)
+		want := collect(p, cfg, 0.05, 5, 3)
+		for _, chunk := range []int{1, 7, 4096} {
+			s := Generate(p, cfg, 0.05, 5).Streams[3]
+			buf := make([]Op, chunk)
+			for i := range buf {
+				buf[i] = Op{Addr: 1, Gap: 9, Type: mem.Store, Class: mem.ClassSharedRW, Barrier: true}
+			}
+			var got []Op
+			for {
+				n := s.Fill(buf)
+				if n == 0 {
+					break
+				}
+				got = append(got, buf[:n]...)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s chunk %d: %d ops, want %d", name, chunk, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s chunk %d: op %d = %+v, want %+v", name, chunk, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -304,11 +343,7 @@ func TestRunLengthControl(t *testing.T) {
 	perCore := make([][]ev, cfg.Cores)
 	perCoreLine := make([][]mem.LineAddr, cfg.Cores)
 	for c := 0; c < cfg.Cores; c++ {
-		for {
-			op, ok := w.Streams[c].Next()
-			if !ok {
-				break
-			}
+		for _, op := range drain(w.Streams[c], 256) {
 			if op.Barrier || op.Class != mem.ClassSharedRW {
 				continue
 			}
