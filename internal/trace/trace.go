@@ -87,10 +87,9 @@ type Stream struct {
 	rwPos, rwIdx, rwOwner, rwPass, rwStart int
 
 	// Migratory cursor state (sharedRW with Migratory): migBlock lines per
-	// core block, and migOwned = (core + migPass) mod cores, the block
-	// the core sweeps this pass.
-	migBlock, migOwned        int
-	migPass, migSweep, migIdx int
+	// core block, and migOwned, the block the core sweeps this pass, which
+	// starts at the core's own and advances by one each pass.
+	migBlock, migOwned, migSweep, migIdx int
 }
 
 // Workload is the full set of per-core streams for one benchmark run.
@@ -182,10 +181,7 @@ func (s *Stream) Remaining() int { return s.total - s.emitted }
 // fills.
 func (s *Stream) Fill(dst []Op) int {
 	n := 0
-	for ; n < len(dst); n++ {
-		if s.emitted >= s.total {
-			break
-		}
+	for ; n < len(dst) && s.emitted < s.total; n++ {
 		op := &dst[n]
 		if s.barriersLeft > 0 && s.sincePhase >= s.perPhase {
 			s.sincePhase = 0
@@ -341,7 +337,6 @@ func (s *Stream) emitMigratory(op *Op) {
 		s.migSweep++
 		if s.migSweep >= sweeps {
 			s.migSweep = 0
-			s.migPass++
 			if s.migOwned++; s.migOwned == s.cores {
 				s.migOwned = 0
 			}
