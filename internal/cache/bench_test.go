@@ -7,11 +7,11 @@ import (
 )
 
 // Per-line metadata of the sizes the coherence engine attaches, so a
-// benchmark cache has the engine's footprint: 40-byte L1 lines and 56-byte
+// benchmark cache has the engine's footprint: 32-byte L1 lines and 64-byte
 // LLC lines.
 type (
-	l1BenchMeta  struct{ _ [16]byte }
-	llcBenchMeta struct{ _ [32]byte }
+	l1BenchMeta  struct{ _ [12]byte }
+	llcBenchMeta struct{ _ [40]byte }
 )
 
 // BenchmarkCacheLookup measures Lookup, hit and miss, at the Table-1 L1-D
