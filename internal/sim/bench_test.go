@@ -14,8 +14,7 @@ import (
 
 // BenchmarkCommit times one commit — the run aggregates and the scheduler
 // update that retimes the core — without an observer: the simulator's own
-// share of every simulated access after the engine returns. Its results
-// carry what the engine reports: an L1 hit's whole span in Compute.
+// share of every simulated access after the engine returns.
 func BenchmarkCommit(b *testing.B) {
 	const n = 64
 	st := &runState{
@@ -28,12 +27,8 @@ func BenchmarkCommit(b *testing.B) {
 	for i := range results {
 		r := &results[i]
 		r.Miss = stats.MissType(rng.IntN(int(stats.NumMissTypes)))
+		r.Breakdown[stats.L1ToLLCHome] = mem.Cycles(rng.IntN(100))
 		r.Done = mem.Cycles(1 + rng.IntN(200))
-		if r.Miss == stats.L1Hit {
-			r.Breakdown[stats.Compute] = r.Done
-		} else {
-			r.Breakdown[stats.L1ToLLCHome] = mem.Cycles(rng.IntN(100))
-		}
 	}
 	var res coherence.AccessResult
 	b.ReportAllocs()

@@ -421,15 +421,10 @@ func (st *runState) coreAtBarrier(c mem.CoreID, now mem.Cycles) {
 // commit applies one executed access to the run aggregates, delivers the
 // observer's epoch when one is due, and moves the core's wake-up to the
 // access's completion. It returns true when the observer stopped the run.
-// An L1 hit's breakdown is all Compute, so it adds that one component.
 func (st *runState) commit(c mem.CoreID, gap mem.Cycles, res *coherence.AccessResult) (stop bool) {
 	b := &st.breakdown[c]
-	if res.Miss == stats.L1Hit {
-		b[stats.Compute] += gap + res.Breakdown[stats.Compute]
-	} else {
-		b[stats.Compute] += gap
-		b.Add(res.Breakdown)
-	}
+	b[stats.Compute] += gap
+	b.Add(res.Breakdown)
 	st.miss[c][res.Miss]++
 	st.totalOps++
 	if st.ob != nil {

@@ -71,9 +71,8 @@ type Stream struct {
 	sincePhase     int
 	barriersLeft   int
 
-	// slots is the workload's class schedule, shared by every core: op k
-	// of the stream (barriers not counted) draws from slot slots[k].
-	slots []uint8
+	weights classWeights
+	deficit classWeights
 
 	// Region sizes in lines, at least 1: the cursors below wrap at them
 	// by comparison, never by division.
@@ -115,8 +114,7 @@ func Generate(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Wor
 	migBlock := max(sp.RWLines/cfg.Cores, 1)
 	// The profile's class mix describes the LLC-relevant traffic; the hot
 	// fraction models the L1-resident accesses of real programs and scales
-	// the rest down. Every core draws from the same weights, so one class
-	// schedule serves them all.
+	// the rest down.
 	var weights classWeights
 	cold := 1 - sp.FracHot
 	weights[hotSlot] = sp.FracHot
@@ -128,15 +126,14 @@ func Generate(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Wor
 		priv = 0
 	}
 	weights[mem.ClassPrivate] = cold * priv
-	slots := classSchedule(weights, ops)
 	for c := 0; c < cfg.Cores; c++ {
 		s := &Stream{
-			core:  mem.CoreID(c),
-			cores: cfg.Cores,
-			p:     sp,
-			rng:   rand.New(rand.NewPCG(seed, uint64(c)*0x9E3779B97F4A7C15+1)),
-			total: ops,
-			slots: slots,
+			core:    mem.CoreID(c),
+			cores:   cfg.Cores,
+			p:       sp,
+			rng:     rand.New(rand.NewPCG(seed, uint64(c)*0x9E3779B97F4A7C15+1)),
+			total:   ops,
+			weights: weights,
 		}
 		s.barriersLeft = sp.Barriers
 		if sp.Barriers > 0 {
@@ -189,7 +186,7 @@ func (s *Stream) Fill(dst []Op) int {
 			*op = Op{Barrier: true}
 			continue
 		}
-		slot := s.slots[s.emitted]
+		slot := s.pickClass()
 		s.emitted++
 		s.sincePhase++
 		if slot == hotSlot {
@@ -207,25 +204,20 @@ func (s *Stream) Fill(dst []Op) int {
 // Core returns the stream's core.
 func (s *Stream) Core() mem.CoreID { return s.core }
 
-// classSchedule runs the deterministic deficit interleaver for ops steps:
-// at each step the slot furthest behind its target fraction goes next, so
-// the realized mix matches the weights exactly even for short streams.
-// Each returned slot is a data class or hotSlot.
-func classSchedule(weights classWeights, ops int) []uint8 {
-	slots := make([]uint8, ops)
-	var deficit classWeights
-	for k := range slots {
-		best, bestV := 0, -1.0
-		for i := range deficit {
-			deficit[i] += weights[i]
-			if deficit[i] > bestV {
-				best, bestV = i, deficit[i]
-			}
+// pickClass runs the deterministic deficit interleaver: the slot furthest
+// behind its target fraction goes next, so the realized mix matches the
+// profile exactly even for short streams. The returned value is either a
+// data class or hotSlot.
+func (s *Stream) pickClass() int {
+	best, bestV := 0, -1.0
+	for i := range s.deficit {
+		s.deficit[i] += s.weights[i]
+		if s.deficit[i] > bestV {
+			best, bestV = i, s.deficit[i]
 		}
-		deficit[best]--
-		slots[k] = uint8(best)
 	}
-	return slots
+	s.deficit[best]--
+	return best
 }
 
 // emitHot writes an access to the per-core L1-resident hot set into op:
