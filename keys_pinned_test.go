@@ -80,3 +80,37 @@ func TestFigureSchemesPinned(t *testing.T) {
 		t.Errorf("ASR column level = %v, want the pinned 0.5", got[3].ASRLevel)
 	}
 }
+
+// TestEHCKeysPinned pins the expected-hit-count scheme's label and
+// content-addressed keys the way TestPaperSchemeKeysPinned pins the paper
+// schemes. EHC consumes only rt, so a scheme that also sets classifier_k
+// and cluster_size must address the same stored result as plain EHC-3:
+// the Config is part of the key, and the parameters EHC ignores must not
+// reach it.
+func TestEHCKeysPinned(t *testing.T) {
+	const barnesDefaults = "b32d0f205f8498e195eef999182687c320910de049c862ed56da5352f8c243bd"
+	cases := []struct {
+		scheme  lard.Scheme
+		options lard.Options
+		key     string
+	}{
+		{lard.ExpectedHitCount(3), lard.Options{}, barnesDefaults},
+		{lard.ExpectedHitCount(3), lard.Options{Cores: 16, OpsScale: 0.1, Seed: 7},
+			"7063366bd7c7483f180c806f0541deec74fea677aa69dce98cdde50da2181f6d"},
+		{lard.Scheme{Kind: "EHC", RT: 3, ClassifierK: 0, ClusterSize: 4}, lard.Options{}, barnesDefaults},
+	}
+	for _, c := range cases {
+		if got := c.scheme.Label(); got != "EHC-3" {
+			t.Errorf("%+v Label() = %q, want EHC-3", c.scheme, got)
+		}
+		key, err := lard.KeyFor("BARNES", c.scheme, c.options)
+		if err != nil {
+			t.Errorf("KeyFor(BARNES, %+v): %v", c.scheme, err)
+			continue
+		}
+		if key != c.key {
+			t.Errorf("KeyFor(BARNES, %+v, %+v) = %s, want pinned %s — stored results would stop resolving",
+				c.scheme, c.options, key, c.key)
+		}
+	}
+}
