@@ -12,9 +12,9 @@
 // dumps the timeline — one CSV row per epoch, one column per counter
 // series — to FILE ("-" for stdout) when the run completes.
 //
-// The scheme kinds come from the replication-policy registry (-schemes
-// lists them with their tunables); each scheme consumes only the flags its
-// policy declares.
+// The scheme kinds come from the facade's scheme table (-schemes lists
+// them with their tunables); each scheme consumes only the flags its policy
+// declares.
 package main
 
 import (
@@ -36,14 +36,14 @@ func main() {
 		k       = flag.Int("k", 3, "Limited-k classifier size, 0 = Complete (RT scheme)")
 		cluster = flag.Int("cluster", 1, "replication cluster size (RT scheme)")
 		asr     = flag.Float64("asr", 1.0, "ASR replication level (ASR scheme)")
-		cores   = flag.Int("cores", 64, "core count (64 or 16)")
+		cores   = flag.Int("cores", 64, "core count (64, 16 or 4)")
 		scale   = flag.Float64("scale", 1.0, "per-core operation scale")
 		seed    = flag.Uint64("seed", 0, "workload seed")
 		lru     = flag.Bool("lru", false, "use plain LRU LLC replacement (§4.2 ablation)")
 		oracle  = flag.Bool("oracle", false, "enable the §2.3.2 lookup oracle")
 		runs    = flag.Bool("runs", false, "collect the Figure-1 run-length distribution")
 		list    = flag.Bool("list", false, "list benchmark names and exit")
-		schemes = flag.Bool("schemes", false, "list registered schemes with their tunables and exit")
+		schemes = flag.Bool("schemes", false, "list the schemes with their tunables and exit")
 		tlOut   = flag.String("timeline-out", "", "dump the run's epoch timeline as CSV to this file (\"-\" = stdout)")
 	)
 	flag.Parse()

@@ -6,8 +6,7 @@
 //     json:"-" side channels are never read inside key canonicalization
 //     (the PR-2 "silently simulating the wrong config" bug class).
 //   - registrydiscipline: no switch/if ladders on scheme kind outside the
-//     internal/coherence registry and schemes.go, and every policy_*.go
-//     self-registers a complete Descriptor in init.
+//     internal/coherence scheme table and schemes.go.
 //   - buslockorder: the engine's lock order is e.mu before bus.mu — bus
 //     methods never call back into the Engine — blocking channel sends
 //     never happen under a held mutex, and every locally started span is

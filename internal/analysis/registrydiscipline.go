@@ -4,12 +4,11 @@ import (
 	"go/ast"
 	"go/token"
 	"path/filepath"
-	"strings"
 )
 
-// coherencePkg is the policy registry; schemesFile is its wire-level half
+// coherencePkg holds the scheme table; schemesFile is its wire-level half
 // in the facade. Together they are the only places allowed to branch on
-// scheme identity — everywhere else must go through the registry, or the
+// scheme identity — everywhere else must go through the table, or the
 // next scheme lands as a switch-ladder edit in five layers again.
 const (
 	coherencePkg = "lard/internal/coherence"
@@ -17,21 +16,14 @@ const (
 	schemesFile  = "schemes.go"
 )
 
-// descriptorRequired are the Descriptor fields every policy registration
-// must set: identity (Scheme id and wire Name are frozen into content
-// addresses), discoverability (Description feeds GET /v1/schemes), and
-// the constructor without which Register panics at init.
-var descriptorRequired = []string{"Scheme", "Name", "Description", "New"}
-
-// RegistryDisciplineAnalyzer enforces registry discipline: scheme
-// dispatch happens through the internal/coherence registry (plus the
-// facade's schemes.go), never through switch/if ladders elsewhere, and
-// every policy_*.go file self-registers a complete Descriptor in init.
+// RegistryDisciplineAnalyzer keeps scheme dispatch in the scheme tables:
+// internal/coherence and the facade's schemes.go may branch on scheme
+// identity, nothing else may use a switch or if-ladder on it. The tables'
+// completeness is checked by their own tests, not here.
 var RegistryDisciplineAnalyzer = &Analyzer{
 	Name: "registrydiscipline",
 	Doc: "no switch or if-ladder on scheme kind (coherence.Scheme values or Scheme.Kind strings) outside " +
-		"internal/coherence and schemes.go; every internal/coherence/policy_*.go registers a Descriptor " +
-		"with Scheme, Name, Description and New set, from an init function",
+		"internal/coherence and schemes.go",
 	Run: runRegistryDiscipline,
 }
 
@@ -41,15 +33,11 @@ func runRegistryDiscipline(pass *Pass) error {
 			continue
 		}
 		if pass.Pkg.Path() == coherencePkg {
-			base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-			if strings.HasPrefix(base, "policy_") && strings.HasSuffix(base, ".go") {
-				checkPolicyFile(pass, f, base)
-			}
-			continue // the registry itself may branch on schemes freely
+			continue // the scheme table's package may branch on schemes freely
 		}
 		if pass.Pkg.Path() == facadePkg &&
 			filepath.Base(pass.Fset.Position(f.Pos()).Filename) == schemesFile {
-			continue // the wire-level registry half
+			continue // the wire-level table
 		}
 		checkNoSchemeLadders(pass, f)
 	}
@@ -134,62 +122,4 @@ func isSchemeExpr(pass *Pass, e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// checkPolicyFile requires a policy_*.go file to self-register: an init
-// function calling Register with a Descriptor literal that sets every
-// required field. Registration anywhere else (or with a computed
-// descriptor) hides the scheme table from both readers and this check.
-func checkPolicyFile(pass *Pass, f *ast.File, base string) {
-	registered := false
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "init" || fn.Recv != nil || fn.Body == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !calleeIs(pass.TypesInfo, call, coherencePkg, "Register") {
-				return true
-			}
-			registered = true
-			checkDescriptorLiteral(pass, call)
-			return true
-		})
-	}
-	if !registered {
-		pass.Reportf(f.Pos(),
-			"%s does not register its scheme: every policy_*.go must call Register from an init "+
-				"function so the scheme table is complete at process start", base)
-	}
-}
-
-// checkDescriptorLiteral verifies the Register argument is a Descriptor
-// composite literal carrying the required fields.
-func checkDescriptorLiteral(pass *Pass, call *ast.CallExpr) {
-	if len(call.Args) != 1 {
-		return
-	}
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.CompositeLit)
-	if !ok {
-		pass.Reportf(call.Args[0].Pos(),
-			"Register argument must be a Descriptor literal: a computed descriptor hides the "+
-				"scheme's identity from readers and from this check")
-		return
-	}
-	set := map[string]bool{}
-	for _, elt := range lit.Elts {
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			if id, ok := kv.Key.(*ast.Ident); ok {
-				set[id.Name] = true
-			}
-		}
-	}
-	for _, req := range descriptorRequired {
-		if !set[req] {
-			pass.Reportf(lit.Pos(),
-				"incomplete Descriptor: field %s must be set (Scheme and Name are frozen into "+
-					"content addresses, Description feeds discovery, New constructs the policy)", req)
-		}
-	}
 }

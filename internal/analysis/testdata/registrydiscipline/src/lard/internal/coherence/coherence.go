@@ -8,24 +8,6 @@ const (
 	LocalityAware
 )
 
-// Engine is the simulator core a policy plugs into.
-type Engine struct{}
-
-// Policy is one coherence protocol implementation.
-type Policy interface{}
-
-// Descriptor declares a scheme to the registry.
-type Descriptor struct {
-	Scheme      Scheme
-	Name        string
-	Description string
-	Label       string
-	New         func(*Engine) Policy
-}
-
-// Register adds a scheme to the process-wide table.
-func Register(d Descriptor) {}
-
 // pick lives inside the registry: branching on schemes here is the
 // registry's job and must not be flagged.
 func pick(s Scheme) string {

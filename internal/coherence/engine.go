@@ -49,7 +49,7 @@ type Engine struct {
 
 	// policy holds the scheme's decision points. The booleans cache the
 	// descriptor and policy traits consulted on hot paths: every one is
-	// constant for the engine's lifetime (the policy derives them from the
+	// constant for the engine's lifetime (clusterRepl is derived from the
 	// validated Config), so the steady-state access path reads a struct
 	// flag instead of re-entering the Policy interface per access.
 	policy           Policy
@@ -119,15 +119,15 @@ func (e *Engine) ReplicaStats() (inserts, hits [mem.NumDataClasses]uint64) {
 }
 
 // New returns an engine for the given configuration and options. The scheme
-// must be registered (see Register); like an invalid configuration, an
-// unregistered scheme is a programming error and panics.
+// must be in the scheme table (see Describe); like an invalid
+// configuration, an unknown scheme is a programming error and panics.
 func New(cfg *config.Config, opts Options) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	desc, ok := Describe(opts.Scheme)
 	if !ok {
-		panic(fmt.Sprintf("coherence: scheme %d is not registered", uint8(opts.Scheme)))
+		panic(fmt.Sprintf("coherence: unknown scheme %d", uint8(opts.Scheme)))
 	}
 	meter := &energy.Meter{}
 	ep := energy.DefaultParams()
@@ -145,9 +145,9 @@ func New(cfg *config.Config, opts Options) *Engine {
 	e.policy = desc.New(e)
 	e.usesReplicas = desc.UsesReplicas
 	e.rnucaPlacement = desc.RNUCAPlacement
-	e.instrClusterHome = e.policy.InstrClusterHome()
+	e.instrClusterHome = desc.InstrClusterHome
 	e.clusterRepl = e.policy.ClusterReplication()
-	e.consumeOnHit = e.policy.ConsumeReplicaOnHit()
+	e.consumeOnHit = desc.ConsumeReplicaOnHit
 	e.sideRecords = e.clusterRepl || e.policy.SideClassifier() != nil
 	e.fanout = make([]mem.CoreID, 0, cfg.Cores)
 	e.rsnap = make([]mem.CoreID, 0, cfg.Cores)
@@ -345,14 +345,7 @@ func (e *Engine) homeOfLine(la mem.LineAddr, c mem.CoreID) mem.CoreID {
 	if !ok {
 		panic(fmt.Sprintf("coherence: no page record for cached line %#x", uint64(la)))
 	}
-	switch {
-	case info.class == pageInstr && e.instrClusterHome:
-		return e.instrHome(la, c)
-	case info.class == pagePrivate:
-		return info.owner
-	default:
-		return e.interleave(la)
-	}
+	return e.pageHome(info, la, c)
 }
 
 // homeIndex returns the index of la's home line in slice home, or -1 if

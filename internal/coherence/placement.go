@@ -70,16 +70,22 @@ func (e *Engine) homeFor(op Op, c mem.CoreID, t mem.Cycles) mem.CoreID {
 	if reclassified {
 		e.flushPage(mem.PageOfLine(op.Line), oldOwner, t)
 	}
+	return e.pageHome(info, op.Line, c)
+}
+
+// pageHome is R-NUCA-style placement: the home slice of line la, on a page
+// classified as info, for requester c.
+func (e *Engine) pageHome(info *pageInfo, la mem.LineAddr, c mem.CoreID) mem.CoreID {
 	switch {
-	case info.class == pageInstr && e.policy.InstrClusterHome():
+	case info.class == pageInstr && e.instrClusterHome:
 		// Rotational interleaving within the requester's 4-core cluster.
-		return e.instrHome(op.Line, c)
+		return e.instrHome(la, c)
 	case info.class == pagePrivate:
 		return info.owner
 	default:
 		// Shared pages (and, for the locality-aware scheme, instructions,
 		// which it treats like any other shared data, §2.1).
-		return e.interleave(op.Line)
+		return e.interleave(la)
 	}
 }
 

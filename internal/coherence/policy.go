@@ -1,9 +1,8 @@
 package coherence
 
 import (
-	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"strconv"
 
 	"lard/internal/config"
 	"lard/internal/core"
@@ -21,16 +20,10 @@ import (
 // zero at the line's birth), or a classifier in its side record
 // (SideClassifier). Either way it dies with the home line.
 //
-// The five paper schemes and any additional scheme register a Descriptor
-// via Register (typically from an init in the scheme's own policy file);
-// the engine resolves opts.Scheme through the registry at construction.
+// Each scheme is one row of the descriptors table; the engine resolves
+// opts.Scheme through it at construction. Traits that are the same for
+// every run of a scheme are Descriptor fields, not Policy methods.
 type Policy interface {
-	// InstrClusterHome reports whether instruction pages home via R-NUCA's
-	// rotational interleaving within a 4-core cluster rather than being
-	// interleaved like shared data. Only consulted under R-NUCA-style
-	// placement (Descriptor.RNUCAPlacement).
-	InstrClusterHome() bool
-
 	// ClusterReplication reports whether replicas are shared by a cluster of
 	// cores at a designated slice (§2.3.4) and therefore registered at the
 	// home's ReplicaSlices set and invalidated hierarchically.
@@ -41,11 +34,6 @@ type Policy interface {
 	// interleaved cluster member under cluster replication. Policies that
 	// never replicate return c (the probe is skipped anyway).
 	ReplicaSlice(la mem.LineAddr, c mem.CoreID) mem.CoreID
-
-	// ConsumeReplicaOnHit reports whether a replica hit moves the line into
-	// the requesting L1 and invalidates the LLC copy (Victim Replication's
-	// exclusive victim-cache behaviour, §4.1).
-	ConsumeReplicaOnHit() bool
 
 	// ReplicateOnRead decides whether a read serviced at the home should
 	// create an LLC replica for requester c. It is invoked on every home
@@ -86,22 +74,20 @@ type Policy interface {
 	SideClassifier() core.Classifier
 }
 
-// Descriptor registers one LLC management scheme: its stable identity (the
-// Scheme id and the figure label, both part of the content-addressed result
-// keys and therefore frozen once released), its placement/replication
-// traits, and its Policy constructor.
+// Descriptor describes one LLC management scheme: its stable identity (the
+// Scheme id and the name, both part of the content-addressed result keys
+// and therefore frozen once released), the traits that are the same for
+// every run of the scheme, and its Policy constructor.
 type Descriptor struct {
-	// Scheme is the stable numeric id. It is encoded into result-store
-	// content addresses; never renumber a released scheme.
+	// Scheme is the stable numeric id, equal to the descriptor's index in
+	// the scheme table. It is encoded into result-store content addresses;
+	// never renumber a released scheme.
 	Scheme Scheme
 	// Name is the stable figure label ("S-NUCA", "RT", ...), also the wire
 	// Kind string of the lard facade.
 	Name string
 	// Description is a one-line summary for discovery endpoints.
 	Description string
-	// Label renders a configured run the way the figures caption it
-	// (e.g. "RT-3"); nil means Name is used unparameterized.
-	Label func(cfg *config.Config) string
 	// UsesReplicas reports whether the scheme ever places replicas in LLC
 	// slices (enables the replica probe and eviction paths).
 	UsesReplicas bool
@@ -109,79 +95,99 @@ type Descriptor struct {
 	// owner's slice, shared pages interleaved) over pure address
 	// interleaving.
 	RNUCAPlacement bool
+	// InstrClusterHome homes instruction pages via R-NUCA's rotational
+	// interleaving within a 4-core cluster rather than interleaving them
+	// like shared data. Only consulted under RNUCAPlacement.
+	InstrClusterHome bool
+	// ConsumeReplicaOnHit makes a replica hit move the line into the
+	// requesting L1 and invalidate the LLC copy (Victim Replication's
+	// exclusive victim-cache behaviour, §4.1).
+	ConsumeReplicaOnHit bool
 	// ThresholdRT marks schemes that consume Config.RT as their replication
-	// threshold (and typically parameterize their Label with it).
+	// threshold; their runs are labelled Name-<RT> ("RT-3").
 	ThresholdRT bool
 	// New constructs the policy bound to an engine.
 	New func(e *Engine) Policy
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[Scheme]Descriptor)
-	byName     = make(map[string]Scheme)
-)
-
-// Register adds a scheme to the registry. It panics on a duplicate id or
-// name, or on a descriptor without a constructor: registration happens in
-// package inits, where a broken scheme table should stop the process.
-func Register(d Descriptor) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if d.New == nil {
-		panic(fmt.Sprintf("coherence: scheme %q registered without a Policy constructor", d.Name))
-	}
-	if d.Name == "" {
-		panic(fmt.Sprintf("coherence: scheme %d registered without a name", d.Scheme))
-	}
-	if prev, dup := registry[d.Scheme]; dup {
-		panic(fmt.Sprintf("coherence: scheme id %d registered twice (%q and %q)", d.Scheme, prev.Name, d.Name))
-	}
-	if _, dup := byName[d.Name]; dup {
-		panic(fmt.Sprintf("coherence: scheme name %q registered twice", d.Name))
-	}
-	registry[d.Scheme] = d
-	byName[d.Name] = d.Scheme
+// descriptors is the scheme table, indexed by Scheme: the five schemes of
+// the paper's evaluation, then EHC. Adding a scheme is one row here plus
+// its policy type in a policy_*.go file.
+var descriptors = [...]Descriptor{
+	SNUCA: {
+		Scheme:      SNUCA,
+		Name:        "S-NUCA",
+		Description: "Static-NUCA baseline: lines address-interleaved across all LLC slices, no replication",
+		New:         func(e *Engine) Policy { return snucaPolicy{basePolicy{e}} },
+	},
+	RNUCA: {
+		Scheme:           RNUCA,
+		Name:             "R-NUCA",
+		Description:      "Reactive-NUCA baseline: private pages at the owner's slice, shared pages interleaved, instructions cluster-replicated",
+		RNUCAPlacement:   true,
+		InstrClusterHome: true,
+		New:              func(e *Engine) Policy { return rnucaPolicy{basePolicy{e}} },
+	},
+	VR: {
+		Scheme:              VR,
+		Name:                "VR",
+		Description:         "Victim Replication: the local LLC slice acts as a victim cache for L1 evictions",
+		UsesReplicas:        true,
+		ConsumeReplicaOnHit: true,
+		New:                 func(e *Engine) Policy { return vrPolicy{basePolicy{e}} },
+	},
+	ASR: {
+		Scheme:       ASR,
+		Name:         "ASR",
+		Description:  "Adaptive Selective Replication: shared read-only L1 victims replicated with a per-run probability level",
+		UsesReplicas: true,
+		New:          func(e *Engine) Policy { return asrPolicy{basePolicy{e}} },
+	},
+	LocalityAware: {
+		Scheme:         LocalityAware,
+		Name:           "RT",
+		Description:    "locality-aware replication (the paper's protocol): replication gated by the run-time locality classifier with threshold RT",
+		UsesReplicas:   true,
+		RNUCAPlacement: true,
+		ThresholdRT:    true,
+		New:            newRTPolicy,
+	},
+	ExpectedHitCount: {
+		Scheme:       ExpectedHitCount,
+		Name:         "EHC",
+		Description:  "expected-hit-count replication: lines whose home serviced >= RT reads since the last write replicate in every remote reader's local slice",
+		UsesReplicas: true,
+		ThresholdRT:  true,
+		New:          func(e *Engine) Policy { return ehcPolicy{basePolicy{e}} },
+	},
 }
 
-// Describe returns the descriptor registered for s.
+// Describe returns the descriptor of scheme s.
 func Describe(s Scheme) (Descriptor, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	d, ok := registry[s]
-	return d, ok
+	if int(s) >= len(descriptors) {
+		return Descriptor{}, false
+	}
+	return descriptors[s], true
 }
 
-// SchemeByName resolves a registered scheme by its stable name.
-func SchemeByName(name string) (Scheme, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := byName[name]
-	return s, ok
-}
-
-// Registered returns every registered descriptor ordered by scheme id, so
-// derived enumerations (scheme listings, conformance sweeps) are stable
-// regardless of init order.
+// Registered returns every scheme's descriptor in id order.
 func Registered() []Descriptor {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Descriptor, 0, len(registry))
-	for _, d := range registry {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Scheme < out[j].Scheme })
-	return out
+	return slices.Clone(descriptors[:])
 }
 
-// LabelFor renders a configured run's scheme the way the paper's figures do
-// ("RT-3" for the locality-aware protocol). Unregistered schemes fall back
-// to the Scheme(%d) placeholder of String.
+// LabelFor renders a configured run's scheme the way the paper's figures do:
+// Name-<RT> for a ThresholdRT scheme ("RT-3"), Name otherwise. Unknown
+// schemes fall back to the Scheme(%d) placeholder of String.
 func LabelFor(s Scheme, cfg *config.Config) string {
-	if d, ok := Describe(s); ok && d.Label != nil {
-		return d.Label(cfg)
+	d, ok := Describe(s)
+	switch {
+	case !ok:
+		return s.String()
+	case d.ThresholdRT:
+		return d.Name + "-" + strconv.Itoa(cfg.RT)
+	default:
+		return d.Name
 	}
-	return s.String()
 }
 
 // basePolicy is the no-op policy every scheme embeds: pure S-NUCA behaviour
@@ -191,10 +197,8 @@ type basePolicy struct {
 	e *Engine
 }
 
-func (basePolicy) InstrClusterHome() bool                               { return false }
 func (basePolicy) ClusterReplication() bool                             { return false }
 func (basePolicy) ReplicaSlice(_ mem.LineAddr, c mem.CoreID) mem.CoreID { return c }
-func (basePolicy) ConsumeReplicaOnHit() bool                            { return false }
 func (basePolicy) ReplicateOnRead(*llcMeta, mem.CoreID) bool            { return false }
 func (basePolicy) ReplicateOnWrite(*llcMeta, mem.CoreID, bool) bool     { return false }
 func (basePolicy) OnWrite(*llcMeta, mem.CoreID)                         {}

@@ -16,13 +16,3 @@ func (p asrPolicy) VictimReplicate(c mem.CoreID, victim l1Line, t mem.Cycles) bo
 	return !victim.Dirty && victim.Meta.sharedRO &&
 		e.rng.Float64() < e.opts.ASRLevel && e.tryVictimInsert(c, victim, t)
 }
-
-func init() {
-	Register(Descriptor{
-		Scheme:       ASR,
-		Name:         "ASR",
-		Description:  "Adaptive Selective Replication: shared read-only L1 victims replicated with a per-run probability level",
-		UsesReplicas: true,
-		New:          func(e *Engine) Policy { return asrPolicy{basePolicy{e}} },
-	})
-}

@@ -1,19 +1,6 @@
 package coherence
 
-import (
-	"strconv"
-
-	"lard/internal/config"
-	"lard/internal/mem"
-)
-
-// ExpectedHitCount is the sixth registered scheme: replication gated by an
-// expected-hit-count signal instead of the paper's per-core locality
-// classifier. It exists both as a useful baseline and as the registry's
-// proof of pluggability — this file plus the wire registration in the lard
-// facade are the only code a new scheme needs; no engine, harness, facade
-// or server switch is touched.
-const ExpectedHitCount Scheme = 5
+import "lard/internal/mem"
 
 // ehcPolicy gates replication on a per-line saturating hit counter kept at
 // the home (after the expected-hit-count replacement work of Vakil-Ghahani
@@ -50,18 +37,4 @@ func (p ehcPolicy) ReplicateOnRead(m *llcMeta, c mem.CoreID) bool {
 func (p ehcPolicy) OnWrite(m *llcMeta, writer mem.CoreID) {
 	m.dir.Local[0] = 0
 	p.e.chargeDir(true)
-}
-
-func init() {
-	Register(Descriptor{
-		Scheme:      ExpectedHitCount,
-		Name:        "EHC",
-		Description: "expected-hit-count replication: lines whose home serviced >= RT reads since the last write replicate in every remote reader's local slice",
-		Label: func(cfg *config.Config) string {
-			return "EHC-" + strconv.Itoa(cfg.RT)
-		},
-		UsesReplicas: true,
-		ThresholdRT:  true,
-		New:          func(e *Engine) Policy { return ehcPolicy{basePolicy{e}} },
-	})
 }

@@ -1,9 +1,6 @@
 package coherence
 
 import (
-	"strconv"
-
-	"lard/internal/config"
 	"lard/internal/core"
 	"lard/internal/mem"
 )
@@ -86,19 +83,4 @@ func (p *rtPolicy) OnReplicaGone(m *llcMeta, c mem.CoreID, reuse uint8, invalida
 // cluster the replica served (the flat approximation of §2.3.4).
 func (p *rtPolicy) OnClusterReplicaGone(m *llcMeta, rs mem.CoreID, reuse uint8, invalidation bool) {
 	p.e.demoteCluster(p.classifier(m), rs, reuse, invalidation)
-}
-
-func init() {
-	Register(Descriptor{
-		Scheme:      LocalityAware,
-		Name:        "RT",
-		Description: "locality-aware replication (the paper's protocol): replication gated by the run-time locality classifier with threshold RT",
-		Label: func(cfg *config.Config) string {
-			return "RT-" + strconv.Itoa(cfg.RT)
-		},
-		UsesReplicas:   true,
-		RNUCAPlacement: true,
-		ThresholdRT:    true,
-		New:            newRTPolicy,
-	})
 }

@@ -4,12 +4,3 @@ package coherence
 // across the LLC slices, no replication. It is exactly the engine's shared
 // machinery with every policy hook at its default.
 type snucaPolicy struct{ basePolicy }
-
-func init() {
-	Register(Descriptor{
-		Scheme:      SNUCA,
-		Name:        "S-NUCA",
-		Description: "Static-NUCA baseline: lines address-interleaved across all LLC slices, no replication",
-		New:         func(e *Engine) Policy { return snucaPolicy{basePolicy{e}} },
-	})
-}

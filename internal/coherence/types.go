@@ -1,11 +1,12 @@
 // Package coherence implements the memory-system model of the paper: private
 // L1 caches kept coherent with an invalidation-based MESI protocol over an
 // ACKwise-p limited directory integrated with the distributed LLC slices
-// (§2.1), plus a pluggable registry of LLC management schemes (policy.go).
-// The five schemes of the paper's evaluation — Static-NUCA, Reactive-NUCA,
+// (§2.1), plus a static table of LLC management schemes (policy.go). The
+// five schemes of the paper's evaluation — Static-NUCA, Reactive-NUCA,
 // Victim Replication, Adaptive Selective Replication, and the paper's
-// locality-aware replication protocol (§2.2) — each register a Policy in
-// their own policy_*.go file; additional schemes plug in the same way.
+// locality-aware replication protocol (§2.2) — and the expected-hit-count
+// scheme are each one row of that table plus a Policy in their own
+// policy_*.go file.
 //
 // Coherence transactions execute atomically at the home directory with
 // timing composed from the network, DRAM and queueing models; requests to the
@@ -42,11 +43,14 @@ const (
 	// LocalityAware is the paper's protocol: replication gated by the
 	// run-time locality classifier with threshold RT.
 	LocalityAware
+	// ExpectedHitCount replicates a line in every remote reader's local
+	// slice once its home has serviced RT reads since the last write
+	// (after Vakil-Ghahani et al.'s expected-hit-count work).
+	ExpectedHitCount
 )
 
 // String implements fmt.Stringer, matching the labels of Figures 6-8. The
-// names come from the policy registry; unregistered ids render a
-// placeholder.
+// names come from the scheme table; unknown ids render a placeholder.
 func (s Scheme) String() string {
 	if d, ok := Describe(s); ok {
 		return d.Name

@@ -52,9 +52,9 @@ func TestSchemesEndpoint(t *testing.T) {
 }
 
 // TestEHCCampaignEndToEnd is the pluggability acceptance test: the EHC
-// scheme — registered entirely from its own policy file and facade
-// registration — runs through the campaign API alongside a paper scheme
-// with no server, harness or engine edits, and renders in the table.
+// scheme — its own policy type plus one row in each scheme table — runs
+// through the campaign API alongside a paper scheme with no server,
+// harness or engine edits, and renders in the table.
 func TestEHCCampaignEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	spec := lard.CampaignSpec{

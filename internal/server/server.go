@@ -43,7 +43,7 @@
 //	                                 against its own content address)
 //	DELETE /v1/results/{key}         drop an entry from every layer
 //	GET  /v1/benchmarks              list the benchmark names
-//	GET  /v1/schemes                 registered replication policies with
+//	GET  /v1/schemes                 the replication policies with
 //	                                 their tunables and figure columns
 //	GET  /healthz                    liveness probe
 //	GET  /stats                      engine, store and queue counters
@@ -246,7 +246,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "request", &req) {
 		return
 	}
-	// KeyFor validates the scheme against the registry (lard.ValidateScheme)
+	// KeyFor validates the scheme against the table (lard.ValidateScheme)
 	// and the options, so a run the facade rejects never enters the queue.
 	key, err := lard.KeyFor(req.Benchmark, req.Scheme, req.Options)
 	if err != nil {
@@ -480,10 +480,10 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"benchmarks": lard.Benchmarks()})
 }
 
-// handleSchemes implements GET /v1/schemes: the registered replication
-// policies with their tunables, figure columns and a ready-to-submit
-// example each, straight from the scheme registry — a scheme registered in
-// the facade is discoverable here with no server edit.
+// handleSchemes implements GET /v1/schemes: the replication policies with
+// their tunables, figure columns and a ready-to-submit example each,
+// straight from the facade's scheme table — a row added there is
+// discoverable here with no server edit.
 func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 	schemes := lard.RegisteredSchemes()
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(schemes), "schemes": schemes})

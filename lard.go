@@ -6,8 +6,9 @@
 // 64-core tiled multicore with private L1 caches, a distributed shared LLC
 // with an in-cache ACKwise directory, a 2-D mesh NoC with contention, DRAM
 // controllers with finite bandwidth, dynamic-energy accounting, synthetic
-// workloads for the paper's 21 benchmarks, and five LLC management schemes
-// including the paper's locality-aware replication protocol.
+// workloads for the paper's 21 benchmarks, and six LLC management schemes:
+// the paper's five, including its locality-aware replication protocol, and
+// an expected-hit-count scheme.
 //
 // Quick start:
 //
@@ -25,6 +26,7 @@ package lard
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"lard/internal/config"
@@ -40,9 +42,9 @@ import (
 // Scheme selects and parameterizes an LLC management scheme. The zero value
 // is not valid; use one of the constructors.
 type Scheme struct {
-	// Kind selects a registered scheme by its wire name: the five paper
-	// schemes "S-NUCA", "R-NUCA", "VR", "ASR", "RT", plus any additional
-	// registration (see SchemeKinds and GET /v1/schemes).
+	// Kind selects a scheme by its wire name: the five paper schemes
+	// "S-NUCA", "R-NUCA", "VR", "ASR", "RT", and "EHC" (see SchemeKinds
+	// and GET /v1/schemes).
 	Kind string `json:"kind"`
 	// RT is the replication threshold of the locality-aware protocol.
 	RT int `json:"rt,omitempty"`
@@ -84,15 +86,17 @@ func LocalityAware(rt int) Scheme {
 	return Scheme{Kind: "RT", RT: rt, ClassifierK: 3, ClusterSize: 1}
 }
 
-// Label renders the scheme the way the paper's figures do, as declared by
-// its registration ("RT-3" for the locality-aware protocol); unregistered
-// kinds fall back to the kind string.
+// ExpectedHitCount returns the expected-hit-count replication scheme with
+// threshold rt: a line replicates in every remote reader's local slice once
+// its home has serviced rt reads since the last write.
+func ExpectedHitCount(rt int) Scheme { return Scheme{Kind: "EHC", RT: rt} }
+
+// Label renders the scheme the way the paper's figures do: Kind-<RT> for a
+// scheme whose policy consumes the replication threshold ("RT-3", "EHC-3"),
+// the kind string otherwise (unknown kinds included).
 func (s Scheme) Label() string {
-	schemeMu.RLock()
-	def, ok := schemeDefs[s.Kind]
-	schemeMu.RUnlock()
-	if ok && def.label != nil {
-		return def.label(s)
+	if _, d, ok := lookup(s.Kind); ok && d.ThresholdRT {
+		return s.Kind + "-" + strconv.Itoa(s.RT)
 	}
 	return s.Kind
 }
@@ -289,10 +293,10 @@ func (c ctxObserver) Epoch(e *obs.RunEpoch) bool {
 }
 
 // buildConfig translates the public Scheme/Options into the internal
-// configuration through the scheme registry (see schemes.go): the kind
-// resolves to its registered definition, which validates and applies the
-// parameters its policy consumes. The scheme-independent knobs (replacement
-// policy, ablation switches) apply uniformly afterwards.
+// configuration through the scheme table (see schemes.go): the kind
+// resolves to its table row, which validates and applies the parameters
+// its policy consumes. The scheme-independent knobs (replacement policy,
+// ablation switches) apply uniformly afterwards.
 func buildConfig(s Scheme, o Options) (*config.Config, sim.Options, error) {
 	def, err := defFor(s.Kind)
 	if err != nil {

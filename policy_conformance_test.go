@@ -6,9 +6,9 @@ import (
 	"lard"
 )
 
-// TestPolicyConformance is the registry's contract suite: every registered
+// TestPolicyConformance is the scheme table's contract suite: every
 // scheme — current and future — must satisfy it without scheme-specific
-// carve-outs. For each registration it checks the metadata (unique kind,
+// carve-outs. For each scheme it checks the metadata (unique kind,
 // unique label, a validating example), the content addressing (stable keys,
 // distinct across schemes), and the protocol itself: the example runs over
 // a smoke workload with the SWMR and inclusion invariant checker on, through
@@ -16,7 +16,7 @@ import (
 func TestPolicyConformance(t *testing.T) {
 	schemes := lard.RegisteredSchemes()
 	if len(schemes) < 6 {
-		t.Fatalf("registry has %d schemes, want the five paper schemes plus EHC", len(schemes))
+		t.Fatalf("scheme table has %d schemes, want the five paper schemes plus EHC", len(schemes))
 	}
 	opts := lard.Options{Cores: 16, OpsScale: 0.02, CheckInvariants: true}
 
@@ -27,7 +27,7 @@ func TestPolicyConformance(t *testing.T) {
 		info := info
 		t.Run(info.Kind, func(t *testing.T) {
 			if kinds[info.Kind] {
-				t.Fatalf("kind %q registered twice", info.Kind)
+				t.Fatalf("kind %q listed twice", info.Kind)
 			}
 			kinds[info.Kind] = true
 

@@ -3,26 +3,24 @@ package lard
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 
 	"lard/internal/coherence"
 	"lard/internal/config"
 	"lard/internal/sim"
 )
 
-// This file is the wire-level half of the replication-policy registry: for
-// every engine scheme registered in internal/coherence it maps the public
-// Scheme shape (Kind string + parameters) onto the internal configuration,
-// validates the parameters the policy consumes, and declares the scheme's
-// columns in the paper's Figures 6-8 as wire schemes. buildConfig,
-// ValidateScheme, FigureSchemes (and through it the harness's figure
-// matrix) and the server's /v1/schemes endpoint are all derived from it,
-// so landing a new scheme means one policy file in internal/coherence plus
-// one registerScheme call here — no switch ladder edits in any layer.
+// This file is the wire-level half of the scheme table: for every engine
+// scheme in internal/coherence's table it maps the public Scheme shape
+// (Kind string + parameters) onto the internal configuration, validates
+// the parameters the policy consumes, and declares the scheme's columns in
+// the paper's Figures 6-8 as wire schemes. buildConfig, ValidateScheme,
+// FigureSchemes (and through it the harness's figure matrix) and the
+// server's /v1/schemes endpoint are all derived from it, so a new scheme
+// is one policy type and one table row in internal/coherence plus one row
+// of schemeDefs here — no switch ladder edits in any layer.
 
-// SchemeParam documents one tunable of a registered scheme for discovery
+// SchemeParam documents one tunable of a scheme for discovery
 // (GET /v1/schemes).
 type SchemeParam struct {
 	// Name is the JSON field name on the Scheme wire shape.
@@ -31,7 +29,7 @@ type SchemeParam struct {
 	Doc string `json:"doc"`
 }
 
-// SchemeInfo describes one registered scheme for discovery endpoints.
+// SchemeInfo describes one scheme for discovery endpoints.
 type SchemeInfo struct {
 	// Kind is the wire identifier (Scheme.Kind).
 	Kind string `json:"kind"`
@@ -47,17 +45,15 @@ type SchemeInfo struct {
 	Example Scheme `json:"example"`
 }
 
-// schemeDef is one facade-level scheme registration.
+// schemeDef is one row of the facade's scheme table. Its wire kind is the
+// engine scheme's Name.
 type schemeDef struct {
-	// engine is the registered coherence scheme this kind selects.
+	// engine is the coherence scheme this row selects.
 	engine coherence.Scheme
 	// params documents the consumed parameters for discovery.
 	params []SchemeParam
 	// example is a valid parameterization (smoke tests, discovery).
 	example Scheme
-	// label renders a parameterized wire scheme the way the figures caption
-	// it; nil means the bare kind string.
-	label func(s Scheme) string
 	// validate rejects parameterizations whose silent acceptance would
 	// simulate something other than what the client asked for. nil means
 	// the scheme has no parameters to check.
@@ -71,67 +67,38 @@ type schemeDef struct {
 	columns []Scheme
 }
 
-var (
-	schemeMu   sync.RWMutex
-	schemeDefs = make(map[string]schemeDef)
-)
-
-// registerScheme adds the wire definition of an engine scheme. Like
-// coherence.Register it panics on inconsistencies: registration runs from
-// package inits, where a broken scheme table should stop the process.
-func registerScheme(kind string, def schemeDef) {
-	schemeMu.Lock()
-	defer schemeMu.Unlock()
-	d, ok := coherence.Describe(def.engine)
-	if !ok {
-		panic(fmt.Sprintf("lard: wire scheme %q refers to unregistered engine scheme %d", kind, def.engine))
+// lookup resolves a wire kind to its table row and engine descriptor.
+func lookup(kind string) (*schemeDef, coherence.Descriptor, bool) {
+	for i := range schemeDefs {
+		if d, _ := coherence.Describe(schemeDefs[i].engine); d.Name == kind {
+			return &schemeDefs[i], d, true
+		}
 	}
-	if d.Name != kind {
-		panic(fmt.Sprintf("lard: wire scheme %q must match the engine scheme name %q", kind, d.Name))
-	}
-	if _, dup := schemeDefs[kind]; dup {
-		panic(fmt.Sprintf("lard: wire scheme %q registered twice", kind))
-	}
-	if def.example.Kind != kind {
-		panic(fmt.Sprintf("lard: wire scheme %q example has kind %q", kind, def.example.Kind))
-	}
-	schemeDefs[kind] = def
+	return nil, coherence.Descriptor{}, false
 }
 
 // defFor resolves a wire kind, with a discoverable error for unknown kinds.
-func defFor(kind string) (schemeDef, error) {
-	schemeMu.RLock()
-	def, ok := schemeDefs[kind]
-	schemeMu.RUnlock()
+func defFor(kind string) (*schemeDef, error) {
+	def, _, ok := lookup(kind)
 	if !ok {
-		return schemeDef{}, fmt.Errorf("lard: unknown scheme kind %q (registered: %s)", kind, kindList())
+		return nil, fmt.Errorf("lard: unknown scheme kind %q (registered: %s)", kind, strings.Join(SchemeKinds(), ", "))
 	}
 	return def, nil
 }
 
-// kindList renders the registered kinds in engine order for error messages.
-func kindList() string {
-	return strings.Join(SchemeKinds(), ", ")
-}
-
-// SchemeKinds returns the registered wire kinds ordered by engine scheme id
-// (paper order first, later additions after).
+// SchemeKinds returns the wire kinds ordered by engine scheme id (paper
+// order first, later additions after).
 func SchemeKinds() []string {
-	schemeMu.RLock()
-	defer schemeMu.RUnlock()
-	kinds := make([]string, 0, len(schemeDefs))
-	for k := range schemeDefs {
-		kinds = append(kinds, k)
+	kinds := make([]string, len(schemeDefs))
+	for i, def := range schemeDefs {
+		kinds[i] = def.engine.String()
 	}
-	sort.Slice(kinds, func(i, j int) bool {
-		return schemeDefs[kinds[i]].engine < schemeDefs[kinds[j]].engine
-	})
 	return kinds
 }
 
-// ValidateScheme checks a wire scheme against the registry: the kind must be
-// registered and the parameters its policy consumes must be valid. It is the
-// shared guard of the facade (buildConfig) and the HTTP service, so a
+// ValidateScheme checks a wire scheme against the scheme table: the kind
+// must be known and the parameters its policy consumes must be valid. It is
+// the shared guard of the facade (buildConfig) and the HTTP service, so a
 // mislabeled or misparameterized run is rejected at every entrance.
 func ValidateScheme(s Scheme) error {
 	def, err := defFor(s.Kind)
@@ -144,41 +111,34 @@ func ValidateScheme(s Scheme) error {
 	return nil
 }
 
-// RegisteredSchemes describes every registered scheme in engine order, for
-// the /v1/schemes discovery endpoint and the conformance suite.
+// RegisteredSchemes describes every scheme in engine order, for the
+// /v1/schemes discovery endpoint and the conformance suite.
 func RegisteredSchemes() []SchemeInfo {
-	kinds := SchemeKinds()
-	out := make([]SchemeInfo, 0, len(kinds))
-	for _, kind := range kinds {
-		schemeMu.RLock()
-		def := schemeDefs[kind]
-		schemeMu.RUnlock()
+	out := make([]SchemeInfo, len(schemeDefs))
+	for i, def := range schemeDefs {
 		d, _ := coherence.Describe(def.engine)
-		info := SchemeInfo{
-			Kind:        kind,
+		out[i] = SchemeInfo{
+			Kind:        d.Name,
 			Description: d.Description,
 			Params:      def.params,
 			Example:     def.example,
 		}
 		for _, col := range def.columns {
-			info.FigureLabels = append(info.FigureLabels, col.Label())
+			out[i].FigureLabels = append(out[i].FigureLabels, col.Label())
 		}
-		out = append(out, info)
 	}
 	return out
 }
 
-// FigureSchemes returns the scheme columns of Figures 6-8 as each
-// registration declares them, in engine order. The paper reports its ASR
-// column as the best of the five ASRLevels per benchmark, so a figure is a
-// campaign of these schemes with AutoASR set; the ASR scheme's own level
-// (0.5) is what a campaign without AutoASR runs.
+// FigureSchemes returns the scheme columns of Figures 6-8 as each table
+// row declares them, in engine order. The paper reports its ASR column as
+// the best of the five ASRLevels per benchmark, so a figure is a campaign
+// of these schemes with AutoASR set; the ASR scheme's own level (0.5) is
+// what a campaign without AutoASR runs.
 func FigureSchemes() []Scheme {
 	var out []Scheme
-	for _, kind := range SchemeKinds() {
-		schemeMu.RLock()
-		out = append(out, schemeDefs[kind].columns...)
-		schemeMu.RUnlock()
+	for _, def := range schemeDefs {
+		out = append(out, def.columns...)
 	}
 	return out
 }
@@ -208,26 +168,45 @@ func ASRCandidates(s Scheme) ([]Scheme, error) {
 	return out, nil
 }
 
-// The five paper schemes. Each registration pairs the engine scheme with
-// its wire-level parameter handling; the engine-side behaviour lives in the
-// matching internal/coherence/policy_*.go file.
-func init() {
-	registerScheme("S-NUCA", schemeDef{
+// thresholdCheck validates the rt parameter of a ThresholdRT scheme: an
+// unset threshold must not silently fall back to the config default while
+// Label() reports "RT-0", and the counters that must reach it saturate at
+// the threshold and are 8 bits wide (§2.4.1), so a larger one could never
+// fire and the run would silently simulate no replication. what names the
+// threshold, ctor the constructor the hint suggests, and counter the
+// hardware that bounds it.
+func thresholdCheck(what, ctor, counter string) func(Scheme) error {
+	return func(s Scheme) error {
+		if s.RT < 1 {
+			return fmt.Errorf("lard: %s scheme requires a %s >= 1, got %d (did you mean %s(3)?)", s.Kind, what, s.RT, ctor)
+		}
+		if s.RT > maxThreshold {
+			return fmt.Errorf("lard: %s scheme threshold rt must be <= %d (8-bit %s), got %d", s.Kind, maxThreshold, counter, s.RT)
+		}
+		return nil
+	}
+}
+
+// schemeDefs is the facade's scheme table, one row per engine scheme in
+// engine order; the engine-side behaviour lives in the matching
+// internal/coherence/policy_*.go file.
+var schemeDefs = []schemeDef{
+	{
 		engine:  coherence.SNUCA,
 		example: SNUCA(),
 		columns: []Scheme{SNUCA()},
-	})
-	registerScheme("R-NUCA", schemeDef{
+	},
+	{
 		engine:  coherence.RNUCA,
 		example: RNUCA(),
 		columns: []Scheme{RNUCA()},
-	})
-	registerScheme("VR", schemeDef{
+	},
+	{
 		engine:  coherence.VR,
 		example: VictimReplication(),
 		columns: []Scheme{VictimReplication()},
-	})
-	registerScheme("ASR", schemeDef{
+	},
+	{
 		engine: coherence.ASR,
 		params: []SchemeParam{
 			{Name: "asr_level", Doc: "replication probability; one of 0, 0.25, 0.5, 0.75, 1"},
@@ -246,31 +225,16 @@ func init() {
 			opt.ASRLevel = s.ASRLevel
 		},
 		columns: []Scheme{ASR(0.5)},
-	})
-	registerScheme("RT", schemeDef{
+	},
+	{
 		engine: coherence.LocalityAware,
-		label:  func(s Scheme) string { return fmt.Sprintf("RT-%d", s.RT) },
 		params: []SchemeParam{
 			{Name: "rt", Doc: "replication threshold, 1..255 (paper default 3)"},
 			{Name: "classifier_k", Doc: "Limited-k classifier size; 0 = Complete (paper default 3)"},
 			{Name: "cluster_size", Doc: "replication cluster size dividing the core count; 0 or 1 = local slice"},
 		},
-		example: LocalityAware(3),
-		validate: func(s Scheme) error {
-			// An unset threshold must not silently fall back to the config
-			// default while Label() reports "RT-0" — that mislabels every
-			// downstream table and store entry.
-			if s.RT < 1 {
-				return fmt.Errorf("lard: RT scheme requires a replication threshold rt >= 1, got %d (did you mean LocalityAware(3)?)", s.RT)
-			}
-			if s.RT > maxThreshold {
-				// The hardware reuse counters saturate at the threshold and
-				// are 8 bits wide (§2.4.1); a larger threshold could never
-				// fire and would silently simulate no replication.
-				return fmt.Errorf("lard: RT scheme threshold rt must be <= %d (8-bit reuse counters), got %d", maxThreshold, s.RT)
-			}
-			return nil
-		},
+		example:  LocalityAware(3),
+		validate: thresholdCheck("replication threshold rt", "LocalityAware", "reuse counters"),
 		apply: func(s Scheme, cfg *config.Config, _ *sim.Options) {
 			cfg.RT = s.RT
 			cfg.ClassifierK = s.ClassifierK
@@ -279,5 +243,18 @@ func init() {
 			}
 		},
 		columns: []Scheme{LocalityAware(1), LocalityAware(3), LocalityAware(8)},
-	})
+	},
+	{
+		engine: coherence.ExpectedHitCount,
+		params: []SchemeParam{
+			{Name: "rt", Doc: "hit-count threshold, 1..255: home reads since the last write before a line replicates"},
+		},
+		example:  ExpectedHitCount(3),
+		validate: thresholdCheck("hit-count threshold", "ExpectedHitCount", "hit counter"),
+		// EHC consumes only rt: classifier_k and cluster_size stay at the
+		// config defaults, so they cannot split EHC's result keys.
+		apply: func(s Scheme, cfg *config.Config, _ *sim.Options) {
+			cfg.RT = s.RT
+		},
+	},
 }
