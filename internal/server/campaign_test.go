@@ -405,6 +405,7 @@ func TestCampaignValidation(t *testing.T) {
 		"unknown bench": `{"benchmarks":["NOPE"],"schemes":[{"kind":"S-NUCA"}]}`,
 		"RT-0 scheme":   `{"benchmarks":["BARNES"],"schemes":[{"kind":"RT","classifier_k":3,"cluster_size":1}]}`,
 		"bad cores":     `{"benchmarks":["BARNES"],"schemes":[{"kind":"S-NUCA"}],"options":{"cores":7}}`,
+		"bad scale":     `{"benchmarks":["BARNES"],"schemes":[{"kind":"S-NUCA"}],"options":{"cores":16,"ops_scale":-0.5}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {

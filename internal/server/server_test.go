@@ -248,6 +248,8 @@ func TestValidation(t *testing.T) {
 		"unknown scheme": `{"benchmark":"BARNES","scheme":{"kind":"BOGUS"}}`,
 		"unsquare mesh":  `{"benchmark":"BARNES","scheme":{"kind":"S-NUCA"},"options":{"cores":7}}`,
 		"bad classifier": `{"benchmark":"BARNES","scheme":{"kind":"RT","rt":3,"classifier_k":99,"cluster_size":1},"options":{"cores":16}}`,
+		"negative scale": `{"benchmark":"BARNES","scheme":{"kind":"S-NUCA"},"options":{"cores":16,"ops_scale":-1}}`,
+		"overflow scale": `{"benchmark":"BARNES","scheme":{"kind":"S-NUCA"},"options":{"cores":16,"ops_scale":1e300}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {

@@ -9,6 +9,18 @@
 // hears the four phase boundaries and an epoch every
 // DefaultProgressEvery operations. Progress, cancellation, timelines and
 // trace spans are all built on it, above this package.
+//
+// The simulation runs on one goroutine. Trace generation alone runs
+// beside it: each run starts one helper goroutine that fills every core's
+// next chunks ahead into a small per-core ring (see feeder). A per-core
+// claim guards each stream, so the helper and the loop fill through the
+// same Stream.Fill call, and the loop fills a chunk itself whenever the
+// helper has not, so it never waits for the helper to start. Each stream
+// is still consumed in order, so a run's result does not depend on who
+// filled which chunk. The helper lives exactly as long as the event loop:
+// it is stopped and joined on every exit path, an observer's stop and a
+// panic included, and it starts only after the observer's total has been
+// read from the streams.
 package sim
 
 import (
@@ -145,9 +157,11 @@ const schedIdle = ^uint64(0)
 // maxWake bounds the wake times a key can hold.
 const maxWake = mem.Cycles(1) << (64 - coreBits)
 
-// opChunk is the per-core trace window, in operations: large enough to
-// amortize the refill call, small enough that 64 cores' windows stay
-// cache-resident next to the simulator's own state.
+// opChunk is the size of one trace chunk, in operations: the unit the
+// fill helper hands to the loop through a core's ring of ringDepth slots.
+// It is large enough to amortize the refill call and the claim, and small
+// enough that 64 cores' rings stay cache-resident next to the simulator's
+// own state.
 const opChunk = 256
 
 // newSched returns a scheduler with all n cores pending at time 0.
@@ -252,7 +266,6 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 	n := cfg.Cores
 	st := &runState{
 		eng: eng,
-		w:   w,
 		sch: newSched(n),
 		ob:  ob,
 
@@ -263,20 +276,16 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 		arriveAt:  make([]mem.Cycles, n),
 		running:   n,
 
-		// Per-core chunk buffers: each stream refills a reusable window of
-		// opChunk operations, so the steady-state loop reads the next
-		// operation from a flat slice instead of paying a generator call per
-		// access. One backing array serves all cores; pos==cnt marks an
-		// empty window.
-		bufs: make([]trace.Op, n*opChunk),
+		feed: newFeeder(w.Streams),
 		pos:  make([]int, n),
-		cnt:  make([]int, n),
+		end:  make([]int, n),
+		next: make([]uint64, n),
 	}
 
 	// Epoch setup happens once per run (allocation is fine here); the
 	// per-epoch path reuses st.ep and never allocates. Remaining() is
-	// exact here — the chunk windows above are filled lazily, after this
-	// count.
+	// exact here: the fill helper starts in loop, after this count, and
+	// mutates the streams from then on.
 	if ob != nil {
 		st.checkLeft = DefaultProgressEvery
 		st.ep.Series = telemetrySeries
@@ -329,7 +338,6 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 // cadence.
 type runState struct {
 	eng *coherence.Engine
-	w   *trace.Workload
 
 	sch        *sched
 	breakdown  []stats.TimeBreakdown
@@ -342,9 +350,12 @@ type runState struct {
 	totalOps   uint64
 	completion mem.Cycles
 
-	bufs []trace.Op
+	// feed fills the trace chunks; core c reads feed.ring[pos[c]:end[c]]
+	// and next[c] is the index of its next chunk.
+	feed *feeder
 	pos  []int
-	cnt  []int
+	end  []int
+	next []uint64
 
 	ob        obs.RunObserver
 	checkLeft uint64
@@ -352,9 +363,13 @@ type runState struct {
 }
 
 // loop is the event loop: strict global (time, core) order, one access at
-// a time. It returns true when the observer stopped the run.
+// a time. It returns true when the observer stopped the run. The trace
+// fill helper lives exactly as long as the loop: it starts here and is
+// stopped and joined on every exit path, a panic included.
 func (st *runState) loop() (stopped bool) {
-	sch, bufs, pos, cnt := st.sch, st.bufs, st.pos, st.cnt
+	go st.feed.run()
+	defer st.feed.stop()
+	sch, ring, pos, end := st.sch, st.feed.ring, st.pos, st.end
 	var res coherence.AccessResult
 	for sch.active > 0 {
 		now, c := sch.peek()
@@ -367,16 +382,16 @@ func (st *runState) loop() (stopped bool) {
 		if st.waiting == 0 {
 			st.eng.Advance(now)
 		}
-		if pos[c] == cnt[c] {
-			cnt[c] = st.w.Streams[c].Fill(bufs[int(c)*opChunk : (int(c)+1)*opChunk])
-			pos[c] = 0
+		if pos[c] == end[c] {
+			pos[c], end[c] = st.feed.take(int(c), st.next[c])
+			st.next[c]++
+			if pos[c] == end[c] {
+				sch.pop()
+				st.coreFinished(c, now)
+				continue
+			}
 		}
-		if cnt[c] == 0 {
-			sch.pop()
-			st.coreFinished(c, now)
-			continue
-		}
-		op := &bufs[int(c)*opChunk+pos[c]]
+		op := &ring[pos[c]]
 		pos[c]++
 		if op.Barrier {
 			sch.pop()

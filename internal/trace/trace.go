@@ -13,6 +13,8 @@
 package trace
 
 import (
+	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"lard/internal/config"
@@ -64,7 +66,17 @@ type Stream struct {
 	core  mem.CoreID
 	cores int
 	p     Profile
-	rng   *rand.Rand
+	// rng is held by value and drawn from directly: Bernoulli draws
+	// compare against the per-stream thresholds below and gap draws go
+	// through intN, both bit for bit what rand.Rand's Float64 and IntN
+	// would return from the same source, without its interface call.
+	rng rand.PCG
+
+	// privStore, rwStore and hotStore are below's thresholds for the
+	// private, read-write and hot-set store coins; gapN is the gap draw's
+	// range, 2·Gap+1.
+	privStore, rwStore, hotStore uint64
+	gapN                         uint64
 
 	emitted, total int
 	perPhase       int // ops between barriers
@@ -131,10 +143,15 @@ func Generate(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Wor
 			core:    mem.CoreID(c),
 			cores:   cfg.Cores,
 			p:       sp,
-			rng:     rand.New(rand.NewPCG(seed, uint64(c)*0x9E3779B97F4A7C15+1)),
 			total:   ops,
 			weights: weights,
+
+			privStore: below(sp.PrivWriteFrac),
+			rwStore:   below(sp.RWWriteFrac),
+			hotStore:  below(0.3),
+			gapN:      uint64(2*sp.Gap + 1),
 		}
+		s.rng.Seed(seed, uint64(c)*0x9E3779B97F4A7C15+1)
 		s.barriersLeft = sp.Barriers
 		if sp.Barriers > 0 {
 			s.perPhase = ops / (sp.Barriers + 1)
@@ -195,10 +212,47 @@ func (s *Stream) Fill(dst []Op) int {
 			s.emit(op, mem.DataClass(slot))
 		}
 		if s.p.Gap > 0 {
-			op.Gap = uint16(s.rng.IntN(2*s.p.Gap + 1))
+			op.Gap = uint16(s.intN(s.gapN))
 		}
 	}
 	return n
+}
+
+// below returns the coin threshold of probability p: rand.Rand's
+// Float64 is x/2^53 for x, the source's next 53 low bits, so
+// Float64() < p exactly when x < ceil(p·2^53). Scaling by 2^53 is exact,
+// so the integer compare decides every draw as the float compare would.
+// A p of 0 or less (or NaN) never fires; 1 or more always does.
+func below(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// coin draws one Bernoulli trial against a threshold from below.
+func (s *Stream) coin(threshold uint64) bool {
+	return s.rng.Uint64()<<11>>11 < threshold
+}
+
+// intN returns a draw in [0, n), n > 0, exactly as rand.Rand's IntN
+// would from the same source on a 64-bit platform: a mask for a power of
+// two, otherwise Lemire's multiply with the same rejection loop.
+func (s *Stream) intN(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return s.rng.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(s.rng.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(s.rng.Uint64(), n)
+		}
+	}
+	return hi
 }
 
 // Core returns the stream's core.
@@ -230,7 +284,7 @@ func (s *Stream) emitHot(op *Op) {
 		s.hotPos = 0
 	}
 	typ := mem.Load
-	if s.rng.Float64() < 0.3 {
+	if s.coin(s.hotStore) {
 		typ = mem.Store
 	}
 	*op = Op{Addr: mem.AddrOfLine(line), Type: typ, Class: mem.ClassPrivate}
@@ -264,7 +318,7 @@ func (s *Stream) emit(op *Op, class mem.DataClass) {
 			line = privBase + mem.LineAddr(s.core)*privStride + mem.LineAddr(idx)
 		}
 		typ := mem.Load
-		if s.rng.Float64() < s.p.PrivWriteFrac {
+		if s.coin(s.privStore) {
 			typ = mem.Store
 		}
 		*op = Op{Addr: mem.AddrOfLine(line), Type: typ, Class: class}
@@ -292,7 +346,7 @@ func (s *Stream) emit(op *Op, class mem.DataClass) {
 			s.rwPass++
 		}
 		typ := mem.Load
-		if s.rng.Float64() < s.p.RWWriteFrac {
+		if s.coin(s.rwStore) {
 			typ = mem.Store
 		}
 		// Owner-phase writes: line idx's owning core updates it on its first

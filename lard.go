@@ -26,6 +26,7 @@ package lard
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -191,10 +192,28 @@ func plan(benchmark string, s Scheme, o Options) (trace.Profile, *config.Config,
 		return trace.Profile{}, nil, sim.Options{}, resultstore.Spec{}, err
 	}
 	cfg, opt, err := buildConfig(s, o)
+	if err == nil {
+		err = checkOpsScale(prof, o.OpsScale)
+	}
 	if err != nil {
 		return trace.Profile{}, nil, sim.Options{}, resultstore.Spec{}, err
 	}
 	return prof, cfg, opt, resultstore.SpecFor(benchmark, cfg, opt), nil
+}
+
+// checkOpsScale rejects an OpsScale that names no run: a negative (or NaN)
+// scale, or one whose per-core operation count does not fit an int. Either
+// would otherwise wrap or clamp to one operation per core under a key of
+// its own. 0 means the default, 1.0.
+func checkOpsScale(p trace.Profile, scale float64) error {
+	if !(scale >= 0) {
+		return fmt.Errorf("ops_scale %v: must be positive, or 0 for the default", scale)
+	}
+	// float64(math.MaxInt) is 2^63, the first count past an int.
+	if float64(p.Ops)*scale >= math.MaxInt {
+		return fmt.Errorf("ops_scale %v: %s's per-core operation count overflows", scale, p.Name)
+	}
+	return nil
 }
 
 // KeyFor returns the canonical content address of (benchmark, s, o): the

@@ -69,6 +69,47 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestOpsScaleValidation is a regression test: a negative ops_scale and
+// one whose per-core op count overflows an int both used to simulate one
+// op per core, each under a key of its own. They must error on every
+// store-addressed path, while 0 keeps meaning the default.
+func TestOpsScaleValidation(t *testing.T) {
+	s := lard.LocalityAware(3)
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		ok    bool
+	}{
+		{"negative", -1, false},
+		{"tiny negative", -1e-12, false},
+		{"NaN", math.NaN(), false},
+		{"overflow", 1e300, false},
+		{"infinite", math.Inf(1), false},
+		{"past MaxInt", math.MaxInt / 1000, false},
+		{"default", 0, true},
+		{"scaled down", 0.02, true},
+		{"below one op", 1e-9, true},
+	} {
+		o := lard.Options{Cores: 16, OpsScale: tc.scale}
+		_, err := lard.KeyFor("BARNES", s, o)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: KeyFor err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if !tc.ok {
+			if _, err := lard.Run("BARNES", s, o); err == nil {
+				t.Errorf("%s: Run must error", tc.name)
+			}
+		}
+	}
+	def, err := lard.KeyFor("BARNES", s, lard.Options{Cores: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one, _ := lard.KeyFor("BARNES", s, lard.Options{Cores: 16, OpsScale: 1}); one != def {
+		t.Errorf("ops_scale 0 key %s, 1.0 key %s: 0 must mean the default", def, one)
+	}
+}
+
 // TestRTZeroRejected is a regression test: LocalityAware(0) used to
 // silently simulate the config-default threshold (RT=3) while labeling the
 // run "RT-0". It must be an error, on every store-addressed path.
