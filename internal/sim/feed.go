@@ -8,10 +8,12 @@ import (
 )
 
 // ringDepth is the number of opChunk-operation slots in each core's trace
-// ring: the chunk the event loop reads and three filled ahead of it. With
-// one slot ahead, a fifth of a 64-core run's chunks still fell to the loop
-// between two nudges; with three, about 2% do.
-const ringDepth = 4
+// ring: the chunk the event loop reads and one filled ahead of it. In a
+// 64-core run the helper fills about four fifths of the chunks and the
+// loop the rest, those it reaches before the helper's next sweep. Four
+// slots cut the loop's share to 2% and the run time by a few percent
+// more, for three times the ring's memory.
+const ringDepth = 2
 
 // feeder fills each core's trace chunks ahead of the event loop. Trace
 // generation shares no state with the engine, so a helper goroutine can

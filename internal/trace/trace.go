@@ -72,9 +72,9 @@ type Stream struct {
 	// would return from the same source, without its interface call.
 	rng rand.PCG
 
-	// privStore, rwStore and hotStore are below's thresholds for the
-	// private, read-write and hot-set store coins; gapN is the gap draw's
-	// range, 2·Gap+1.
+	// privStore, rwStore and hotStore are the thresholds (see below) of
+	// the private, read-write and hot-set store coins; gapN is the gap
+	// draw's range, 2·Gap+1.
 	privStore, rwStore, hotStore uint64
 	gapN                         uint64
 

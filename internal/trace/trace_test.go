@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -471,5 +473,37 @@ func TestCoreLineHelper(t *testing.T) {
 	}
 	if mem.PageOf(a0) != mem.PageOf(a1) {
 		t.Fatal("false-shared lines of the same index must share a page")
+	}
+}
+
+// TestDrawsMatchRand checks the stream's direct draws against rand.Rand
+// over the same source, draw for draw: coin against Float64() < p at
+// probabilities TestStreamDigests' profiles never use, and intN against
+// IntN at powers of two and at ranges where the rejection loop runs.
+func TestDrawsMatchRand(t *testing.T) {
+	ps := []float64{0, -1, math.NaN(), 1, 2, 0.3, 0.5, 1e-17, math.Nextafter(0.3, 1), math.Nextafter(0.3, 0)}
+	for i := 0; i < 50; i++ {
+		ps = append(ps, rand.Float64())
+	}
+	for _, p := range ps {
+		var s Stream
+		s.rng.Seed(3, 4)
+		ref := rand.New(rand.NewPCG(3, 4))
+		th := below(p)
+		for i := 0; i < 2000; i++ {
+			if got, want := s.coin(th), ref.Float64() < p; got != want {
+				t.Fatalf("p=%v draw %d: coin %v, Float64() < p %v", p, i, got, want)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 17, 64, 1<<40 + 1, math.MaxInt/3*2 + 1} {
+		var s Stream
+		s.rng.Seed(5, 6)
+		ref := rand.New(rand.NewPCG(5, 6))
+		for i := 0; i < 2000; i++ {
+			if got, want := s.intN(uint64(n)), ref.IntN(n); got != uint64(want) {
+				t.Fatalf("n=%d draw %d: intN %d, IntN %d", n, i, got, want)
+			}
+		}
 	}
 }
