@@ -17,8 +17,9 @@
 //	             as span ids on the SSE event streams.
 //	-telemetry   records an epoch-resolved timeline per run (coherence
 //	             counter deltas, cycle components), served by
-//	             GET /v1/runs/{id}/timeline and streamed live as epoch
-//	             frames on the SSE event streams.
+//	             GET /v1/runs/{id}/timeline. A GET while the run is
+//	             still simulating returns the epochs recorded so far;
+//	             the SSE event streams carry lifecycle and progress only.
 //	-log-level   debug|info|warn|error structured logging (log/slog,
 //	             stderr). Run, campaign and span ids ride every record.
 //	-debug-addr  serves net/http/pprof on a second, private listener
@@ -70,6 +71,9 @@ func main() {
 	level, err := obs.ParseLevel(*logLevel)
 	fatal(err)
 	logger := obs.NewLogger(os.Stderr, level, "lard-server")
+	if *maxTraces < 0 || *maxTimel < 0 {
+		fatal(fmt.Errorf("-max-traces and -max-timelines must not be negative (0 selects the default)"))
+	}
 	if *maxTraces != 0 && !*trace {
 		fatal(fmt.Errorf("-max-traces requires -trace (there is no trace registry to bound)"))
 	}

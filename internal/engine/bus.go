@@ -1,17 +1,15 @@
 package engine
 
-import (
-	"sync"
-
-	"lard/internal/obs"
-)
+import "sync"
 
 // Event is one observation of a job's lifecycle, the engine's unit of
 // event sourcing. Every state transition and every throttled progress
 // update of a run is an Event, published to the run's own topic and —
 // for campaign members — re-published to each enrolled campaign's topic
 // with Campaign set. Seq is the per-topic sequence number: within one
-// topic, events are totally ordered and replayable.
+// topic, events are totally ordered and replayable. Events carry no
+// telemetry: a run's epoch timeline is read, in flight or finished, from
+// GET /v1/runs/{id}/timeline.
 type Event struct {
 	// Seq orders events within their topic, starting at 1.
 	Seq uint64 `json:"seq"`
@@ -39,11 +37,6 @@ type Event struct {
 	// enabled ("" otherwise): the correlation key that lets SSE
 	// consumers line events up against GET /v1/runs/{id}/trace.
 	Span string `json:"span,omitempty"`
-	// Epoch carries one telemetry epoch frame when the run records a
-	// timeline (a non-terminal running event at epoch cadence). A pointer
-	// keeps Event comparable — the replay tests rely on struct equality —
-	// and keeps frame-free events free.
-	Epoch *obs.EpochFrame `json:"epoch,omitempty"`
 }
 
 // Subscription is one live event feed. Receive from C; call Close exactly
@@ -93,15 +86,14 @@ type bus struct {
 	queueCap int // per-subscriber channel depth
 	histCap  int // per-topic replay history bound
 
-	published    uint64
-	dropped      uint64
-	epochDropped uint64
-	subs         int
+	published uint64
+	dropped   uint64
+	subs      int
 }
 
-// Default bus bounds. History keeps every lifecycle flip plus ~100
-// throttled progress events per job, so maxHistory comfortably covers a
-// full run; subscriber queues are sized for bursts, not for archives —
+// The engine's bus bounds. History keeps every lifecycle flip plus ~100
+// throttled progress events per job, so defaultHistCap comfortably covers
+// a full run; subscriber queues are sized for bursts, not for archives —
 // replay serves catch-up.
 const (
 	defaultQueueCap = 256
@@ -109,12 +101,6 @@ const (
 )
 
 func newBus(queueCap, histCap int) *bus {
-	if queueCap <= 0 {
-		queueCap = defaultQueueCap
-	}
-	if histCap <= 0 {
-		histCap = defaultHistCap
-	}
 	return &bus{topics: make(map[string]*topicState), queueCap: queueCap, histCap: histCap}
 }
 
@@ -144,9 +130,7 @@ func (b *bus) publish(topicName string, ev Event) {
 	ev.Seq = t.seq
 	t.history = append(t.history, ev)
 	if len(t.history) > b.histCap {
-		var lost int
-		t.history, lost = compactHistory(t.history, b.histCap)
-		b.epochDropped += uint64(lost)
+		t.history = compactHistory(t.history, b.histCap)
 	}
 	b.published++
 	for s := range t.subs {
@@ -213,61 +197,36 @@ func (b *bus) unsubscribe(s *Subscription) {
 }
 
 // compactHistory shrinks an over-bound history toward max by discarding
-// the most ephemeral events first: oldest interior telemetry epoch
-// frames (they summarize an instant the timeline endpoint still serves
-// in full), then oldest interior progress frames (already superseded by
-// newer fractions), and only when lifecycle events alone exceed the
-// bound does it drop oldest events outright. The newest event always
-// survives. This is what keeps a many-member campaign's replay truthful
-// about member *states* however chatty its progress or telemetry stream
-// was. It returns the number of epoch frames discarded, for the bus's
-// drop accounting.
-func compactHistory(h []Event, max int) ([]Event, int) {
+// the oldest interior progress frames first (already superseded by newer
+// fractions), and only when lifecycle events alone exceed the bound does
+// it drop oldest events outright. The newest event always survives. This
+// is what keeps a many-member campaign's replay truthful about member
+// *states* however chatty its progress stream was.
+func compactHistory(h []Event, max int) []Event {
 	excess := len(h) - max
 	if excess <= 0 {
-		return h, 0
+		return h
 	}
-	epochLost := 0
 	out := h[:0]
 	for i, ev := range h {
-		if excess > 0 && i < len(h)-1 && epochFrame(ev) {
+		if excess > 0 && i < len(h)-1 && progressFrame(ev) {
 			excess--
-			epochLost++
 			continue
 		}
 		out = append(out, ev)
 	}
-	if excess > 0 {
-		kept := out
-		out = kept[:0]
-		for i, ev := range kept {
-			if excess > 0 && i < len(kept)-1 && progressFrame(ev) {
-				excess--
-				continue
-			}
-			out = append(out, ev)
-		}
-	}
 	if len(out) > max {
-		for _, ev := range out[:len(out)-max] {
-			if epochFrame(ev) {
-				epochLost++
-			}
-		}
 		out = out[len(out)-max:]
 	}
-	return out, epochLost
+	return out
 }
 
 // progressFrame reports whether ev is an interior progress update — a
 // non-terminal running event strictly inside (0,1) — as opposed to a
 // lifecycle flip (queued, running-start at 0, terminal).
 func progressFrame(ev Event) bool {
-	return !ev.Terminal && ev.State == StatusRunning && ev.Progress > 0 && ev.Progress < 1 && ev.Epoch == nil
+	return !ev.Terminal && ev.State == StatusRunning && ev.Progress > 0 && ev.Progress < 1
 }
-
-// epochFrame reports whether ev carries a telemetry epoch frame.
-func epochFrame(ev Event) bool { return ev.Epoch != nil }
 
 // hasTopic reports whether the topic holds any retained state.
 func (b *bus) hasTopic(name string) bool {
@@ -301,10 +260,6 @@ type EventStats struct {
 	// publish can drop once per slow consumer).
 	Published uint64 `json:"published"`
 	Dropped   uint64 `json:"dropped"`
-	// EpochDropped counts telemetry epoch frames discarded by history
-	// compaction — they are the first class evicted, before progress
-	// frames, which is what preserves the lifecycle replay guarantee.
-	EpochDropped uint64 `json:"epoch_dropped"`
 	// Subscribers is the live subscription count; Topics the number of
 	// topics holding history.
 	Subscribers int `json:"subscribers"`
@@ -314,5 +269,5 @@ type EventStats struct {
 func (b *bus) stats() EventStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return EventStats{Published: b.published, Dropped: b.dropped, EpochDropped: b.epochDropped, Subscribers: b.subs, Topics: len(b.topics)}
+	return EventStats{Published: b.published, Dropped: b.dropped, Subscribers: b.subs, Topics: len(b.topics)}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"lard/internal/obs"
 )
 
 // TestBusReplayThenLive pins the no-gap-no-dup subscription contract:
@@ -196,65 +194,5 @@ func TestBusHistoryCompactionPrefersLifecycle(t *testing.T) {
 	}
 	if len(queued) != jobs {
 		t.Fatalf("replay retains %d queued events, want all %d", len(queued), jobs)
-	}
-}
-
-// TestBusHistoryCompactionDropsEpochFramesFirst pins the telemetry
-// extension of the replay contract: epoch frames are the first class
-// evicted — before progress frames, long before lifecycle flips — and
-// every evicted frame is counted in the bus's epoch-drop ledger. A late
-// subscriber therefore still replays the full lifecycle byte-for-byte
-// even when live epoch frames overflowed the history.
-func TestBusHistoryCompactionDropsEpochFramesFirst(t *testing.T) {
-	b := newBus(4, 6)
-	frame := func(i int) *obs.EpochFrame { return &obs.EpochFrame{Epoch: i, Span: 1} }
-	b.publish("t", Event{Job: "j", State: StatusQueued})
-	for p := 1; p <= 4; p++ {
-		b.publish("t", Event{Job: "j", State: StatusRunning, Progress: float64(p) / 10})
-	}
-	for e := 0; e < 4; e++ {
-		b.publish("t", Event{Job: "j", State: StatusRunning, Progress: 0.5, Epoch: frame(e)})
-	}
-	b.publish("t", Event{Job: "j", State: StatusDone, Progress: 1, Terminal: true})
-
-	hist, sub := b.subscribe("t")
-	sub.Close()
-	if len(hist) > 6 {
-		t.Fatalf("history = %d events, want <= 6", len(hist))
-	}
-	var epochs, progress int
-	sawQueued, sawTerminal := false, false
-	for _, ev := range hist {
-		switch {
-		case ev.Epoch != nil:
-			epochs++
-		case ev.State == StatusQueued:
-			sawQueued = true
-		case ev.Terminal:
-			sawTerminal = true
-		case ev.Progress > 0 && ev.Progress < 1:
-			progress++
-		}
-	}
-	if !sawQueued || !sawTerminal {
-		t.Fatalf("lifecycle flips must survive compaction, got %+v", hist)
-	}
-	if progress != 4 {
-		t.Fatalf("progress frames retained = %d, want all 4 (epoch frames go first)", progress)
-	}
-	if st := b.stats(); st.EpochDropped != uint64(4-epochs) {
-		t.Fatalf("epoch drops = %d, want %d (published 4, retained %d)", st.EpochDropped, 4-epochs, epochs)
-	}
-
-	// The newest event always survives, even when it is an epoch frame.
-	b2 := newBus(4, 2)
-	for e := 0; e < 8; e++ {
-		b2.publish("t", Event{Job: "j", State: StatusRunning, Epoch: frame(e)})
-	}
-	hist2, sub2 := b2.subscribe("t")
-	sub2.Close()
-	last := hist2[len(hist2)-1]
-	if last.Epoch == nil || last.Epoch.Epoch != 7 {
-		t.Fatalf("newest epoch frame must survive, tail = %+v", last)
 	}
 }

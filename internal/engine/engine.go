@@ -24,6 +24,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -101,7 +102,8 @@ type job struct {
 	phase      *obs.Span
 }
 
-// Config configures an Engine.
+// Config configures an Engine. A zero size selects its default; New
+// rejects a negative one.
 type Config struct {
 	// Store is the backing result store (required).
 	Store *resultstore.Store
@@ -116,10 +118,6 @@ type Config struct {
 	// 4096). Results live on in the store — an evicted id answers unknown
 	// here, but the store still resolves it by content address.
 	MaxCompletedJobs int
-	// EventQueue bounds each subscriber's event channel (default 256).
-	EventQueue int
-	// EventHistory bounds each topic's replayable history (default 512).
-	EventHistory int
 	// Obs is the observability bundle — tracer, latency histograms,
 	// logger (default obs.Nop(): histograms recorded but unexported,
 	// tracing off, logs discarded).
@@ -183,12 +181,20 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("engine: Config.Store is required")
 	}
+	switch {
+	case cfg.Workers < 0:
+		return nil, fmt.Errorf("engine: negative Workers %d", cfg.Workers)
+	case cfg.QueueDepth < 0:
+		return nil, fmt.Errorf("engine: negative QueueDepth %d", cfg.QueueDepth)
+	case cfg.MaxCompletedJobs < 0:
+		return nil, fmt.Errorf("engine: negative MaxCompletedJobs %d", cfg.MaxCompletedJobs)
+	}
 	workers := cfg.Workers
-	if workers <= 0 {
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	depth := cfg.QueueDepth
-	if depth <= 0 {
+	if depth == 0 {
 		depth = 2 * workers
 	}
 	run := cfg.Run
@@ -196,7 +202,7 @@ func New(cfg Config) (*Engine, error) {
 		run = lard.RunWithStoreProgress
 	}
 	maxDone := cfg.MaxCompletedJobs
-	if maxDone <= 0 {
+	if maxDone == 0 {
 		maxDone = maxCompletedJobs
 	}
 	ob := cfg.Obs
@@ -210,7 +216,7 @@ func New(cfg Config) (*Engine, error) {
 		maxDone:     maxDone,
 		queueCap:    depth,
 		obs:         ob,
-		bus:         newBus(cfg.EventQueue, cfg.EventHistory),
+		bus:         newBus(defaultQueueCap, defaultHistCap),
 		jobs:        make(map[string]*job),
 		stop:        make(chan struct{}),
 		campaigns:   make(map[string]*campaign),
@@ -313,7 +319,6 @@ func (e *Engine) worker() {
 		ob := &jobObserver{e: e, j: j, span: simSpan}
 		if e.obs.Timelines.Enabled() {
 			ob.rec = e.obs.Timelines.Attach(j.id)
-			ob.rec.OnEpoch(func(f obs.EpochFrame) { e.publishEpoch(j, f) })
 		}
 		opts := j.req.Options
 		opts.Observer = ob
@@ -332,9 +337,9 @@ func (e *Engine) worker() {
 
 // jobObserver is a running job's one simulation observer. Each phase
 // ends as a child of the "simulating" span, and each epoch feeds the
-// job's timeline recorder (whose commits stream as SSE epoch frames) and
-// its progress events. Cancellation needs nothing here: the run call
-// stops the simulation once ctx is done.
+// job's timeline recorder (read through GET /v1/runs/{id}/timeline, never
+// the event bus) and its progress events. Cancellation needs nothing
+// here: the run call stops the simulation once ctx is done.
 type jobObserver struct {
 	e    *Engine
 	j    *job
@@ -747,19 +752,6 @@ func (e *Engine) Trace(id string) (obs.TraceView, bool) {
 // has been evicted from the bounded registry.
 func (e *Engine) Timeline(id string) (obs.TimelineView, bool) {
 	return e.obs.Timelines.View(id)
-}
-
-// publishEpoch publishes one committed telemetry epoch frame on the
-// run's topic (and its campaigns'). It is called from the simulator's
-// run loop, via the recorder's epoch callback, outside any recorder
-// lock.
-func (e *Engine) publishEpoch(j *job, f obs.EpochFrame) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if j.status != StatusRunning {
-		return
-	}
-	e.publishJobLocked(j, Event{State: StatusRunning, Progress: j.progress, Epoch: &f})
 }
 
 // Stats is the engine's point-in-time operational snapshot, the one that

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +36,47 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 		}
 	})
 	return e
+}
+
+// TestNewSizes pins New's size contract: 0 selects each default, and a
+// negative size is an error rather than a silent default.
+func TestNewSizes(t *testing.T) {
+	st, err := resultstore.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name                    string
+		cfg                     Config
+		err                     string // "" = accepted
+		workers, queue, maxDone int
+	}{
+		{name: "defaults", workers: procs, queue: 2 * procs, maxDone: maxCompletedJobs},
+		{name: "queue follows workers", cfg: Config{Workers: 3}, workers: 3, queue: 6, maxDone: maxCompletedJobs},
+		{name: "explicit", cfg: Config{Workers: 3, QueueDepth: 5, MaxCompletedJobs: 7}, workers: 3, queue: 5, maxDone: 7},
+		{name: "negative workers", cfg: Config{Workers: -1}, err: "negative Workers -1"},
+		{name: "negative queue", cfg: Config{QueueDepth: -2}, err: "negative QueueDepth -2"},
+		{name: "negative registry", cfg: Config{MaxCompletedJobs: -5}, err: "negative MaxCompletedJobs -5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Store = st
+			e, err := New(tc.cfg)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("New = %v, want an error containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Workers() != tc.workers || e.QueueCap() != tc.queue || e.maxDone != tc.maxDone {
+				t.Fatalf("sizes = %d workers, %d queue, %d registry; want %d, %d, %d",
+					e.Workers(), e.QueueCap(), e.maxDone, tc.workers, tc.queue, tc.maxDone)
+			}
+		})
+	}
 }
 
 // smallReq is a fast real request with a distinct content address per seed.

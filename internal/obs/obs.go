@@ -11,14 +11,20 @@
 // families, and Lint (lint.go) is the conformance checker that keeps it
 // honest.
 //
-// The three concerns compose through Observer, one bundle the engine and
+// The concerns compose through Observer, one bundle the engine and
 // server share:
 //
 //   - Tracer (trace.go): a span tree per run — admitted, queued,
 //     simulating (with the simulator's own phase breakdown), stored —
-//     kept in a bounded registry and served by
-//     GET /v1/runs/{id}/trace. A nil Tracer disables tracing at zero
-//     cost: every Tracer and Span method is nil-receiver safe.
+//     served by GET /v1/runs/{id}/trace. A nil Tracer disables tracing
+//     at zero cost: every Tracer and Span method is nil-receiver safe.
+//   - Timelines (timeline.go): an epoch-resolved flight recorder per
+//     run, served by GET /v1/runs/{id}/timeline — in flight and
+//     finished, the one way a run's telemetry leaves the process. A nil
+//     Timelines disables it under the same contract.
+//   - Tracer and Timelines hold their per-run entries in one bounded
+//     registry type (registry.go): insertion order, restart in place,
+//     oldest-finished-first eviction.
 //   - Histograms (histogram.go): fixed-bucket latency distributions for
 //     run duration, queue wait, store operations and HTTP requests.
 //   - Logging: NewLogger builds the slog.Logger all layers share, with

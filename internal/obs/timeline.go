@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -55,19 +56,6 @@ type SeriesDef struct {
 // ops) 128 epochs cover half a million operations before the first
 // decimation.
 const DefaultTimelineEpochs = 128
-
-// EpochFrame is one committed epoch, delivered to the OnEpoch callback
-// (the engine publishes it on the run's SSE topic). Epoch is the
-// sequential commit index — the retained timeline may hold fewer epochs
-// than were committed, because decimation folds older ones together.
-type EpochFrame struct {
-	Epoch int `json:"epoch"`
-	// Span is the number of raw samples folded into this epoch (equal to
-	// the recorder's scale at commit time, except for a final partial
-	// epoch committed by Flush).
-	Span   uint64            `json:"span"`
-	Series map[string]uint64 `json:"series"`
-}
 
 // RunObserver watches one simulation (sim.Run). It is execution
 // plumbing, not run identity: wiring one never changes a run's content
@@ -122,7 +110,6 @@ type Recorder struct {
 	commits int      // total epochs ever committed (pre-decimation count)
 
 	finished bool
-	onEpoch  func(EpochFrame)
 }
 
 // NewRecorder builds a recorder retaining at most capacity epochs
@@ -135,18 +122,6 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = 2 // decimation folds pairs; one slot cannot fold
 	}
 	return &Recorder{cap: capacity}
-}
-
-// OnEpoch installs a callback invoked (outside the recorder's lock)
-// after each epoch commit. The engine uses it to stream live epoch
-// frames; building the frame allocates, which is fine at epoch cadence.
-func (r *Recorder) OnEpoch(fn func(EpochFrame)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.onEpoch = fn
-	r.mu.Unlock()
 }
 
 // Start declares the series and preallocates every buffer Sample will
@@ -168,15 +143,14 @@ func (r *Recorder) Start(defs []SeriesDef) {
 
 // Sample takes one raw sample: cum[i] is the current cumulative value of
 // counter series i, or the current level of gauge series i, in Start's
-// declaration order. Sample never allocates; an epoch commit (every
-// scale samples) may invoke the OnEpoch callback after the lock drops.
+// declaration order. Sample never allocates.
 func (r *Recorder) Sample(cum []uint64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.pend == nil || len(cum) != len(r.defs) || r.finished {
-		r.mu.Unlock()
 		return
 	}
 	r.samples++
@@ -189,23 +163,13 @@ func (r *Recorder) Sample(cum []uint64) {
 		r.pend[i] += cum[i] - r.last[i]
 		r.last[i] = cum[i]
 	}
-	var frame EpochFrame
-	emit := false
 	if r.pendN >= r.scale {
-		frame, emit = r.commitLocked()
-	}
-	fn := r.onEpoch
-	r.mu.Unlock()
-	if emit && fn != nil {
-		fn(frame)
+		r.commitLocked()
 	}
 }
 
 // commitLocked moves pend into the matrix, decimating first when full.
-// It returns the committed frame for the OnEpoch callback (built only
-// when one is installed, to keep callback-free runs allocation-free at
-// commit time too).
-func (r *Recorder) commitLocked() (EpochFrame, bool) {
+func (r *Recorder) commitLocked() {
 	if r.n == r.cap {
 		r.decimateLocked()
 	}
@@ -214,18 +178,10 @@ func (r *Recorder) commitLocked() (EpochFrame, bool) {
 	r.spans[r.n] = r.pendN
 	r.n++
 	r.commits++
-	frame := EpochFrame{Epoch: r.commits - 1, Span: r.pendN}
-	if r.onEpoch != nil {
-		frame.Series = make(map[string]uint64, len(r.defs))
-		for i, d := range r.defs {
-			frame.Series[d.Name] = r.pend[i]
-		}
-	}
 	for i := range r.pend {
 		r.pend[i] = 0
 	}
 	r.pendN = 0
-	return frame, r.onEpoch != nil
 }
 
 // decimateLocked folds adjacent epoch pairs in place: counters add,
@@ -288,21 +244,14 @@ func (r *Recorder) Flush() {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.pend == nil || r.finished {
-		r.mu.Unlock()
 		return
 	}
-	var frame EpochFrame
-	emit := false
 	if r.pendN > 0 {
-		frame, emit = r.commitLocked()
+		r.commitLocked()
 	}
 	r.finished = true
-	fn := r.onEpoch
-	r.mu.Unlock()
-	if emit && fn != nil {
-		fn(frame)
-	}
 }
 
 // Finished reports whether Flush has run.
@@ -431,15 +380,11 @@ func (v TimelineView) WriteCSV(w io.Writer) error {
 const DefaultMaxTimelines = 256
 
 // Timelines is the bounded per-run recorder registry, the timeline
-// sibling of the Tracer: when full, the oldest finished timeline is
-// evicted first, then the oldest outright. A nil *Timelines is the
-// disabled registry; every method is nil-receiver safe.
+// sibling of the Tracer and held in the same kind of registry. A nil
+// *Timelines is the disabled registry; every method is nil-receiver safe.
 type Timelines struct {
-	mu       sync.Mutex
-	recs     map[string]*Recorder
-	order    []string // insertion order, for eviction
-	max      int
-	attached uint64 // cumulative Attach count, for lard_timeline_runs_total
+	recs     *registry[*Recorder]
+	attached atomic.Uint64 // cumulative Attach count, for lard_timeline_runs_total
 }
 
 // NewTimelines builds an enabled registry holding at most max timelines
@@ -448,7 +393,7 @@ func NewTimelines(max int) *Timelines {
 	if max <= 0 {
 		max = DefaultMaxTimelines
 	}
-	return &Timelines{recs: make(map[string]*Recorder), max: max}
+	return &Timelines{recs: newRegistry(max, (*Recorder).Finished)}
 }
 
 // Enabled reports whether the registry records anything.
@@ -462,36 +407,9 @@ func (t *Timelines) Attach(id string) *Recorder {
 		return nil
 	}
 	rec := NewRecorder(0)
-	t.mu.Lock()
-	t.attached++
-	if _, exists := t.recs[id]; exists {
-		t.recs[id] = rec
-		t.mu.Unlock()
-		return rec
-	}
-	if len(t.order) >= t.max {
-		t.evictLocked()
-	}
-	t.recs[id] = rec
-	t.order = append(t.order, id)
-	t.mu.Unlock()
+	t.attached.Add(1)
+	t.recs.put(id, rec)
 	return rec
-}
-
-// evictLocked drops one timeline: the oldest finished one if any, else
-// the oldest outright.
-func (t *Timelines) evictLocked() {
-	for i, id := range t.order {
-		if rec, ok := t.recs[id]; ok && rec.Finished() {
-			delete(t.recs, id)
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			return
-		}
-	}
-	if len(t.order) > 0 {
-		delete(t.recs, t.order[0])
-		t.order = t.order[1:]
-	}
 }
 
 // Len returns the number of timelines currently held.
@@ -499,9 +417,7 @@ func (t *Timelines) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.recs)
+	return t.recs.len()
 }
 
 // View returns the timeline for the given run id as a serializable
@@ -510,9 +426,7 @@ func (t *Timelines) View(id string) (TimelineView, bool) {
 	if t == nil {
 		return TimelineView{}, false
 	}
-	t.mu.Lock()
-	rec, ok := t.recs[id]
-	t.mu.Unlock()
+	rec, ok := t.recs.get(id)
 	if !ok {
 		return TimelineView{}, false
 	}
@@ -536,13 +450,8 @@ func (t *Timelines) Stats() TimelineStats {
 	if t == nil {
 		return TimelineStats{}
 	}
-	t.mu.Lock()
-	recs := make([]*Recorder, 0, len(t.recs))
-	for _, r := range t.recs {
-		recs = append(recs, r)
-	}
-	st := TimelineStats{Attached: t.attached, Retained: len(recs)}
-	t.mu.Unlock()
+	recs := t.recs.values()
+	st := TimelineStats{Attached: t.attached.Load(), Retained: len(recs)}
 	for _, r := range recs {
 		st.Epochs += r.Epochs()
 		st.Samples += r.Samples()

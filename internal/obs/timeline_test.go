@@ -85,38 +85,6 @@ func TestRecorderScaleDoubles(t *testing.T) {
 	}
 }
 
-// TestRecorderEpochFrames pins the live side channel: each committed
-// epoch invokes the callback with that epoch's deltas, and the frames sum
-// to the same totals the retained timeline reports.
-func TestRecorderEpochFrames(t *testing.T) {
-	rec := NewRecorder(8)
-	var frames []EpochFrame
-	rec.OnEpoch(func(f EpochFrame) { frames = append(frames, f) })
-	rec.Start(twoSeries)
-	var cum uint64
-	for i := 1; i <= 5; i++ {
-		cum += 10
-		rec.Sample([]uint64{cum, uint64(i)})
-	}
-	rec.Flush()
-	if len(frames) != 5 {
-		t.Fatalf("frames = %d, want 5 (scale 1: one per sample, plus the flushed partial)", len(frames))
-	}
-	var sum uint64
-	for i, f := range frames {
-		if f.Epoch != i {
-			t.Fatalf("frame %d has epoch %d", i, f.Epoch)
-		}
-		sum += f.Series["ops"]
-	}
-	if sum != cum {
-		t.Fatalf("frame ops sum = %d, want %d", sum, cum)
-	}
-	if got := frames[len(frames)-1].Series["level"]; got != 5 {
-		t.Fatalf("final frame gauge = %d, want 5", got)
-	}
-}
-
 // TestRecorderGuards pins the defensive edges: sampling before Start,
 // after Flush, or with a mis-sized row is a no-op, and a nil recorder is
 // inert everywhere (the telemetry-off path).
@@ -135,7 +103,6 @@ func TestRecorderGuards(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.Sample([]uint64{1})
 	nilRec.Flush()
-	nilRec.OnEpoch(func(EpochFrame) {})
 	if nilRec.Epochs() != 0 || nilRec.Samples() != 0 || nilRec.Finished() {
 		t.Fatal("nil recorder must be inert")
 	}

@@ -11,27 +11,17 @@ import (
 )
 
 // Tracer records one span tree per trace id (in practice: per run, keyed
-// by the run's content address). The registry is bounded — when it is
-// full, the oldest finished trace is evicted first, then the oldest
-// trace outright — so a long-lived server cannot grow without limit.
+// by the run's content address), held in a bounded registry (see
+// registry) so a long-lived server cannot grow without limit.
 //
 // A nil *Tracer is the disabled tracer: every method (and every method
 // of the nil *Span it returns) is a no-op, so call sites never branch on
 // "is tracing on".
 type Tracer struct {
-	mu     sync.Mutex
-	traces map[string]*traceRec
-	order  []string // insertion order, for eviction
-	max    int
+	traces *registry[*Span] // root span per trace id
 
 	idPrefix string
 	idSeq    atomic.Uint64
-}
-
-type traceRec struct {
-	id      string
-	root    *Span
-	started time.Time
 }
 
 // DefaultMaxTraces bounds the trace registry when Options.MaxTraces is 0.
@@ -46,8 +36,7 @@ func NewTracer(maxTraces int) *Tracer {
 	var b [6]byte
 	rand.Read(b[:])
 	return &Tracer{
-		traces:   make(map[string]*traceRec),
-		max:      maxTraces,
+		traces:   newRegistry(maxTraces, (*Span).finished),
 		idPrefix: hex.EncodeToString(b[:]),
 	}
 }
@@ -87,50 +76,21 @@ type Attr struct {
 
 // StartTrace begins (or restarts) the trace with the given id and
 // returns its root span. Restarting an id — a retried job — discards the
-// previous tree, so the trace always describes the attempt that
-// produced the stored result.
+// previous tree but keeps its registry slot's age, so the trace always
+// describes the attempt that produced the stored result.
 func (t *Tracer) StartTrace(id, rootName string) *Span {
 	if t == nil {
 		return nil
 	}
-	now := time.Now()
 	root := &Span{
 		tracer: t,
 		id:     t.nextSpanID(),
 		trace:  id,
 		name:   rootName,
-		start:  now,
+		start:  time.Now(),
 	}
-	t.mu.Lock()
-	if _, exists := t.traces[id]; exists {
-		// Restart: drop the old tree but keep the registry slot's age.
-		t.traces[id] = &traceRec{id: id, root: root, started: now}
-		t.mu.Unlock()
-		return root
-	}
-	if len(t.order) >= t.max {
-		t.evictLocked()
-	}
-	t.traces[id] = &traceRec{id: id, root: root, started: now}
-	t.order = append(t.order, id)
-	t.mu.Unlock()
+	t.traces.put(id, root)
 	return root
-}
-
-// evictLocked drops one trace: the oldest finished one if any, else the
-// oldest outright.
-func (t *Tracer) evictLocked() {
-	for i, id := range t.order {
-		if rec, ok := t.traces[id]; ok && rec.root.finished() {
-			delete(t.traces, id)
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			return
-		}
-	}
-	if len(t.order) > 0 {
-		delete(t.traces, t.order[0])
-		t.order = t.order[1:]
-	}
 }
 
 // Len returns the number of traces currently held.
@@ -138,9 +98,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.traces)
+	return t.traces.len()
 }
 
 // Child starts a child span under s. Returns nil (a valid no-op span)
@@ -255,16 +213,14 @@ func (t *Tracer) Tree(id string) (TraceView, bool) {
 	if t == nil {
 		return TraceView{}, false
 	}
-	t.mu.Lock()
-	rec, ok := t.traces[id]
-	t.mu.Unlock()
+	root, ok := t.traces.get(id)
 	if !ok {
 		return TraceView{}, false
 	}
 	return TraceView{
 		Trace:    id,
-		Finished: rec.root.finished(),
-		Root:     rec.root.view(),
+		Finished: root.finished(),
+		Root:     root.view(),
 	}, true
 }
 

@@ -64,7 +64,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("lard_timeline_retained", "Timelines currently held in the bounded registry.", ts.Retained)
 		gauge("lard_timeline_epochs", "Retained epochs summed across held timelines.", ts.Epochs)
 		gauge("lard_timeline_samples", "Raw telemetry samples folded into held timelines.", int(ts.Samples))
-		counter("lard_timeline_epoch_frames_dropped_total", "Live epoch frames discarded by event-history compaction.", m.Events.EpochDropped)
 	}
 	counter("lard_store_mem_hits_total", "Store lookups served from the in-memory layer.", st.MemHits)
 	counter("lard_store_disk_hits_total", "Store lookups served from the disk backend.", st.DiskHits)

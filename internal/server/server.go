@@ -21,8 +21,9 @@
 //	                                 (with the simulator's phase
 //	                                 breakdown) -> stored; 404 unless the
 //	                                 server runs with tracing enabled
-//	GET  /v1/runs/{id}/timeline      the run's epoch-resolved telemetry
-//	                                 (per-epoch coherence counters, cycle
+//	GET  /v1/runs/{id}/timeline      the run's finished (or in-flight)
+//	                                 epoch-resolved telemetry (per-epoch
+//	                                 coherence counters, cycle
 //	                                 components); ?format=csv for a flat
 //	                                 dump; 404 unless the server runs with
 //	                                 telemetry enabled
