@@ -267,7 +267,7 @@ func BenchmarkFig7MemberTraced(b *testing.B) {
 func BenchmarkFig7MemberTelemetry(b *testing.B) {
 	var epochs float64
 	for i := 0; i < b.N; i++ {
-		rec := obs.NewRecorder(0)
+		rec := obs.NewRecorder()
 		if _, err := lard.Run("BARNES", lard.LocalityAware(3),
 			lard.Options{Cores: 16, OpsScale: 0.5, Observer: rec}); err != nil {
 			b.Fatal(err)

@@ -4,7 +4,7 @@
 //
 //	lard-bench [-fig all|1|6|7|8|9|10|lru|oracle|headline] [-cores 64|16|4]
 //	           [-scale 1.0] [-seed 0] [-breakdown BENCH] [-store DIR]
-//	           [-remote URL] [-waterfall] [-timeline]
+//	           [-remote URL] [-trace]
 //
 // With -store, every simulation is cached in a content-addressed result
 // store: re-running a figure (or regenerating a different figure that
@@ -20,14 +20,13 @@
 // fans the members out over its worker pool, previously computed members
 // are served from its store, and the rendered table comes back over HTTP,
 // with the same rows as the local table. Status lines go to stderr, so
-// stdout holds only the tables. Adding -waterfall (against a server
-// started with -trace) follows the tables with each member's phase-timing
-// waterfall — queue wait, the simulator's setup / trace-decode /
-// coherence-loop / finalize breakdown, and the store write — pulled from
-// GET /v1/runs/{id}/trace. Adding -timeline (against a server started with
-// -telemetry) follows the tables with each member's epoch timeline:
+// stdout holds only the tables. Adding -trace (against a server also
+// started with -trace) follows the tables with two per-member views: the
+// phase-timing waterfall — queue wait, the simulator's setup /
+// trace-decode / coherence-loop / finalize breakdown, and the store write
+// — pulled from GET /v1/runs/{id}/trace, then the epoch timeline —
 // sparklines of the headline coherence series plus a warmup/steady/tail
-// phase summary, pulled from GET /v1/runs/{id}/timeline. Both list each
+// phase summary — pulled from GET /v1/runs/{id}/timeline. Both list each
 // level of the auto-tuned ASR column as its own member ("BARNES/ASR@0.25").
 //
 // Each figure prints an aligned text table.
@@ -56,8 +55,7 @@ func main() {
 		benchList = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 		storeDir  = flag.String("store", "", "result store directory (empty = no caching)")
 		remote    = flag.String("remote", "", "lard-server URL: submit the figure as one campaign instead of simulating locally")
-		waterfall = flag.Bool("waterfall", false, "with -remote against a tracing server: print each member's phase-timing waterfall")
-		timeline  = flag.Bool("timeline", false, "with -remote against a telemetry server: print each member's epoch-timeline sparklines")
+		trace     = flag.Bool("trace", false, "with -remote against a -trace server: print each member's phase-timing waterfall and epoch timeline")
 	)
 	flag.Parse()
 	base := harness.Base{Cores: *cores, OpsScale: *scale, Seed: *seed, Parallelism: *par}
@@ -80,14 +78,11 @@ func main() {
 			Options:    lard.Options{Cores: *cores, OpsScale: *scale, Seed: *seed},
 			AutoASR:    true,
 		}
-		fatal(remoteFigure(*remote, *fig, spec, *waterfall, *timeline))
+		fatal(remoteFigure(*remote, *fig, spec, *trace))
 		return
 	}
-	if *waterfall {
-		fatal(fmt.Errorf("-waterfall requires -remote (phase timings come from the server's trace endpoint)"))
-	}
-	if *timeline {
-		fatal(fmt.Errorf("-timeline requires -remote (epoch timelines come from the server's timeline endpoint)"))
+	if *trace {
+		fatal(fmt.Errorf("-trace requires -remote (phase timings and epoch timelines come from the server's trace and timeline endpoints)"))
 	}
 	if *storeDir != "" {
 		st, err := resultstore.New(*storeDir)

@@ -25,7 +25,7 @@ import (
 // (the server sheds load when its queue is full and continues the fan-out
 // on resubmission), and if the event stream is unavailable — an older
 // server, a proxy that buffers — it degrades to the polling loop.
-func remoteFigure(base string, fig string, spec lard.CampaignSpec, waterfall, timeline bool) error {
+func remoteFigure(base string, fig string, spec lard.CampaignSpec, trace bool) error {
 	base = strings.TrimRight(base, "/")
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -81,12 +81,10 @@ func remoteFigure(base string, fig string, spec lard.CampaignSpec, waterfall, ti
 		}
 		fmt.Println(tbl.Table)
 	}
-	if waterfall {
+	if trace {
 		if err := renderWaterfall(base, view); err != nil {
 			return err
 		}
-	}
-	if timeline {
 		return renderTimelines(base, view)
 	}
 	return nil

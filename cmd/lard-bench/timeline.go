@@ -27,9 +27,8 @@ var timelineSeries = []string{
 // per headline series (waterfall-style, so members line up under each
 // other) plus a warmup/steady/tail phase summary of the off-chip and
 // replica-hit shares. Members without timelines (cached before
-// telemetry, or evicted) are listed without rows; a server with
-// telemetry disabled fails with a hint rather than printing an empty
-// table.
+// tracing, or evicted) are listed without rows; a server with tracing
+// disabled fails with a hint rather than printing an empty table.
 func renderTimelines(base string, view server.CampaignView) error {
 	fmt.Println("\nPer-member epoch timelines")
 	for _, m := range view.Members {
@@ -51,8 +50,8 @@ func renderTimelines(base string, view server.CampaignView) error {
 		switch code {
 		case http.StatusOK:
 		case http.StatusNotFound:
-			if strings.Contains(tl.Error, "telemetry is disabled") {
-				return fmt.Errorf("timelines need telemetry: %s", tl.Error)
+			if err := tracingOff(tl.Error); err != nil {
+				return err
 			}
 			fmt.Printf("%-14s %-22s (no timeline retained)\n", id, label)
 			continue

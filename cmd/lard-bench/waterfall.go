@@ -56,8 +56,8 @@ func renderWaterfall(base string, view server.CampaignView) error {
 				r.cached = true
 			}
 		case http.StatusNotFound:
-			if len(rows) == 0 && strings.Contains(tree.Error, "tracing is disabled") {
-				return fmt.Errorf("waterfall needs traces: %s", tree.Error)
+			if err := tracingOff(tree.Error); err != nil {
+				return err
 			}
 			r.noTrace = true
 		default:
@@ -96,6 +96,15 @@ func renderWaterfall(base string, view server.CampaignView) error {
 		}
 		fmt.Printf("%-14s %-22s %8.2f %8.2f %8.2f %10.2f %8.2f %8.2f %9.2f%s\n",
 			id, r.label, r.queued, r.phases[0], r.phases[1], r.phases[2], r.phases[3], r.stored, r.total, bar)
+	}
+	return nil
+}
+
+// tracingOff turns the 404 body of a server started without -trace into
+// lard-bench's error, nil for any other 404 (an unknown or evicted run).
+func tracingOff(msg string) error {
+	if strings.Contains(msg, "tracing is disabled") {
+		return fmt.Errorf("-trace needs a lard-server started with -trace: %s", msg)
 	}
 	return nil
 }

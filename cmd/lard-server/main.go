@@ -6,22 +6,22 @@
 //
 //	lard-server [-addr :8347] [-store DIR] [-workers N] [-queue N]
 //	            [-max-entries N]
-//	            [-trace] [-max-traces N] [-telemetry] [-max-timelines N]
-//	            [-log-level LEVEL] [-debug-addr ADDR]
+//	            [-trace] [-log-level LEVEL] [-debug-addr ADDR]
 //
 // Observability:
 //
-//	-trace       records a span tree per run (admitted -> queued ->
-//	             simulating with the simulator's phase breakdown ->
-//	             stored), served by GET /v1/runs/{id}/trace and carried
-//	             as span ids on the SSE event streams.
-//	-telemetry   records an epoch-resolved timeline per run (coherence
-//	             counter deltas, cycle components), served by
-//	             GET /v1/runs/{id}/timeline. A GET while the run is
-//	             still simulating returns the epochs recorded so far;
-//	             the SSE event streams carry lifecycle and progress only.
+//	-trace       records two views of every simulated run: its span tree
+//	             (admitted -> queued -> simulating with the simulator's
+//	             phase breakdown -> stored), served by
+//	             GET /v1/runs/{id}/trace, and its epoch-resolved timeline
+//	             (coherence counter deltas, cycle components), served by
+//	             GET /v1/runs/{id}/timeline. A GET while the run is still
+//	             simulating returns what was recorded so far. The server
+//	             keeps the newest 4096 traces and 256 timelines, evicting
+//	             finished ones first. The SSE event streams carry
+//	             lifecycle and progress only.
 //	-log-level   debug|info|warn|error structured logging (log/slog,
-//	             stderr). Run, campaign and span ids ride every record.
+//	             stderr). Run and campaign ids ride every record.
 //	-debug-addr  serves net/http/pprof on a second, private listener
 //	             (e.g. localhost:6060) so profiling never shares a port
 //	             with the public API.
@@ -59,10 +59,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 64, "pending-job queue depth (full queue answers 429)")
 		maxEntries = flag.Int("max-entries", 0, "in-memory result bound, LRU-evicted beyond it (0 = unbounded)")
-		trace      = flag.Bool("trace", false, "record a span tree per run, served by GET /v1/runs/{id}/trace")
-		maxTraces  = flag.Int("max-traces", 0, "bound on retained traces, oldest-finished evicted beyond it (0 = default 4096)")
-		telemetry  = flag.Bool("telemetry", false, "record an epoch timeline per run, served by GET /v1/runs/{id}/timeline")
-		maxTimel   = flag.Int("max-timelines", 0, "bound on retained timelines, oldest-finished evicted beyond it (0 = default 256)")
+		trace      = flag.Bool("trace", false, "record a span tree and an epoch timeline per run, served by GET /v1/runs/{id}/trace and /timeline")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 		debugAddr  = flag.String("debug-addr", "", "private listener for net/http/pprof (empty = disabled)")
 	)
@@ -71,19 +68,10 @@ func main() {
 	level, err := obs.ParseLevel(*logLevel)
 	fatal(err)
 	logger := obs.NewLogger(os.Stderr, level, "lard-server")
-	if *maxTraces < 0 || *maxTimel < 0 {
-		fatal(fmt.Errorf("-max-traces and -max-timelines must not be negative (0 selects the default)"))
-	}
-	if *maxTraces != 0 && !*trace {
-		fatal(fmt.Errorf("-max-traces requires -trace (there is no trace registry to bound)"))
-	}
-	if *maxTimel != 0 && !*telemetry {
-		fatal(fmt.Errorf("-max-timelines requires -telemetry (there is no timeline registry to bound)"))
-	}
 
 	st, err := resultstore.Open(resultstore.BackendConfig{Dir: *storeDir, MaxEntries: *maxEntries})
 	fatal(err)
-	ob := obs.New(obs.Options{Tracing: *trace, MaxTraces: *maxTraces, Telemetry: *telemetry, MaxTimelines: *maxTimel, Log: logger})
+	ob := obs.New(obs.Options{Tracing: *trace, Log: logger})
 	svc, err := server.New(server.Config{Store: st, Workers: *workers, QueueDepth: *queue, Obs: ob})
 	fatal(err)
 	svc.Start()
@@ -109,7 +97,7 @@ func main() {
 			}
 		}()
 	}
-	logger.Info("listening", "addr", *addr, "store", *storeDir, "tracing", *trace, "telemetry", *telemetry, "level", level.String())
+	logger.Info("listening", "addr", *addr, "store", *storeDir, "tracing", *trace, "level", level.String())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -69,7 +69,7 @@ func main() {
 	opt := lard.Options{Cores: *cores, OpsScale: *scale, Seed: *seed, TrackRuns: *runs}
 	var rec *obs.Recorder
 	if *tlOut != "" {
-		rec = obs.NewRecorder(0)
+		rec = obs.NewRecorder()
 		opt.Observer = rec
 	}
 	res, err := lard.Run(*bench, s, opt)

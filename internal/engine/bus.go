@@ -8,8 +8,10 @@ import "sync"
 // for campaign members — re-published to each enrolled campaign's topic
 // with Campaign set. Seq is the per-topic sequence number: within one
 // topic, events are totally ordered and replayable. Events carry no
-// telemetry: a run's epoch timeline is read, in flight or finished, from
-// GET /v1/runs/{id}/timeline.
+// telemetry and no span ids: a run's span tree and epoch timeline are
+// read, in flight or finished, from GET /v1/runs/{id}/trace and
+// /timeline, where an event's Job and State already name its span
+// (queued → "queued", running → "simulating", terminal → "stored").
 type Event struct {
 	// Seq orders events within their topic, starting at 1.
 	Seq uint64 `json:"seq"`
@@ -33,10 +35,6 @@ type Event struct {
 	// Terminal marks the final event of a job (or of a campaign on
 	// campaign-level events): no further events follow for it.
 	Terminal bool `json:"terminal,omitempty"`
-	// Span is the id of the job's current trace span when tracing is
-	// enabled ("" otherwise): the correlation key that lets SSE
-	// consumers line events up against GET /v1/runs/{id}/trace.
-	Span string `json:"span,omitempty"`
 }
 
 // Subscription is one live event feed. Receive from C; call Close exactly

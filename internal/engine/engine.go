@@ -94,12 +94,12 @@ type job struct {
 
 	// Observability. admittedAt is the queue-admission instant (zero for
 	// jobs answered from the store without queueing); root is the job's
-	// trace root and phase the currently open phase span, both nil when
-	// tracing is disabled. The phase pointer is written only under the
-	// engine mutex; span-internal state has its own lock.
+	// trace root and queued its "queued" span, open until worker pickup,
+	// both nil when tracing is disabled. Both pointers are written only
+	// under the engine mutex; span-internal state has its own lock.
 	admittedAt time.Time
 	root       *obs.Span
-	phase      *obs.Span
+	queued     *obs.Span
 }
 
 // Config configures an Engine. A zero size selects its default; New
@@ -307,19 +307,16 @@ func (e *Engine) worker() {
 		if !j.admittedAt.IsZero() {
 			e.obs.QueueWait.ObserveDuration(time.Since(j.admittedAt))
 		}
-		j.phase.End() // queued
+		j.queued.End()
+		j.queued = nil
 		simSpan := j.root.Child("simulating")
-		j.phase = simSpan
 		e.publishJobLocked(j, Event{State: StatusRunning, Progress: j.progress})
 		e.mu.Unlock()
 
 		// The job's observer rides on an options copy, never the keyed
 		// request: it is key-neutral, so the job's content address (its
 		// id) is untouched.
-		ob := &jobObserver{e: e, j: j, span: simSpan}
-		if e.obs.Timelines.Enabled() {
-			ob.rec = e.obs.Timelines.Attach(j.id)
-		}
+		ob := &jobObserver{e: e, j: j, span: simSpan, rec: e.obs.Timelines.Attach(j.id)}
 		opts := j.req.Options
 		opts.Observer = ob
 		callStart := time.Now()
@@ -344,7 +341,7 @@ type jobObserver struct {
 	e    *Engine
 	j    *job
 	span *obs.Span     // "simulating"; nil when tracing is disabled
-	rec  *obs.Recorder // nil when telemetry is disabled
+	rec  *obs.Recorder // nil when tracing is disabled
 	sim  time.Duration // summed phase time
 }
 
@@ -484,7 +481,7 @@ func (e *Engine) beginTraceLocked(j *job, retry bool) {
 	}
 	adm.End()
 	if j.status == StatusQueued {
-		j.phase = j.root.Child("queued")
+		j.queued = j.root.Child("queued")
 	}
 }
 
@@ -625,7 +622,6 @@ func (e *Engine) finishLocked(j *job, res *lard.Result, cached bool, err error) 
 	// early cancel, simulating on a failure), so finished traces never
 	// dangle.
 	j.root.End()
-	j.phase = nil
 	switch j.status {
 	case StatusFailed:
 		e.obs.Log.Warn("run failed", "run", j.id, "benchmark", j.req.Benchmark, "error", j.err)
@@ -691,11 +687,6 @@ func (e *Engine) publishJobLocked(j *job, ev Event) {
 	ev.Job = j.id
 	ev.Benchmark = j.req.Benchmark
 	ev.Scheme = j.req.Scheme.Label()
-	if j.phase != nil {
-		ev.Span = j.phase.ID()
-	} else {
-		ev.Span = j.root.ID() // "" when tracing is disabled
-	}
 	e.bus.publish(j.id, ev)
 	for campID := range e.memberCamps[j.id] {
 		cev := ev
@@ -737,9 +728,6 @@ func (e *Engine) SubscribeCampaign(id string) ([]Event, *Subscription, bool) {
 // EventStats returns the bus counters.
 func (e *Engine) EventStats() EventStats { return e.bus.stats() }
 
-// Obs returns the engine's observability bundle (never nil).
-func (e *Engine) Obs() *obs.Observer { return e.obs }
-
 // Trace returns the span tree recorded for the run with the given id
 // (a content address, exactly as Job). ok=false when tracing is disabled
 // or the trace has been evicted from the bounded registry.
@@ -748,7 +736,7 @@ func (e *Engine) Trace(id string) (obs.TraceView, bool) {
 }
 
 // Timeline returns the epoch-resolved telemetry recorded for the run
-// with the given id. ok=false when telemetry is disabled or the timeline
+// with the given id. ok=false when tracing is disabled or the timeline
 // has been evicted from the bounded registry.
 func (e *Engine) Timeline(id string) (obs.TimelineView, bool) {
 	return e.obs.Timelines.View(id)

@@ -86,54 +86,6 @@ func TestTraceCachedSubmit(t *testing.T) {
 	}
 }
 
-// TestEventsCarrySpanIDs checks the bus contract: with tracing on, every
-// job event carries the current span id, and ids change as the job moves
-// from queued to running.
-func TestEventsCarrySpanIDs(t *testing.T) {
-	e := tracedEngine(t, Config{Workers: 1})
-	key, req := smallReq(t, 33)
-	if _, shed, err := e.Submit(key, req); shed || err != nil {
-		t.Fatalf("submit: shed=%v err=%v", shed, err)
-	}
-	await(t, e, key)
-	hist, sub, ok := e.SubscribeRun(key)
-	if !ok {
-		t.Fatal("subscribe failed")
-	}
-	sub.Close()
-	byState := map[string]string{}
-	for _, ev := range hist {
-		if ev.Span == "" {
-			t.Fatalf("event %+v has no span id under tracing", ev)
-		}
-		byState[ev.State] = ev.Span
-	}
-	if byState[StatusQueued] == byState[StatusRunning] {
-		t.Error("queued and running events share a span id")
-	}
-}
-
-// TestEventsNoSpanWhenTracingOff checks the zero-cost contract on the
-// wire: a default engine publishes events with no span field at all.
-func TestEventsNoSpanWhenTracingOff(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1})
-	key, req := smallReq(t, 34)
-	if _, shed, err := e.Submit(key, req); shed || err != nil {
-		t.Fatalf("submit: shed=%v err=%v", shed, err)
-	}
-	await(t, e, key)
-	hist, sub, _ := e.SubscribeRun(key)
-	sub.Close()
-	for _, ev := range hist {
-		if ev.Span != "" {
-			t.Fatalf("event %+v carries a span id with tracing disabled", ev)
-		}
-	}
-	if _, ok := e.Trace(key); ok {
-		t.Error("Trace returned a tree with tracing disabled")
-	}
-}
-
 // TestTraceHistogramsObserve checks the engine feeds its latency families:
 // after one real run, the queue-wait and run-duration histograms both
 // have observations.

@@ -22,13 +22,16 @@
 //     run, served by GET /v1/runs/{id}/timeline — in flight and
 //     finished, the one way a run's telemetry leaves the process. A nil
 //     Timelines disables it under the same contract.
+//   - Options.Tracing is the one switch: it enables both, since a run's
+//     span tree and its timeline are two views of the same run.
 //   - Tracer and Timelines hold their per-run entries in one bounded
 //     registry type (registry.go): insertion order, restart in place,
-//     oldest-finished-first eviction.
+//     oldest-finished-first eviction. The bounds are constants (4096
+//     traces, 256 timelines of 128 epochs each), not options.
 //   - Histograms (histogram.go): fixed-bucket latency distributions for
 //     run duration, queue wait, store operations and HTTP requests.
 //   - Logging: NewLogger builds the slog.Logger all layers share, with
-//     run/campaign/span correlation ids carried as attributes.
+//     run and campaign correlation ids carried as attributes.
 package obs
 
 import (
@@ -47,8 +50,8 @@ type Observer struct {
 	// Tracer records per-run span trees; nil disables tracing (every
 	// call site stays valid — Tracer methods are nil-receiver safe).
 	Tracer *Tracer
-	// Timelines records per-run epoch telemetry; nil disables it with
-	// the same nil-receiver contract as Tracer.
+	// Timelines records per-run epoch telemetry; nil exactly when Tracer
+	// is, with the same nil-receiver contract.
 	Timelines *Timelines
 	// Log is the process logger; never nil.
 	Log *slog.Logger
@@ -70,14 +73,8 @@ type Observer struct {
 
 // Options configure New.
 type Options struct {
-	// Tracing enables the span tracer.
+	// Tracing enables the span tracer and the epoch timeline registry.
 	Tracing bool
-	// MaxTraces bounds the tracer's trace registry (default 4096).
-	MaxTraces int
-	// Telemetry enables the per-run epoch timeline registry.
-	Telemetry bool
-	// MaxTimelines bounds the timeline registry (default 256).
-	MaxTimelines int
 	// Log is the process logger (default: a discard logger — commands
 	// pass NewLogger to log for real, tests stay silent).
 	Log *slog.Logger
@@ -107,10 +104,8 @@ func New(o Options) *Observer {
 			[]string{"route", "code"}, DurationBuckets),
 	}
 	if o.Tracing {
-		obs.Tracer = NewTracer(o.MaxTraces)
-	}
-	if o.Telemetry {
-		obs.Timelines = NewTimelines(o.MaxTimelines)
+		obs.Tracer = NewTracer()
+		obs.Timelines = NewTimelines()
 	}
 	return obs
 }
@@ -123,9 +118,6 @@ func Nop() *Observer { return New(Options{}) }
 // been alive.
 func (o *Observer) Uptime() time.Duration { return time.Since(o.start) }
 
-// StartedAt reports when the Observer was created.
-func (o *Observer) StartedAt() time.Time { return o.start }
-
 // WriteHistograms renders every histogram family in exposition format.
 func (o *Observer) WriteHistograms(w io.Writer) {
 	o.RunDuration.Write(w)
@@ -136,7 +128,7 @@ func (o *Observer) WriteHistograms(w io.Writer) {
 
 // NewLogger builds the structured logger the commands install: text
 // handler on w at the given level, with every record carrying the
-// component attribute. Layers add run/campaign/span correlation ids per
+// component attribute. Layers add run and campaign correlation ids per
 // call site (slog.String("run", id) and friends).
 func NewLogger(w io.Writer, level slog.Level, component string) *slog.Logger {
 	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})

@@ -51,11 +51,10 @@ type SeriesDef struct {
 	Kind SeriesKind
 }
 
-// DefaultTimelineEpochs is the per-run epoch capacity when NewRecorder
-// is given 0. At the simulator's default cadence (one sample per 4096
-// ops) 128 epochs cover half a million operations before the first
-// decimation.
-const DefaultTimelineEpochs = 128
+// timelineEpochs is a Recorder's epoch capacity. At the simulator's
+// default cadence (one sample per 4096 ops) 128 epochs cover half a
+// million operations before the first decimation.
+const timelineEpochs = 128
 
 // RunObserver watches one simulation (sim.Run). It is execution
 // plumbing, not run identity: wiring one never changes a run's content
@@ -96,7 +95,6 @@ type RunEpoch struct {
 type Recorder struct {
 	mu   sync.Mutex
 	defs []SeriesDef
-	cap  int
 
 	data  []uint64 // epoch-major flat matrix: data[e*len(defs)+s]
 	spans []uint64 // raw samples folded into each retained epoch
@@ -112,17 +110,9 @@ type Recorder struct {
 	finished bool
 }
 
-// NewRecorder builds a recorder retaining at most capacity epochs
-// (0 = DefaultTimelineEpochs). Call Start before Sample.
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultTimelineEpochs
-	}
-	if capacity < 2 {
-		capacity = 2 // decimation folds pairs; one slot cannot fold
-	}
-	return &Recorder{cap: capacity}
-}
+// NewRecorder builds a recorder retaining at most timelineEpochs
+// epochs. Call Start before Sample.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Start declares the series and preallocates every buffer Sample will
 // touch. Restarting (a retried run) resets all state.
@@ -132,8 +122,8 @@ func (r *Recorder) Start(defs []SeriesDef) {
 	}
 	r.mu.Lock()
 	r.defs = append([]SeriesDef(nil), defs...)
-	r.data = make([]uint64, r.cap*len(defs))
-	r.spans = make([]uint64, r.cap)
+	r.data = make([]uint64, timelineEpochs*len(defs))
+	r.spans = make([]uint64, timelineEpochs)
 	r.pend = make([]uint64, len(defs))
 	r.last = make([]uint64, len(defs))
 	r.n, r.scale, r.pendN, r.samples, r.commits = 0, 1, 0, 0, 0
@@ -170,7 +160,7 @@ func (r *Recorder) Sample(cum []uint64) {
 
 // commitLocked moves pend into the matrix, decimating first when full.
 func (r *Recorder) commitLocked() {
-	if r.n == r.cap {
+	if r.n == timelineEpochs {
 		r.decimateLocked()
 	}
 	row := r.data[r.n*len(r.defs) : (r.n+1)*len(r.defs)]
@@ -317,7 +307,7 @@ func (r *Recorder) Snapshot() TimelineView {
 	defer r.mu.Unlock()
 	v := TimelineView{
 		Epochs:   r.n,
-		Capacity: r.cap,
+		Capacity: timelineEpochs,
 		Scale:    r.scale,
 		Samples:  r.samples,
 		Commits:  r.commits,
@@ -373,11 +363,11 @@ func (v TimelineView) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// DefaultMaxTimelines bounds the timeline registry when
-// Options.MaxTimelines is 0. Timelines are heavier than traces (a full
-// sample matrix each), so the default budget is smaller than
-// DefaultMaxTraces.
-const DefaultMaxTimelines = 256
+// maxTimelines bounds the timeline registry. A timeline is heavier than
+// a trace (a 128-epoch × 18-series matrix, about 20.4 KB against a span
+// tree's 1.4 KB), so the bound is smaller than maxTraces: a full
+// registry stays near 5 MB.
+const maxTimelines = 256
 
 // Timelines is the bounded per-run recorder registry, the timeline
 // sibling of the Tracer and held in the same kind of registry. A nil
@@ -387,17 +377,11 @@ type Timelines struct {
 	attached atomic.Uint64 // cumulative Attach count, for lard_timeline_runs_total
 }
 
-// NewTimelines builds an enabled registry holding at most max timelines
-// (0 = DefaultMaxTimelines).
-func NewTimelines(max int) *Timelines {
-	if max <= 0 {
-		max = DefaultMaxTimelines
-	}
-	return &Timelines{recs: newRegistry(max, (*Recorder).Finished)}
+// NewTimelines builds an enabled registry holding at most maxTimelines
+// timelines.
+func NewTimelines() *Timelines {
+	return &Timelines{recs: newRegistry(maxTimelines, (*Recorder).Finished)}
 }
-
-// Enabled reports whether the registry records anything.
-func (t *Timelines) Enabled() bool { return t != nil }
 
 // Attach creates (or restarts) the recorder for the given run id and
 // returns it. Restarting — a retried job — replaces the old timeline
@@ -406,7 +390,7 @@ func (t *Timelines) Attach(id string) *Recorder {
 	if t == nil {
 		return nil
 	}
-	rec := NewRecorder(0)
+	rec := NewRecorder()
 	t.attached.Add(1)
 	t.recs.put(id, rec)
 	return rec

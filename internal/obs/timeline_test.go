@@ -12,13 +12,14 @@ var twoSeries = []SeriesDef{
 }
 
 // TestRecorderDecimationConservation is the recorder's core property: for
-// ANY number of samples, the retained timeline holds at most capacity
-// epochs, the spans account for every raw sample, counter sums are
-// conserved exactly (decimation folds by addition), and a gauge reports
-// the epoch's latest level.
+// ANY number of samples, the retained timeline holds at most
+// timelineEpochs epochs, the spans account for every raw sample, counter
+// sums are conserved exactly (decimation folds by addition), and a gauge
+// reports the epoch's latest level. The sample counts straddle the first
+// few ring fills (128, 256, 512 samples) and run far past them.
 func TestRecorderDecimationConservation(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 15, 16, 17, 31, 32, 33, 100, 255, 256, 257, 1000, 4097} {
-		rec := NewRecorder(16)
+	for _, n := range []int{1, 2, 3, 100, 127, 128, 129, 255, 256, 257, 258, 511, 512, 513, 1000, 4097, 65537} {
+		rec := NewRecorder()
 		rec.Start(twoSeries)
 		var cum, lastGauge uint64
 		for i := 1; i <= n; i++ {
@@ -32,8 +33,8 @@ func TestRecorderDecimationConservation(t *testing.T) {
 		if !v.Finished {
 			t.Fatalf("n=%d: not finished after Flush", n)
 		}
-		if v.Epochs < 1 || v.Epochs > 16 {
-			t.Fatalf("n=%d: epochs = %d, want 1..16", n, v.Epochs)
+		if v.Epochs < 1 || v.Epochs > timelineEpochs || v.Capacity != timelineEpochs {
+			t.Fatalf("n=%d: epochs = %d of capacity %d, want 1..%d", n, v.Epochs, v.Capacity, timelineEpochs)
 		}
 		if v.Samples != uint64(n) {
 			t.Fatalf("n=%d: samples = %d", n, v.Samples)
@@ -61,19 +62,19 @@ func TestRecorderDecimationConservation(t *testing.T) {
 }
 
 // TestRecorderScaleDoubles pins the decimation arithmetic itself: filling
-// a capacity-4 recorder far past its ring doubles the epoch width each
-// time the ring fills (scale stays a power of two), and no span ever
-// exceeds the final scale.
+// the recorder far past its ring doubles the epoch width each time the
+// ring fills (scale stays a power of two), and no span ever exceeds the
+// final scale. 512 samples fill the 128-epoch ring twice.
 func TestRecorderScaleDoubles(t *testing.T) {
-	rec := NewRecorder(4)
+	rec := NewRecorder()
 	rec.Start(twoSeries)
-	for i := 1; i <= 16; i++ {
+	for i := 1; i <= 4*timelineEpochs; i++ {
 		rec.Sample([]uint64{uint64(i), 0})
 	}
 	rec.Flush()
 	v := rec.Snapshot()
-	if v.Epochs > 4 {
-		t.Fatalf("epochs = %d, want <= capacity 4", v.Epochs)
+	if v.Epochs > timelineEpochs {
+		t.Fatalf("epochs = %d, want <= capacity %d", v.Epochs, timelineEpochs)
 	}
 	if v.Scale < 4 || v.Scale&(v.Scale-1) != 0 {
 		t.Fatalf("scale = %d, want a power of two >= 4 after two ring fills", v.Scale)
@@ -89,7 +90,7 @@ func TestRecorderScaleDoubles(t *testing.T) {
 // after Flush, or with a mis-sized row is a no-op, and a nil recorder is
 // inert everywhere (the telemetry-off path).
 func TestRecorderGuards(t *testing.T) {
-	rec := NewRecorder(4)
+	rec := NewRecorder()
 	rec.Sample([]uint64{1, 2}) // before Start: dropped
 	rec.Start(twoSeries)
 	rec.Sample([]uint64{1}) // wrong width: dropped
@@ -114,7 +115,7 @@ func TestRecorderGuards(t *testing.T) {
 // literals are linted to never look like this; the writer still must not
 // rely on that.
 func TestTimelineCSVEscaping(t *testing.T) {
-	rec := NewRecorder(4)
+	rec := NewRecorder()
 	rec.Start([]SeriesDef{
 		{Name: `evil,"name`, Kind: Counter},
 		{Name: "plain", Kind: Counter},
@@ -138,29 +139,21 @@ func TestTimelineCSVEscaping(t *testing.T) {
 	}
 }
 
-// TestTimelinesRegistry pins the bounded registry: eviction prefers the
-// oldest finished timeline, an Attach for a known id restarts in place,
-// and a nil registry (telemetry off) is safe everywhere.
+// TestTimelinesRegistry pins the timeline registry: an Attach for a known
+// id restarts in place with a fresh recorder, Stats counts every Attach,
+// and a nil registry (tracing off) is safe everywhere. Eviction belongs
+// to the shared registry type (TestRegistryEviction).
 func TestTimelinesRegistry(t *testing.T) {
-	reg := NewTimelines(2)
-	if !reg.Enabled() {
-		t.Fatal("registry should report enabled")
-	}
+	reg := NewTimelines()
 	a := reg.Attach("a")
 	a.Start(twoSeries)
 	a.Sample([]uint64{1, 0})
-	a.Flush() // finished: the preferred eviction victim
+	a.Flush()
 	b := reg.Attach("b")
 	b.Start(twoSeries)
-	reg.Attach("c") // over bound: evicts a (oldest finished), not b (live)
-	if _, ok := reg.View("a"); ok {
-		t.Fatal("finished timeline a should have been evicted")
-	}
-	if _, ok := reg.View("b"); !ok {
-		t.Fatal("live timeline b should survive eviction")
-	}
-	if reg.Len() != 2 {
-		t.Fatalf("len = %d, want 2", reg.Len())
+	b.Sample([]uint64{2, 0})
+	if v, ok := reg.View("a"); !ok || !v.Finished || v.Samples != 1 {
+		t.Fatalf("a = %+v, %v; want a finished one-sample timeline", v, ok)
 	}
 
 	// Restart keeps the slot: same id, fresh recorder, no growth.
@@ -173,14 +166,11 @@ func TestTimelinesRegistry(t *testing.T) {
 	}
 
 	st := reg.Stats()
-	if st.Attached != 4 || st.Retained != 2 {
-		t.Fatalf("stats = %+v, want 4 attached / 2 retained", st)
+	if st.Attached != 3 || st.Retained != 2 || st.Epochs != 1 || st.Samples != 1 {
+		t.Fatalf("stats = %+v, want 3 attached / 2 retained / 1 epoch / 1 sample", st)
 	}
 
 	var nilReg *Timelines
-	if nilReg.Enabled() {
-		t.Fatal("nil registry must report disabled")
-	}
 	if rec := nilReg.Attach("x"); rec != nil {
 		t.Fatal("nil registry must hand out nil recorders")
 	}

@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"crypto/rand"
-	"encoding/binary"
-	"encoding/hex"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -19,48 +15,25 @@ import (
 // "is tracing on".
 type Tracer struct {
 	traces *registry[*Span] // root span per trace id
-
-	idPrefix string
-	idSeq    atomic.Uint64
 }
 
-// DefaultMaxTraces bounds the trace registry when Options.MaxTraces is 0.
-const DefaultMaxTraces = 4096
+// maxTraces bounds the trace registry. A cold run's span tree holds
+// about 1.4 KB of heap, so a full registry stays under 6 MB.
+const maxTraces = 4096
 
-// NewTracer builds an enabled tracer holding at most maxTraces traces
-// (0 = DefaultMaxTraces).
-func NewTracer(maxTraces int) *Tracer {
-	if maxTraces <= 0 {
-		maxTraces = DefaultMaxTraces
-	}
-	var b [6]byte
-	rand.Read(b[:])
-	return &Tracer{
-		traces:   newRegistry(maxTraces, (*Span).finished),
-		idPrefix: hex.EncodeToString(b[:]),
-	}
+// NewTracer builds an enabled tracer holding at most maxTraces traces.
+func NewTracer() *Tracer {
+	return &Tracer{traces: newRegistry(maxTraces, (*Span).finished)}
 }
 
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// nextSpanID mints a process-unique span id: a per-process random prefix
-// plus an atomic counter.
-func (t *Tracer) nextSpanID() string {
-	var seq [8]byte
-	binary.BigEndian.PutUint64(seq[:], t.idSeq.Add(1))
-	return t.idPrefix + hex.EncodeToString(seq[2:])
-}
-
 // Span is one timed operation in a trace. Spans form a tree under the
 // trace's root; children are added with Child and a span is closed with
 // End. All methods are nil-receiver safe.
 type Span struct {
-	tracer *Tracer
-
 	mu       sync.Mutex
-	id       string
-	trace    string
 	name     string
 	start    time.Time
 	end      time.Time // zero while open
@@ -82,13 +55,7 @@ func (t *Tracer) StartTrace(id, rootName string) *Span {
 	if t == nil {
 		return nil
 	}
-	root := &Span{
-		tracer: t,
-		id:     t.nextSpanID(),
-		trace:  id,
-		name:   rootName,
-		start:  time.Now(),
-	}
+	root := &Span{name: rootName, start: time.Now()}
 	t.traces.put(id, root)
 	return root
 }
@@ -107,13 +74,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{
-		tracer: s.tracer,
-		id:     s.tracer.nextSpanID(),
-		trace:  s.trace,
-		name:   name,
-		start:  time.Now(),
-	}
+	c := &Span{name: name, start: time.Now()}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -127,14 +88,7 @@ func (s *Span) ChildAt(name string, start time.Time, d time.Duration) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{
-		tracer: s.tracer,
-		id:     s.tracer.nextSpanID(),
-		trace:  s.trace,
-		name:   name,
-		start:  start,
-		end:    start.Add(d),
-	}
+	c := &Span{name: name, start: start, end: start.Add(d)}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -174,14 +128,6 @@ func (s *Span) endAt(now time.Time) {
 	}
 }
 
-// ID returns the span's id ("" for the nil span).
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id
-}
-
 // finished reports whether the span has ended.
 func (s *Span) finished() bool {
 	s.mu.Lock()
@@ -191,7 +137,6 @@ func (s *Span) finished() bool {
 
 // SpanView is the JSON shape of one span in a trace tree.
 type SpanView struct {
-	ID         string     `json:"id"`
 	Name       string     `json:"name"`
 	Start      time.Time  `json:"start"`
 	End        *time.Time `json:"end,omitempty"`
@@ -228,7 +173,6 @@ func (t *Tracer) Tree(id string) (TraceView, bool) {
 func (s *Span) view() SpanView {
 	s.mu.Lock()
 	v := SpanView{
-		ID:    s.id,
 		Name:  s.name,
 		Start: s.start,
 		Attrs: append([]Attr(nil), s.attrs...),

@@ -395,7 +395,7 @@ func TestEnvelopeIsSelfDescribing(t *testing.T) {
 // entirely.
 func TestObserverFieldsAreKeyNeutral(t *testing.T) {
 	bare := SpecFor("BARNES", config.Small(), sim.Options{Seed: 3})
-	watched := SpecFor("BARNES", config.Small(), sim.Options{Seed: 3, Observer: obs.NewRecorder(0)})
+	watched := SpecFor("BARNES", config.Small(), sim.Options{Seed: 3, Observer: obs.NewRecorder()})
 	if bare.Key() != watched.Key() {
 		t.Fatal("observer field changed the content address")
 	}

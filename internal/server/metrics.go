@@ -58,7 +58,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("lard_engine_events_dropped_total", "Events dropped at full per-subscriber queues (slow consumers).", m.Events.Dropped)
 	gauge("lard_engine_subscribers", "Live event-stream subscriptions.", m.Events.Subscribers)
 	gauge("lard_engine_topics", "Event topics holding replayable history.", m.Events.Topics)
-	if s.obs.Timelines.Enabled() {
+	if s.obs.Tracer.Enabled() { // -trace records timelines too
 		ts := s.obs.Timelines.Stats()
 		counter("lard_timeline_runs_total", "Runs that attached a telemetry flight recorder.", ts.Attached)
 		gauge("lard_timeline_retained", "Timelines currently held in the bounded registry.", ts.Retained)

@@ -68,6 +68,11 @@ func TestMetricsConformance(t *testing.T) {
 		"lard_heap_bytes",
 		"lard_gc_pause_seconds_total",
 		"lard_uptime_seconds",
+		// -trace records timelines too, so their registry families render.
+		"lard_timeline_runs_total",
+		"lard_timeline_retained",
+		"lard_timeline_epochs",
+		"lard_timeline_samples",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" ") {
 			t.Errorf("family %s missing from /metrics", family)
@@ -92,11 +97,12 @@ func TestMetricsConformance(t *testing.T) {
 	}
 }
 
-// TestCampaignTraceAcceptance is the issue's acceptance test: submit a
+// TestCampaignTraceAcceptance is the tracing acceptance test: submit a
 // real campaign over real HTTP with tracing enabled and require every
 // member to answer GET /v1/runs/{id}/trace with a finished span tree
 // whose simulating span carries a coherence_loop phase with non-zero
-// duration.
+// duration, and whose spans carry no id key: spans are named by the
+// run id and their own names.
 func TestCampaignTraceAcceptance(t *testing.T) {
 	_, ts := tracedTestServer(t, Config{Workers: 2, QueueDepth: 8})
 
@@ -114,14 +120,20 @@ func TestCampaignTraceAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tree obs.TraceView
-		err = json.NewDecoder(resp.Body).Decode(&tree)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("member %s trace = %d", m.ID, resp.StatusCode)
+		}
+		var tree obs.TraceView
+		if err := json.Unmarshal(body, &tree); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(body), `"id"`) {
+			t.Errorf("member %s: trace carries an id key:\n%s", m.ID, body)
 		}
 		if !tree.Finished {
 			t.Errorf("member %s (%s/%s): trace not finished", m.ID, m.Benchmark, m.Scheme)
@@ -147,30 +159,43 @@ func TestCampaignTraceAcceptance(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointDisabled: without tracing, the endpoint 404s with a
-// body that tells the operator how to turn it on.
+// TestTraceEndpointDisabled: without tracing, /trace and /timeline both
+// 404 with a body that tells the operator how to turn them on, and
+// /metrics renders no timeline family.
 func TestTraceEndpointDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	_, v := post(t, ts, smallRun(2))
 	poll(t, ts, v.ID)
 
-	resp, err := http.Get(ts.URL + "/v1/runs/" + v.ID + "/trace")
+	for _, view := range []string{"trace", "timeline"} {
+		resp, err := http.Get(ts.URL + "/v1/runs/" + v.ID + "/" + view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s with tracing off = %d, want 404", view, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), "tracing is disabled on this server (start with -trace)") {
+			t.Fatalf("%s 404 body %q should explain tracing is disabled and name -trace", view, body)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("trace with tracing off = %d, want 404", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "tracing is disabled") {
-		t.Fatalf("404 body %q should explain tracing is disabled", body)
+	if strings.Contains(string(body), "lard_timeline_") {
+		t.Fatalf("/metrics renders a timeline family with tracing off:\n%s", grepLines(string(body), "lard_timeline_"))
 	}
 }
 
 // TestStatsUptimeAndTracing: /stats carries process uptime and the
-// tracing flag.
+// tracing flag, and no separate telemetry flag.
 func TestStatsUptimeAndTracing(t *testing.T) {
 	_, ts := tracedTestServer(t, Config{Workers: 1})
 
@@ -178,14 +203,24 @@ func TestStatsUptimeAndTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var view struct {
 		UptimeSeconds float64 `json:"uptime_seconds"`
 		Tracing       bool    `json:"tracing"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&view)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.Unmarshal(body, &view); err != nil {
 		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["telemetry"]; ok {
+		t.Error("/stats still carries a telemetry key; -trace is the one switch")
 	}
 	if view.UptimeSeconds <= 0 {
 		t.Errorf("uptime_seconds = %v, want > 0", view.UptimeSeconds)
@@ -216,5 +251,40 @@ func assertClosed(t *testing.T, member string, v obs.SpanView) {
 	}
 	for _, c := range v.Children {
 		assertClosed(t, member, c)
+	}
+}
+
+// TestSSEFramesCarryNoSpan pins the event wire format: with tracing on or
+// off, no frame on a run topic or a campaign topic carries a "span" key.
+// A frame's job and state already name its span in
+// GET /v1/runs/{id}/trace: queued → "queued", running → "simulating", a
+// terminal state → "stored".
+func TestSSEFramesCarryNoSpan(t *testing.T) {
+	for _, tracing := range []bool{false, true} {
+		_, ts := newTestServer(t, Config{Workers: 2, Obs: obs.New(obs.Options{Tracing: tracing})})
+		code, cv := postCampaign(t, ts, smallCampaign("BARNES"))
+		if code != http.StatusAccepted {
+			t.Fatalf("tracing=%v: campaign submit = %d", tracing, code)
+		}
+		final := pollCampaign(t, ts, cv.ID)
+		topics := []string{"/v1/campaigns/" + cv.ID + "/events"}
+		for _, m := range final.Members {
+			topics = append(topics, "/v1/runs/"+m.ID+"/events")
+		}
+		for _, topic := range topics {
+			lines := rawSSELines(t, ts.URL+topic)
+			if len(lines) < 3 {
+				t.Fatalf("tracing=%v %s: %d frames, want queued, running and a terminal one", tracing, topic, len(lines))
+			}
+			for _, line := range lines {
+				var frame map[string]json.RawMessage
+				if err := json.Unmarshal([]byte(line), &frame); err != nil {
+					t.Fatalf("tracing=%v %s: bad frame %q: %v", tracing, topic, line, err)
+				}
+				if _, ok := frame["span"]; ok {
+					t.Fatalf("tracing=%v %s: frame carries a span key: %s", tracing, topic, line)
+				}
+			}
+		}
 	}
 }

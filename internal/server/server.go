@@ -25,8 +25,9 @@
 //	                                 epoch-resolved telemetry (per-epoch
 //	                                 coherence counters, cycle
 //	                                 components); ?format=csv for a flat
-//	                                 dump; 404 unless the server runs with
-//	                                 telemetry enabled
+//	                                 dump (json, the default, or csv;
+//	                                 anything else is 400); 404 unless the
+//	                                 server runs with tracing enabled
 //	POST /v1/campaigns               submit a benchmark x scheme matrix as
 //	                                 one campaign (see campaign.go)
 //	GET  /v1/campaigns/{id}          campaign progress + per-member status
@@ -202,9 +203,6 @@ func (s *Server) Start() { s.engine.Start() }
 // request-latency observer).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Obs returns the server's observability bundle (never nil).
-func (s *Server) Obs() *obs.Observer { return s.obs }
-
 // Engine exposes the underlying execution engine (stats, subscriptions).
 func (s *Server) Engine() *engine.Engine { return s.engine }
 
@@ -300,6 +298,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// errTracingOff is the 404 body of /trace and /timeline on a server
+// started without -trace, the one switch that records both.
+var errTracingOff = errors.New("tracing is disabled on this server (start with -trace)")
+
 // handleRunTrace implements GET /v1/runs/{id}/trace: the run's span tree
 // (admitted -> queued -> simulating with the simulator's phase breakdown
 // -> stored), finished or in flight. 404 covers three cases the body
@@ -309,8 +311,8 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tree, ok := s.engine.Trace(id)
 	if !ok {
-		if s.obs.Tracer == nil {
-			writeError(w, http.StatusNotFound, errors.New("tracing is disabled on this server (start with -trace)"))
+		if !s.obs.Tracer.Enabled() {
+			writeError(w, http.StatusNotFound, errTracingOff)
 			return
 		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for run %q (unknown id, or evicted)", id))
@@ -322,21 +324,27 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 // handleRunTimeline implements GET /v1/runs/{id}/timeline: the run's
 // epoch-resolved telemetry (per-epoch coherence counter deltas and cycle
 // components), finished or in flight. ?format=csv answers a flat
-// epoch-per-row dump instead of JSON. 404 covers the same three cases as
-// /trace, distinguished in the body: telemetry disabled on this server,
-// an id never seen, and a timeline evicted from the bounded registry.
+// epoch-per-row dump instead of JSON; a format other than json or csv is
+// 400. 404 covers the same three cases as /trace, distinguished in the
+// body: tracing disabled on this server, an id never seen, and a
+// timeline evicted from the bounded registry.
 func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	format := r.URL.Query().Get("format")
+	if format != "" && format != "json" && format != "csv" {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown timeline format %q (use json or csv, or leave it empty)", format))
+		return
+	}
 	view, ok := s.engine.Timeline(id)
 	if !ok {
-		if !s.obs.Timelines.Enabled() {
-			writeError(w, http.StatusNotFound, errors.New("telemetry is disabled on this server (start with -telemetry)"))
+		if !s.obs.Tracer.Enabled() {
+			writeError(w, http.StatusNotFound, errTracingOff)
 			return
 		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("no timeline for run %q (unknown id, or evicted)", id))
 		return
 	}
-	if r.URL.Query().Get("format") == "csv" {
+	if format == "csv" {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		if err := view.WriteCSV(w); err != nil {
@@ -509,11 +517,9 @@ type statsView struct {
 	StoreDir     string            `json:"store_dir,omitempty"`
 	// UptimeSeconds is how long this server process has been serving.
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Tracing reports whether run tracing (GET /v1/runs/{id}/trace) is on.
+	// Tracing reports whether run tracing (GET /v1/runs/{id}/trace and
+	// /timeline) is on.
 	Tracing bool `json:"tracing"`
-	// Telemetry reports whether run timelines (GET /v1/runs/{id}/timeline)
-	// are on.
-	Telemetry bool `json:"telemetry"`
 }
 
 // engineStatsView is the engine subtree of /stats: cancellations and the
@@ -542,7 +548,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		StoreDir:      s.store.Dir(),
 		UptimeSeconds: s.obs.Uptime().Seconds(),
 		Tracing:       s.obs.Tracer.Enabled(),
-		Telemetry:     s.obs.Timelines.Enabled(),
 	}
 	writeJSON(w, http.StatusOK, view)
 }

@@ -16,14 +16,6 @@ import (
 	"lard/internal/obs"
 )
 
-// telemetryTestServer is newTestServer with the epoch flight recorder
-// enabled — the configuration the timeline acceptance tests exercise.
-func telemetryTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	cfg.Obs = obs.New(obs.Options{Telemetry: true})
-	return newTestServer(t, cfg)
-}
-
 // getTimeline fetches a run's timeline and decodes it together with the
 // embedded error body the endpoint returns on 404.
 func getTimeline(t *testing.T, ts *httptest.Server, id, query string) (int, obs.TimelineView, string) {
@@ -62,16 +54,16 @@ func timelineSeriesSum(t *testing.T, v obs.TimelineView, name string) uint64 {
 }
 
 // TestTimelineNotFoundTriage pins the endpoint's 404 bodies to actionable
-// causes: a server without -telemetry says so (the fix is a flag, not a
-// different id), while a telemetered server distinguishes unknown ids.
+// causes: a server without -trace says so (the fix is a flag, not a
+// different id), while a traced server distinguishes unknown ids.
 func TestTimelineNotFoundTriage(t *testing.T) {
 	_, plain := newTestServer(t, Config{Workers: 1})
 	code, _, msg := getTimeline(t, plain, "whatever", "")
-	if code != http.StatusNotFound || !strings.Contains(msg, "telemetry is disabled") {
-		t.Fatalf("plain server = %d %q, want 404 mentioning the disabled recorder", code, msg)
+	if code != http.StatusNotFound || !strings.Contains(msg, "start with -trace") {
+		t.Fatalf("plain server = %d %q, want 404 naming -trace", code, msg)
 	}
 
-	_, ts := telemetryTestServer(t, Config{Workers: 1})
+	_, ts := tracedTestServer(t, Config{Workers: 1})
 	code, _, msg = getTimeline(t, ts, "nope", "")
 	if code != http.StatusNotFound || !strings.Contains(msg, "no timeline") {
 		t.Fatalf("unknown id = %d %q, want 404 mentioning the missing timeline", code, msg)
@@ -83,7 +75,7 @@ func TestTimelineNotFoundTriage(t *testing.T) {
 // ops series must sum to exactly the run's final operation count, and the
 // CSV rendering must carry the same totals column for column.
 func TestTimelineEndpointJSONAndCSV(t *testing.T) {
-	_, ts := telemetryTestServer(t, Config{Workers: 1})
+	_, ts := tracedTestServer(t, Config{Workers: 1})
 	_, v := post(t, ts, smallRun(7))
 	done := poll(t, ts, v.ID)
 	if done.Status != StatusDone || done.Result == nil {
@@ -139,6 +131,18 @@ func TestTimelineEndpointJSONAndCSV(t *testing.T) {
 	if csvOps != done.Result.Ops {
 		t.Fatalf("csv ops column sums to %d, want %d", csvOps, done.Result.Ops)
 	}
+
+	// format=json names the default; any other format is a 400 that
+	// lists the accepted values, not a silent JSON answer.
+	if code, asJSON, _ := getTimeline(t, ts, v.ID, "?format=json"); code != http.StatusOK || asJSON.Epochs != tl.Epochs {
+		t.Fatalf("format=json = %d with %d epochs, want 200 with %d", code, asJSON.Epochs, tl.Epochs)
+	}
+	for _, bad := range []string{"CSV", "xml"} {
+		code, _, msg := getTimeline(t, ts, v.ID, "?format="+bad)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "json") || !strings.Contains(msg, "csv") {
+			t.Fatalf("format=%s = %d %q, want 400 naming json and csv", bad, code, msg)
+		}
+	}
 }
 
 // TestCampaignTimelinesConserved is the acceptance end-to-end: a real
@@ -147,7 +151,7 @@ func TestTimelineEndpointJSONAndCSV(t *testing.T) {
 // sum to exactly that member's final sim result — the flight recorder may
 // decimate, but it may never lose or invent work.
 func TestCampaignTimelinesConserved(t *testing.T) {
-	_, ts := telemetryTestServer(t, Config{Workers: 2})
+	_, ts := tracedTestServer(t, Config{Workers: 2})
 	code, cv := postCampaign(t, ts, smallCampaign("BARNES", "DEDUP"))
 	if code != http.StatusAccepted {
 		t.Fatalf("campaign submit = %d", code)
@@ -184,53 +188,45 @@ func TestCampaignTimelinesConserved(t *testing.T) {
 }
 
 // rawSSELines drains one event stream and returns the raw `data:` payload
-// lines up to and including the first terminal event. Byte-level capture
-// is the point: decoded events can compare equal while the wire bytes
-// drift (field order, pointer identity), and the replay contract is about
-// bytes.
+// lines up to the stream's close, which follows the topic's terminal
+// frame. Byte-level capture is the point: decoded events can compare
+// equal while the wire bytes drift (field order, pointer identity), the
+// replay contract is about bytes, and decoding into Event would drop an
+// unknown key.
 func rawSSELines(t *testing.T, url string) []string {
 	t.Helper()
 	c := openSSE(t, url)
 	defer c.close()
-	var lines []string
-	deadline := time.After(30 * time.Second)
-	got := make(chan string)
+	got := make(chan []string, 1)
 	go func() {
-		defer close(got)
+		var lines []string
 		for c.sc.Scan() {
-			line := c.sc.Text()
-			if strings.HasPrefix(line, "data: ") {
-				got <- strings.TrimPrefix(line, "data: ")
+			if line := c.sc.Text(); strings.HasPrefix(line, "data: ") {
+				lines = append(lines, strings.TrimPrefix(line, "data: "))
 			}
 		}
+		got <- lines
 	}()
-	for {
-		select {
-		case line, ok := <-got:
-			if !ok {
-				t.Fatalf("stream closed after %d events without a terminal", len(lines))
-			}
-			lines = append(lines, line)
-			var ev Event
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				t.Fatalf("bad event payload %q: %v", line, err)
-			}
-			if ev.Terminal {
-				return lines
-			}
-		case <-deadline:
-			t.Fatalf("no terminal event in 30s; %d lines so far", len(lines))
-		}
+	var lines []string
+	select {
+	case lines = <-got:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("stream %s did not close in 30s", url)
 	}
+	var last Event
+	if len(lines) == 0 || json.Unmarshal([]byte(lines[len(lines)-1]), &last) != nil || !last.Terminal {
+		t.Fatalf("stream %s closed after %d events without a terminal one", url, len(lines))
+	}
+	return lines
 }
 
-// TestRunSSEReplayByteEqual pins the replay guarantee on a telemetered
+// TestRunSSEReplayByteEqual pins the replay guarantee on a traced
 // server: a subscriber that attaches after the run finished must receive
 // the same `data:` payload bytes as one that watched live, interior
 // progress frames included, and no event carries an "epoch" payload —
 // the timeline endpoint is the one way telemetry leaves a run.
 func TestRunSSEReplayByteEqual(t *testing.T) {
-	_, ts := telemetryTestServer(t, Config{Workers: 1})
+	_, ts := tracedTestServer(t, Config{Workers: 1})
 	_, v := post(t, ts, smallRun(13))
 	url := ts.URL + "/v1/runs/" + v.ID + "/events"
 
@@ -271,7 +267,7 @@ func TestRunSSEReplayByteEqual(t *testing.T) {
 // (not yet attached); either way they must decode cleanly, and the final
 // read must be finished and conserved.
 func TestTimelineConcurrentReads(t *testing.T) {
-	_, ts := telemetryTestServer(t, Config{Workers: 1})
+	_, ts := tracedTestServer(t, Config{Workers: 1})
 	_, v := post(t, ts, RunRequest{
 		Benchmark: "BARNES",
 		Scheme:    lard.LocalityAware(3),

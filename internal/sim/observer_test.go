@@ -208,8 +208,8 @@ func TestTimingFilled(t *testing.T) {
 func TestTimingIsKeyNeutralAndDeterministic(t *testing.T) {
 	bare := runSmall(t, coherence.LocalityAware, "DEDUP", Options{Seed: 7})
 	never := chanStop(make(chan struct{}))
-	rec := obs.NewRecorder(0)
-	for _, ob := range []obs.RunObserver{rec, &logObserver{}, never, tee{obs.NewRecorder(4), &logObserver{}, never}} {
+	rec := obs.NewRecorder()
+	for _, ob := range []obs.RunObserver{rec, &logObserver{}, never, tee{obs.NewRecorder(), &logObserver{}, never}} {
 		got := runSmall(t, coherence.LocalityAware, "DEDUP", Options{Seed: 7, Observer: ob})
 		if got == nil || *got != *bare {
 			t.Errorf("observed run (%T) diverged from bare run:\nbare     %+v\nobserved %+v", ob, bare, got)
@@ -240,7 +240,7 @@ func sumSeries(v obs.TimelineView, name string) uint64 {
 // op count.
 func TestTimingOnInterrupt(t *testing.T) {
 	ob := logObserver{stop: stopAtFirst}
-	rec := obs.NewRecorder(0)
+	rec := obs.NewRecorder()
 	if r := runSmall(t, coherence.SNUCA, "BARNES", Options{Observer: tee{rec, &ob}}); r != nil {
 		t.Fatal("stop observer did not abort the run")
 	}
@@ -260,7 +260,7 @@ func TestEpochAllocs(t *testing.T) {
 	cfg := config.Small()
 	st := &runState{
 		eng:       coherence.New(cfg, coherence.Options{Scheme: coherence.SNUCA}),
-		ob:        obs.NewRecorder(4),
+		ob:        obs.NewRecorder(),
 		breakdown: make([]stats.TimeBreakdown, cfg.Cores),
 		miss:      make([]stats.MissCounts, cfg.Cores),
 		ep:        obs.RunEpoch{Series: telemetrySeries, Values: make([]uint64, len(telemetrySeries))},
