@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -83,6 +84,98 @@ func TestTraceCachedSubmit(t *testing.T) {
 	if !ok || len(after.Root.Children) != len(before.Root.Children) {
 		t.Fatalf("attach rewrote the trace: before %d children, after %d",
 			len(before.Root.Children), len(after.Root.Children))
+	}
+}
+
+// eventSpan names the trace span a job event's state points at: queued →
+// "queued", running → "simulating", a terminal state → "stored".
+func eventSpan(state string) string {
+	switch state {
+	case StatusQueued:
+		return "queued"
+	case StatusRunning:
+		return "simulating"
+	default:
+		return "stored"
+	}
+}
+
+// assertNoSpanKey fails if the event, as published on the wire, carries a
+// "span" key.
+func assertNoSpanKey(t *testing.T, ev Event) {
+	t.Helper()
+	raw, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatalf("marshal %+v: %v", ev, err)
+	}
+	var frame map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &frame); err != nil {
+		t.Fatalf("unmarshal %s: %v", raw, err)
+	}
+	if _, ok := frame["span"]; ok {
+		t.Fatalf("event carries a span key: %s", raw)
+	}
+}
+
+// TestEventsCarrySpanIDs checks the bus's span correlation under tracing:
+// events carry no minted span id, and each job event's state names a span
+// of the run's finished trace, with queued and running naming different
+// spans.
+func TestEventsCarrySpanIDs(t *testing.T) {
+	e := tracedEngine(t, Config{Workers: 1})
+	key, req := smallReq(t, 33)
+	if _, shed, err := e.Submit(key, req); shed || err != nil {
+		t.Fatalf("submit: shed=%v err=%v", shed, err)
+	}
+	await(t, e, key)
+	hist, sub, ok := e.SubscribeRun(key)
+	if !ok {
+		t.Fatal("subscribe failed")
+	}
+	sub.Close()
+	tree, ok := e.Trace(key)
+	if !ok {
+		t.Fatal("no trace for finished run")
+	}
+	spans := map[string]obs.SpanView{}
+	spanNames(tree.Root, spans)
+	byState := map[string]string{}
+	for _, ev := range hist {
+		assertNoSpanKey(t, ev)
+		name := eventSpan(ev.State)
+		if _, ok := spans[name]; !ok {
+			t.Fatalf("event %+v names span %q, absent from the trace (have %v)", ev, name, keysOf(spans))
+		}
+		byState[ev.State] = name
+	}
+	if byState[StatusQueued] == "" || byState[StatusRunning] == "" {
+		t.Fatalf("history lacks a queued or running event: %v", byState)
+	}
+	if byState[StatusQueued] == byState[StatusRunning] {
+		t.Error("queued and running events name the same span")
+	}
+}
+
+// TestEventsNoSpanWhenTracingOff checks the zero-cost contract on the
+// wire: a default engine publishes events with no span field at all and
+// records no trace.
+func TestEventsNoSpanWhenTracingOff(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	key, req := smallReq(t, 34)
+	if _, shed, err := e.Submit(key, req); shed || err != nil {
+		t.Fatalf("submit: shed=%v err=%v", shed, err)
+	}
+	await(t, e, key)
+	hist, sub, _ := e.SubscribeRun(key)
+	sub.Close()
+	if len(hist) == 0 {
+		t.Fatal("no events in the run's history")
+	}
+	for _, ev := range hist {
+		assertNoSpanKey(t, ev)
+	}
+	if _, ok := e.Trace(key); ok {
+		t.Error("Trace returned a tree with tracing disabled")
 	}
 }
 
