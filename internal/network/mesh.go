@@ -3,9 +3,18 @@
 // latency (1 router + 1 link), 64-bit flits, and per-link serialization that
 // produces contention delays when messages overlap on a link. Energy is
 // accounted per flit per traversed router and link.
+//
+// A route depends only on its (src, dst) pair, so New lays out the X-Y
+// route of every ordered pair once, as a run of directed link ids in one
+// flat table, and Send walks that run. Contention is applied in traverse,
+// the one per-link reservation step, which Send calls once per link in
+// route order.
 package network
 
 import (
+	"fmt"
+	"math"
+
 	"lard/internal/energy"
 	"lard/internal/mem"
 )
@@ -13,8 +22,14 @@ import (
 // Mesh is the 2-D mesh interconnect. It is not safe for concurrent use; the
 // simulator is single-threaded by design (deterministic event order).
 type Mesh struct {
-	w, h       int
+	w, n       int // mesh width and tile count
 	hopLatency mem.Cycles
+
+	// routes holds the X-Y route of every ordered (src, dst) pair as the
+	// directed link ids it crosses, in crossing order; the route of pair
+	// p = src*n+dst is routes[routeOff[p]:routeOff[p+1]].
+	routes   []uint16
+	routeOff []int32
 
 	// linkFree[l] is the first cycle at which directed link l is idle.
 	linkFree []mem.Cycles
@@ -37,9 +52,19 @@ func New(w, h int, hopLatency mem.Cycles, meter *energy.Meter, routerPJ, linkPJ 
 	if w <= 0 || h <= 0 {
 		panic("network: mesh dimensions must be positive")
 	}
-	return &Mesh{
-		w: w, h: h,
+	// The route table holds sum(Manhattan distance) link ids over all
+	// ordered pairs: each ordered pair of columns, |x1-x2| summed to
+	// (w³-w)/3, recurs for each of the h² (y1, y2) choices, and likewise
+	// for rows.
+	total := h*h*(w*w*w-w)/3 + w*w*(h*h*h-h)/3
+	if w*h*4 > math.MaxUint16+1 || total > math.MaxInt32 {
+		panic(fmt.Sprintf("network: a %dx%d mesh is too large for uint16 link ids and int32 route offsets", w, h))
+	}
+	m := &Mesh{
+		w: w, n: w * h,
 		hopLatency: hopLatency,
+		routes:     make([]uint16, 0, total),
+		routeOff:   make([]int32, w*h*w*h+1),
 		// Four directed links per tile is an over-allocation (edge tiles
 		// have fewer) but keeps link indexing trivial.
 		linkFree: make([]mem.Cycles, w*h*4),
@@ -47,6 +72,14 @@ func New(w, h int, hopLatency mem.Cycles, meter *energy.Meter, routerPJ, linkPJ 
 		router:   routerPJ,
 		link:     linkPJ,
 	}
+	for src := range m.n {
+		for dst := range m.n {
+			m.routeOff[src*m.n+dst] = int32(len(m.routes))
+			m.routes = m.appendXY(m.routes, mem.CoreID(src), mem.CoreID(dst))
+		}
+	}
+	m.routeOff[m.n*m.n] = int32(len(m.routes))
+	return m
 }
 
 // Directions for link indexing.
@@ -59,9 +92,37 @@ const (
 
 func (m *Mesh) coord(c mem.CoreID) (x, y int) { return int(c) % m.w, int(c) / m.w }
 
-func (m *Mesh) tile(x, y int) int { return y*m.w + x }
+func (m *Mesh) linkID(x, y, dir int) uint16 { return uint16((y*m.w+x)*4 + dir) }
 
-func (m *Mesh) linkID(x, y, dir int) int { return m.tile(x, y)*4 + dir }
+// appendXY appends the directed links of the X-Y route from src to dst:
+// fully resolve X, then Y.
+func (m *Mesh) appendXY(route []uint16, src, dst mem.CoreID) []uint16 {
+	x, y := m.coord(src)
+	dx, dy := m.coord(dst)
+	for x != dx {
+		dir, nx := dirEast, x+1
+		if dx < x {
+			dir, nx = dirWest, x-1
+		}
+		route = append(route, m.linkID(x, y, dir))
+		x = nx
+	}
+	for y != dy {
+		dir, ny := dirSouth, y+1
+		if dy < y {
+			dir, ny = dirNorth, y-1
+		}
+		route = append(route, m.linkID(x, y, dir))
+		y = ny
+	}
+	return route
+}
+
+// route returns the directed links from src to dst in crossing order.
+func (m *Mesh) route(src, dst mem.CoreID) []uint16 {
+	p := int(src)*m.n + int(dst)
+	return m.routes[m.routeOff[p]:m.routeOff[p+1]]
+}
 
 // Hops returns the Manhattan distance between src and dst.
 func (m *Mesh) Hops(src, dst mem.CoreID) int {
@@ -91,29 +152,12 @@ func (m *Mesh) Send(src, dst mem.CoreID, flits int, depart mem.Cycles) mem.Cycle
 	if flits <= 0 {
 		panic("network: message must have at least one flit")
 	}
-	x, y := m.coord(src)
-	dx, dy := m.coord(dst)
+	route := m.route(src, dst)
 	t := depart
-	hops := 0
-	// X-Y routing: fully resolve X, then Y.
-	for x != dx {
-		dir, nx := dirEast, x+1
-		if dx < x {
-			dir, nx = dirWest, x-1
-		}
-		t = m.traverse(m.linkID(x, y, dir), t, flits)
-		x = nx
-		hops++
+	for _, l := range route {
+		t = m.traverse(int(l), t, flits)
 	}
-	for y != dy {
-		dir, ny := dirSouth, y+1
-		if dy < y {
-			dir, ny = dirNorth, y-1
-		}
-		t = m.traverse(m.linkID(x, y, dir), t, flits)
-		y = ny
-		hops++
-	}
+	hops := len(route)
 	// Wormhole pipelining: the head flit advances hop by hop (accumulated in
 	// t); the tail flit arrives flits-1 cycles after the head.
 	t += mem.Cycles(flits - 1)
@@ -132,23 +176,15 @@ func (m *Mesh) Send(src, dst mem.CoreID, flits int, depart mem.Cycles) mem.Cycle
 // no earlier than the head-flit arrival t, and returns the head-flit arrival
 // at the next router.
 func (m *Mesh) traverse(l int, t mem.Cycles, flits int) mem.Cycles {
-	start := t
-	if m.linkFree[l] > start {
-		start = m.linkFree[l]
-	}
+	free := &m.linkFree[l]
+	start := max(t, *free)
 	m.linkWait += start - t
-	m.linkFree[l] = start + mem.Cycles(flits)
+	*free = start + mem.Cycles(flits)
 	return start + m.hopLatency
 }
 
 // FlitHops returns the cumulative flit-hop count routed so far.
 func (m *Mesh) FlitHops() uint64 { return m.flits }
-
-// Width and Height return the mesh dimensions.
-func (m *Mesh) Width() int { return m.w }
-
-// Height returns the mesh Y dimension.
-func (m *Mesh) Height() int { return m.h }
 
 func abs(v int) int {
 	if v < 0 {

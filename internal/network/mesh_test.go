@@ -1,6 +1,9 @@
 package network
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -157,18 +160,125 @@ func TestSendMonotonic(t *testing.T) {
 	}
 }
 
-func TestDimensions(t *testing.T) {
-	m := New(8, 8, 2, nil, 1, 1)
-	if m.Width() != 8 || m.Height() != 8 {
-		t.Fatal("dimensions mismatch")
+// TestNewPanicsOnBadDims: a mesh with no tiles, or one whose links
+// overflow uint16 link ids, is refused.
+func TestNewPanicsOnBadDims(t *testing.T) {
+	for _, d := range [][2]int{{0, 4}, {129, 128}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New(%d,%d) must panic", d[0], d[1])
+				}
+			}()
+			New(d[0], d[1], 2, nil, 1, 1)
+		}()
 	}
 }
 
-func TestNewPanicsOnBadDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0,4) must panic")
+// xyRoute is the reference X-Y walk, computed from coordinates alone: it
+// crosses east or west along the source row to the destination column,
+// then south or north down that column. Link ids are tile*4 + direction.
+func xyRoute(w int, src, dst mem.CoreID) []uint16 {
+	x, y := int(src)%w, int(src)/w
+	dx, dy := int(dst)%w, int(dst)/w
+	var route []uint16
+	for x != dx {
+		if dx > x {
+			route = append(route, uint16((y*w+x)*4+dirEast))
+			x++
+		} else {
+			route = append(route, uint16((y*w+x)*4+dirWest))
+			x--
 		}
-	}()
-	New(0, 4, 2, nil, 1, 1)
+	}
+	for y != dy {
+		if dy > y {
+			route = append(route, uint16((y*w+x)*4+dirSouth))
+			y++
+		} else {
+			route = append(route, uint16((y*w+x)*4+dirNorth))
+			y--
+		}
+	}
+	return route
+}
+
+// testGeometries are the square preset meshes plus non-square ones, whose
+// row and column arithmetic the presets never reach.
+var testGeometries = [][2]int{{2, 2}, {4, 4}, {8, 8}, {3, 5}, {1, 6}}
+
+// TestRoutesMatchXY: for every ordered pair, the precomputed route is the
+// reference X-Y walk, and its length is the closed-form Hops. The table
+// holds exactly those routes and nothing else.
+func TestRoutesMatchXY(t *testing.T) {
+	for _, g := range testGeometries {
+		w, h := g[0], g[1]
+		t.Run(fmt.Sprintf("%dx%d", w, h), func(t *testing.T) {
+			m := New(w, h, 2, nil, 1, 1)
+			n := mem.CoreID(w * h)
+			sum := 0
+			for src := range n {
+				for dst := range n {
+					got, want := m.route(src, dst), xyRoute(w, src, dst)
+					if !slices.Equal(got, want) {
+						t.Fatalf("route %d->%d = %v, want %v", src, dst, got, want)
+					}
+					if len(got) != m.Hops(src, dst) {
+						t.Fatalf("route %d->%d has %d links, Hops = %d", src, dst, len(got), m.Hops(src, dst))
+					}
+					sum += len(got)
+				}
+			}
+			if len(m.routes) != sum || cap(m.routes) != sum {
+				t.Fatalf("route table len %d cap %d, want both %d", len(m.routes), cap(m.routes), sum)
+			}
+		})
+	}
+}
+
+// TestZeroLoadOracle: a message alone on a fresh mesh arrives exactly at
+// depart + LatencyNoContention and never waits for a link, for every pair
+// and for a 1-flit control and a 9-flit data message.
+func TestZeroLoadOracle(t *testing.T) {
+	for _, g := range testGeometries {
+		w, h := g[0], g[1]
+		n := mem.CoreID(w * h)
+		for src := range n {
+			for dst := range n {
+				for _, flits := range []int{1, 9} {
+					m := New(w, h, 2, nil, 1, 1)
+					const depart = 1000
+					got := m.Send(src, dst, flits, depart)
+					if want := depart + m.LatencyNoContention(src, dst, flits); got != want || m.LinkWait() != 0 {
+						t.Fatalf("%dx%d %d->%d %d flits: arrive %d (LinkWait %d), want %d (LinkWait 0)",
+							w, h, src, dst, flits, got, m.LinkWait(), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOneSourceNeverWaits: one source sends to random destinations, each
+// message departing at or after the previous tail's arrival. Every link the
+// previous message held is free by then, so no message ever waits.
+func TestOneSourceNeverWaits(t *testing.T) {
+	for _, g := range testGeometries {
+		w, h := g[0], g[1]
+		m := New(w, h, 2, nil, 1, 1)
+		rng := rand.New(rand.NewPCG(uint64(w), uint64(h)))
+		n := w * h
+		src := mem.CoreID(rng.IntN(n))
+		var t0 mem.Cycles
+		for i := range 2000 {
+			dst := mem.CoreID(rng.IntN(n))
+			flits := []int{1, 9}[rng.IntN(2)]
+			depart := t0 + mem.Cycles(rng.IntN(3))
+			t0 = m.Send(src, dst, flits, depart)
+			if want := depart + m.LatencyNoContention(src, dst, flits); t0 != want || m.LinkWait() != 0 {
+				t.Fatalf("%dx%d message %d %d->%d: arrive %d (LinkWait %d), want %d (LinkWait 0)",
+					w, h, i, src, dst, t0, m.LinkWait(), want)
+			}
+		}
+	}
 }

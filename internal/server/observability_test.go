@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lard/internal/obs"
+	"lard/internal/resultstore"
 )
 
 // tracedTestServer is newTestServer with run tracing enabled — the
@@ -191,6 +192,46 @@ func TestTraceEndpointDisabled(t *testing.T) {
 	resp.Body.Close()
 	if strings.Contains(string(body), "lard_timeline_") {
 		t.Fatalf("/metrics renders a timeline family with tracing off:\n%s", grepLines(string(body), "lard_timeline_"))
+	}
+}
+
+// TestTimelineOfStoredRun: a traced server that answers a run from the
+// result store never simulated it, so /timeline is 404 with a body that
+// says so, while /trace answers. An id never seen keeps its own body.
+func TestTimelineOfStoredRun(t *testing.T) {
+	st, err := resultstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first := tracedTestServer(t, Config{Workers: 1, Store: st})
+	_, v := post(t, first, smallRun(3))
+	poll(t, first, v.ID)
+
+	_, ts := tracedTestServer(t, Config{Workers: 1, Store: st})
+	code, cached := post(t, ts, smallRun(3))
+	if code != http.StatusOK || !cached.Cached {
+		t.Fatalf("resubmit on a second server = %d cached=%v, want 200 cached", code, cached.Cached)
+	}
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(body)
+	}
+	if code, _ := get("/v1/runs/" + v.ID + "/trace"); code != http.StatusOK {
+		t.Fatalf("trace of the stored run = %d, want 200", code)
+	}
+	code, body := get("/v1/runs/" + v.ID + "/timeline")
+	if code != http.StatusNotFound || !strings.Contains(body, "served from the result store and never simulated on this server") {
+		t.Fatalf("timeline of the stored run = %d %q, want 404 naming the result store", code, body)
+	}
+	code, body = get("/v1/runs/" + strings.Repeat("0", len(v.ID)) + "/timeline")
+	if code != http.StatusNotFound || !strings.Contains(body, "(unknown id, or evicted)") {
+		t.Fatalf("timeline of an unknown id = %d %q, want 404 (unknown id, or evicted)", code, body)
 	}
 }
 

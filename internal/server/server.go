@@ -327,7 +327,9 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 // epoch-per-row dump instead of JSON; a format other than json or csv is
 // 400. 404 covers the same three cases as /trace, distinguished in the
 // body: tracing disabled on this server, an id never seen, and a
-// timeline evicted from the bounded registry.
+// timeline evicted from the bounded registry. A fourth, a run this server
+// answered from the result store without simulating it, has a body of its
+// own.
 func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
@@ -339,6 +341,10 @@ func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		if !s.obs.Tracer.Enabled() {
 			writeError(w, http.StatusNotFound, errTracingOff)
+			return
+		}
+		if v, known := s.engine.Job(id); known && v.Cached {
+			writeError(w, http.StatusNotFound, fmt.Errorf("no timeline for run %q: it was served from the result store and never simulated on this server", id))
 			return
 		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("no timeline for run %q (unknown id, or evicted)", id))
