@@ -1,5 +1,8 @@
 // Command lard-lint runs lard's static-analysis suite (internal/analysis)
-// over the module, standalone or as a `go vet -vettool`.
+// as a vet tool:
+//
+//	go build -o /tmp/lard-lint ./cmd/lard-lint
+//	go vet -vettool=/tmp/lard-lint ./...
 package main
 
 import (
@@ -14,23 +17,17 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
 	"lard/internal/analysis"
 )
 
-// Main is the lard-lint entry point. It speaks two dialects:
-//
-//   - Driven by `go vet -vettool=lard-lint`: the go command invokes the
-//     tool once with -V=full (identity handshake), once with -flags
-//     (flag discovery), and then once per package with a .cfg file
-//     describing the compiled unit. This is the only mode that
-//     type-checks, via the export data the go command already built.
-//   - Standalone (`lard-lint [packages]`): re-execs `go vet
-//     -vettool=<self>` so there is exactly one type-checking path and
-//     the standalone invocation can never drift from the CI one.
+// main speaks the go command's vet-tool protocol: `go vet
+// -vettool=lard-lint` invokes the tool once with -V=full (identity
+// handshake), once with -flags (flag discovery), and then once per
+// package with a .cfg file describing the compiled unit, type-checked
+// through the export data the go command already built.
 func main() {
 	args := os.Args[1:]
 	switch {
@@ -39,14 +36,10 @@ func main() {
 	case len(args) == 1 && args[0] == "-flags":
 		// No tool-specific flags: the suite always runs whole.
 		fmt.Println("[]")
-	case len(args) == 1 && args[0] == "-list":
-		for _, a := range analysis.All() {
-			fmt.Printf("%s\n    %s\n", a.Name, a.Doc)
-		}
 	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		os.Exit(runUnit(args[0]))
 	default:
-		os.Exit(standalone(args))
+		fatalf("run me through the go command: go vet -vettool=<path to lard-lint> ./...")
 	}
 }
 
@@ -182,31 +175,6 @@ func runUnit(cfgFile string) int {
 	}
 	if len(diags) > 0 {
 		return 2
-	}
-	return 0
-}
-
-// standalone re-execs `go vet -vettool=<self>` over the requested
-// packages (default ./...), so ad-hoc runs use the exact same driver
-// and type information as CI.
-func standalone(pkgs []string) int {
-	self, err := os.Executable()
-	if err != nil {
-		fatalf("cannot locate own executable: %v", err)
-	}
-	if len(pkgs) == 0 {
-		pkgs = []string{"./..."}
-	}
-	args := append([]string{"vet", "-vettool=" + self}, pkgs...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
-		}
-		fatalf("running go vet: %v", err)
 	}
 	return 0
 }

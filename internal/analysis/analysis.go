@@ -1,19 +1,17 @@
 // Package analysis is lard's static-analysis suite: a set of analyzers
-// that mechanically enforce the repo's cross-layer invariants, the ones
-// that otherwise live only in reviewer memory and postmortems.
+// that mechanically enforce the repo's cross-layer invariants where
+// neither go vet nor the tests would notice a break. Each check is kept
+// because a seeded instance of its bug class passed go vet and go test
+// while the check flagged it.
 //
 //   - keyneutral: key-bearing structs carry explicit json tags, and
 //     json:"-" side channels are never read inside key canonicalization
 //     (the PR-2 "silently simulating the wrong config" bug class).
 //   - registrydiscipline: no switch/if ladders on scheme kind outside the
 //     internal/coherence scheme table and schemes.go.
-//   - buslockorder: the engine's lock order is e.mu before bus.mu — bus
-//     methods never call back into the Engine — blocking channel sends
-//     never happen under a held mutex, and every locally started span is
-//     ended on all return paths.
-//   - obshygiene: internal packages log via slog only, metric-name string
-//     literals satisfy the obs.Lint legality rules at compile time, and
-//     histogram constructors get literal ascending buckets.
+//   - buslockorder: blocking channel sends never happen under a held
+//     mutex, and every locally started span is ended on all return paths.
+//   - obshygiene: internal packages log via slog only, never print.
 //   - ctxflow: handler and dispatch code holding a ctx (or an
 //     *http.Request) threads it instead of minting context.Background().
 //   - checkederr: store I/O paths never silently drop an error.
@@ -22,12 +20,6 @@
 // built on the standard library alone (go/ast, go/types, go/importer):
 // this module is dependency-free by policy, and the vet tool protocol
 // (cmd/lard-lint) plus the analysistest harness need nothing more.
-//
-// Intentional exceptions are declared in the code, never in a config
-// file: a `//lint:allow <analyzer> <reason>` comment on the flagged line
-// (or the line above it) suppresses that analyzer's diagnostics for that
-// line. The reason is mandatory — an allow without one is itself a
-// diagnostic — so every suppression is explicit and grep-able.
 package analysis
 
 import (
@@ -35,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -44,11 +35,8 @@ import (
 // the suite could migrate onto the real framework without rewriting any
 // checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //lint:allow comments.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description `lard-lint -list` prints.
-	Doc string
 	// Run inspects one package via pass and reports findings with
 	// pass.Reportf.
 	Run func(pass *Pass) error
@@ -95,10 +83,8 @@ type Diagnostic struct {
 	Message  string
 }
 
-// RunAnalyzers executes every analyzer over one package and returns the
-// surviving diagnostics: findings not suppressed by a well-formed
-// //lint:allow comment, plus one diagnostic per malformed suppression.
-// Results are ordered by position for stable output.
+// RunAnalyzers executes every analyzer over one package and returns
+// their diagnostics, grouped by analyzer in the order given.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -114,13 +100,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
-	// Suppressions may name any analyzer of the full suite, not just the
-	// ones running now: a partial run (tests exercise one analyzer at a
-	// time) must not misreport another analyzer's allow as unknown.
-	allows, malformed := collectAllows(fset, files, append(All(), analyzers...))
-	diags = filterSuppressed(fset, diags, allows)
-	diags = append(diags, malformed...)
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
 }
 

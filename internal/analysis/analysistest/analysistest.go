@@ -129,9 +129,8 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// wantRE extracts the quoted regexps of a want comment; both double
-// quotes and backquotes work.
-var wantRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
+// wantRE extracts the backquoted regexps of a want comment.
+var wantRE = regexp.MustCompile("`([^`]*)`")
 
 // want is one expected diagnostic.
 type want struct {
@@ -156,11 +155,6 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 				key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
 				for _, m := range wantRE.FindAllStringSubmatch(text[i+len("// want "):], -1) {
 					raw := m[1]
-					if raw == "" {
-						raw = m[2]
-					} else {
-						raw = strings.ReplaceAll(raw, `\"`, `"`)
-					}
 					re, err := regexp.Compile(raw)
 					if err != nil {
 						t.Fatalf("%s: bad want regexp %q: %v", key, raw, err)

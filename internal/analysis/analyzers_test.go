@@ -35,12 +35,3 @@ func TestCheckedErr(t *testing.T) {
 	analysistest.Run(t, "testdata/checkederr", analysis.CheckedErrAnalyzer,
 		"lard/internal/resultstore")
 }
-
-// TestSuppressions proves the //lint:allow contract: a well-formed
-// allow (analyzer + reason) silences exactly its line, and a missing
-// reason, unknown analyzer, or bare directive both fails to suppress
-// and is reported itself.
-func TestSuppressions(t *testing.T) {
-	analysistest.Run(t, "testdata/suppress", analysis.CheckedErrAnalyzer,
-		"lard/internal/resultstore")
-}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 )
 
 const (
@@ -12,26 +11,19 @@ const (
 
 // BusLockOrderAnalyzer enforces the engine's concurrency contract:
 //
-//   - The sanctioned lock order is Engine.mu before bus.mu, which holds
-//     only because the bus never calls back into the Engine. Any bus
-//     method invoking an Engine method inverts the order and deadlocks
-//     the first time both locks contend.
 //   - A bare (blocking) channel send must not happen while a mutex is
 //     held: a slow receiver would stall every caller of that lock. The
 //     bus's select/default publish exists precisely to keep sends
 //     non-blocking under bus.mu.
 //   - A span obtained from Tracer.StartTrace or Span.Child is open and
 //     must be ended on every return path; leaking one corrupts the
-//     trace tree the SSE progress stream renders. Spans that escape the
+//     trace tree GET /v1/runs/{id}/trace serves. Spans that escape the
 //     function (stored in a field, passed on, returned) are managed
 //     elsewhere and exempt, as is Span.ChildAt, which returns spans
 //     already ended.
 var BusLockOrderAnalyzer = &Analyzer{
 	Name: "buslockorder",
-	Doc: "bus methods must not call Engine methods (lock order is Engine.mu then bus.mu); no blocking " +
-		"channel send while a mutex is held (including *Locked functions, which hold e.mu by convention); " +
-		"every span from StartTrace/Child is ended on all return paths unless it escapes the function",
-	Run: runBusLockOrder,
+	Run:  runBusLockOrder,
 }
 
 func runBusLockOrder(pass *Pass) error {
@@ -40,42 +32,11 @@ func runBusLockOrder(pass *Pass) error {
 			continue
 		}
 		if pass.Pkg.Path() == enginePkg {
-			checkBusCallsEngine(pass, f)
 			checkSendUnderLock(pass, f)
 		}
 		checkSpanEnds(pass, f)
 	}
 	return nil
-}
-
-// checkBusCallsEngine flags Engine method calls from bus methods.
-func checkBusCallsEngine(pass *Pass, f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		if p, name, ok := recvTypeOf(pass.TypesInfo, fn); !ok || p != enginePkg || name != "bus" {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeOf(pass.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			if recvIsEngine(callee) {
-				pass.Reportf(call.Pos(),
-					"bus method %s calls Engine method %s: the bus must never call back into the "+
-						"Engine — the sanctioned lock order is Engine.mu before bus.mu",
-					fn.Name.Name, callee.Name())
-			}
-			return true
-		})
-	}
 }
 
 // checkSendUnderLock walks each function body in source order tracking a
@@ -377,13 +338,4 @@ func parentMap(root ast.Node) map[ast.Node]ast.Node {
 		return true
 	})
 	return parents
-}
-
-// recvIsEngine reports whether f is a method on engine.Engine.
-func recvIsEngine(f *types.Func) bool {
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return false
-	}
-	return typeIs(sig.Recv().Type(), enginePkg, "Engine")
 }

@@ -14,14 +14,11 @@ var checkedErrPkgs = map[string]bool{
 
 // CheckedErrAnalyzer flags silently dropped errors on store I/O paths: a
 // call whose error result is discarded because the call is a bare
-// statement or a defer. Explicit discards (`_ = f.Close()`) and
-// //lint:allow suppressions stay visible and grep-able; a bare statement
-// hides the decision entirely.
+// statement or a defer. An explicit discard (`_ = f.Close()`) stays
+// visible and grep-able; a bare statement hides the decision entirely.
 var CheckedErrAnalyzer = &Analyzer{
 	Name: "checkederr",
-	Doc: "in the store packages, calls returning an error must not appear as bare statements or bare " +
-		"defers: handle the error, discard it explicitly with `_ =`, or suppress with a reasoned //lint:allow",
-	Run: runCheckedErr,
+	Run:  runCheckedErr,
 }
 
 func runCheckedErr(pass *Pass) error {
@@ -39,7 +36,7 @@ func runCheckedErr(pass *Pass) error {
 					pass.Reportf(s.Pos(),
 						"error result of %s dropped on a store I/O path: a failed write here "+
 							"becomes a silent cache miss (or worse, a trusted partial entry) — handle "+
-							"it, `_ =` it deliberately, or //lint:allow with a reason", callName(call))
+							"it or `_ =` it deliberately", callName(call))
 				}
 			case *ast.DeferStmt:
 				if returnsError(pass, s.Call) {

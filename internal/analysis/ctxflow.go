@@ -16,9 +16,7 @@ import (
 // goroutine) is legitimately the root of a new context tree.
 var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctxflow",
-	Doc: "functions that receive a context.Context or *http.Request must thread it instead of calling " +
-		"context.Background() or context.TODO(); detaching from the caller's context severs cancellation",
-	Run: runCtxFlow,
+	Run:  runCtxFlow,
 }
 
 func runCtxFlow(pass *Pass) error {
@@ -60,8 +58,7 @@ func checkCtxFlowFile(pass *Pass, f *ast.File) {
 				if calleeIs(pass.TypesInfo, call, "context", name) {
 					pass.Reportf(call.Pos(),
 						"context.%s() in %s, which already receives %s: thread the caller's "+
-							"context so cancellation propagates (//lint:allow ctxflow <reason> if "+
-							"detaching is intentional)", name, where, source)
+							"context so cancellation propagates", name, where, source)
 				}
 			}
 			return true

@@ -39,10 +39,7 @@ var canonFuncs = map[string]map[string]bool{
 // key/spec canonicalization functions.
 var KeyNeutralAnalyzer = &Analyzer{
 	Name: "keyneutral",
-	Doc: "key-bearing structs (sim.Options, lard.Scheme/Options/CampaignSpec, resultstore.Spec) " +
-		"must tag every field explicitly with `json:...` (side channels with `json:\"-\"`), and " +
-		"json:\"-\" fields must never be read inside key/spec canonicalization functions",
-	Run: runKeyNeutral,
+	Run:  runKeyNeutral,
 }
 
 func runKeyNeutral(pass *Pass) error {

@@ -2,67 +2,35 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
-	"go/token"
-	"go/types"
-	"strconv"
 	"strings"
-
-	"lard/internal/obs"
 )
 
-// internalPrefix scopes the hygiene rules to the library layers. The
+// internalPrefix scopes the hygiene rule to the library layers. The
 // cmd/ tools legitimately print to stdout; internal packages must speak
 // slog (structured, leveled, routed by the server) or render into a
 // caller-supplied writer.
 const internalPrefix = "lard/internal/"
 
-// ObsHygieneAnalyzer enforces observability hygiene:
-//
-//   - internal packages never print: no fmt.Print*/log.Print* (or any
-//     log.* output call), and no fmt.Fprint* aimed at os.Stdout or
-//     os.Stderr. Logging goes through slog; metrics render into the
-//     writer the caller chose.
-//   - every string literal that looks like one of our metric names
-//     (prefix "lard_") satisfies obs.ValidMetricName — the exact rule
-//     obs.Lint applies to rendered output at test time, enforced here
-//     on the source literal at build time.
-//   - obs.NewHistogramVec gets a legal literal name, legal literal
-//     labels, and — when bounds are written inline — finite constants in
-//     strictly ascending order, so the constructor's runtime panic can
-//     never fire from a literal call site.
-//   - obs.SeriesDef literals carry a legal literal name
-//     (obs.ValidLabelName): a timeline series name becomes a JSON key on
-//     GET /v1/runs/{id}/timeline and a CSV column header, so it obeys the
-//     same identifier rule as a metric label.
+// ObsHygieneAnalyzer keeps internal packages off the process streams: no
+// fmt.Print*/log.Print* (or any log.* output call), and no fmt.Fprint*
+// aimed at os.Stdout or os.Stderr. Logging goes through slog; metrics
+// render into the writer the caller chose.
 var ObsHygieneAnalyzer = &Analyzer{
 	Name: "obshygiene",
-	Doc: "internal packages log via slog only (no fmt.Print*/log.Print*, no Fprint to os.Stdout/Stderr); " +
-		"\"lard_\"-prefixed string literals must be legal metric names per obs.ValidMetricName; " +
-		"literal histogram bounds must be finite and strictly ascending; " +
-		"literal obs.SeriesDef names must be legal label names per obs.ValidLabelName",
-	Run: runObsHygiene,
+	Run:  runObsHygiene,
 }
 
 func runObsHygiene(pass *Pass) error {
-	internal := strings.HasPrefix(pass.Pkg.Path(), internalPrefix)
+	if !strings.HasPrefix(pass.Pkg.Path(), internalPrefix) {
+		return nil
+	}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.CallExpr:
-				if internal {
-					checkNoPrinting(pass, node)
-				}
-				checkHistogramCall(pass, node)
-			case *ast.CompositeLit:
-				checkSeriesDefLit(pass, node)
-			case *ast.BasicLit:
-				if internal {
-					checkMetricLiteral(pass, node)
-				}
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkNoPrinting(pass, call)
 			}
 			return true
 		})
@@ -113,130 +81,4 @@ func isStdStream(pass *Pass, e ast.Expr) (bool, string) {
 		return true, name
 	}
 	return false, ""
-}
-
-// checkMetricLiteral validates "lard_"-prefixed string literals against
-// the exposition-format name rule. Catching an illegal name here — at
-// the literal — beats catching it in obs.Lint after a test renders it.
-func checkMetricLiteral(pass *Pass, lit *ast.BasicLit) {
-	if lit.Kind != token.STRING {
-		return
-	}
-	val, err := strconv.Unquote(lit.Value)
-	if err != nil || !strings.HasPrefix(val, "lard_") {
-		return
-	}
-	// Rendering templates ("lard_build_info{version=%q} 1\n") are not
-	// name literals; their output is what obs.Lint validates at test
-	// time. Only bare names are checkable at the source level.
-	if strings.ContainsAny(val, " {%\n\t") {
-		return
-	}
-	if !obs.ValidMetricName(val) {
-		pass.Reportf(lit.Pos(),
-			"%q is not a legal metric name (obs.ValidMetricName): exposition names match "+
-				"[a-zA-Z_:][a-zA-Z0-9_:]*", val)
-	}
-}
-
-// checkHistogramCall validates literal arguments of obs.NewHistogramVec:
-// the name, each literal label, and literal bounds (finite, strictly
-// ascending — the constructor's documented panic conditions).
-func checkHistogramCall(pass *Pass, call *ast.CallExpr) {
-	if !calleeIs(pass.TypesInfo, call, obsPkg, "NewHistogramVec") || len(call.Args) != 4 {
-		return
-	}
-	if name, ok := stringConst(pass, call.Args[0]); ok && !obs.ValidMetricName(name) {
-		pass.Reportf(call.Args[0].Pos(),
-			"histogram name %q is not a legal metric name (obs.ValidMetricName)", name)
-	}
-	if labels, ok := ast.Unparen(call.Args[2]).(*ast.CompositeLit); ok {
-		for _, elt := range labels.Elts {
-			if l, ok := stringConst(pass, elt); ok && !obs.ValidLabelName(l) {
-				pass.Reportf(elt.Pos(),
-					"histogram label %q is not a legal label name (obs.ValidLabelName)", l)
-			}
-		}
-	}
-	bounds, ok := ast.Unparen(call.Args[3]).(*ast.CompositeLit)
-	if !ok {
-		return // a shared bucket var (DurationBuckets etc.) is validated at its own literal
-	}
-	prev := 0.0
-	havePrev := false
-	for _, elt := range bounds.Elts {
-		v, ok := floatConst(pass, elt)
-		if !ok {
-			return // computed bound: the constructor's runtime check still guards it
-		}
-		if havePrev && v <= prev {
-			pass.Reportf(elt.Pos(),
-				"histogram bounds must be strictly ascending: %v after %v would panic in "+
-					"NewHistogramVec at init", v, prev)
-		}
-		prev, havePrev = v, true
-	}
-}
-
-// checkSeriesDefLit validates literal telemetry series declarations
-// (obs.SeriesDef{Name: ...}). The name becomes a JSON key on the
-// timeline endpoint and a CSV column header, so it must satisfy the
-// metric-label identifier rule — caught here at the literal, before a
-// timeline is ever served.
-func checkSeriesDefLit(pass *Pass, lit *ast.CompositeLit) {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok || tv.Type == nil {
-		return
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return
-	}
-	obj := named.Obj()
-	if obj.Name() != "SeriesDef" || obj.Pkg() == nil || obj.Pkg().Path() != obsPkg {
-		return
-	}
-	for i, elt := range lit.Elts {
-		var value ast.Expr
-		switch e := elt.(type) {
-		case *ast.KeyValueExpr:
-			if key, ok := e.Key.(*ast.Ident); !ok || key.Name != "Name" {
-				continue
-			}
-			value = e.Value
-		default:
-			if i != 0 { // positional: Name is the first field
-				continue
-			}
-			value = elt
-		}
-		if name, ok := stringConst(pass, value); ok && !obs.ValidLabelName(name) {
-			pass.Reportf(value.Pos(),
-				"series name %q is not a legal series name (obs.ValidLabelName): timeline series "+
-					"become JSON keys and CSV columns and match [a-zA-Z_][a-zA-Z0-9_]*", name)
-		}
-	}
-}
-
-// stringConst evaluates e as a constant string.
-func stringConst(pass *Pass, e ast.Expr) (string, bool) {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
-}
-
-// floatConst evaluates e as a constant float.
-func floatConst(pass *Pass, e ast.Expr) (float64, bool) {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	switch tv.Value.Kind() {
-	case constant.Float, constant.Int:
-		f, _ := constant.Float64Val(tv.Value)
-		return f, true
-	}
-	return 0, false
 }

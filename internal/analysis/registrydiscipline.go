@@ -22,9 +22,7 @@ const (
 // completeness is checked by their own tests, not here.
 var RegistryDisciplineAnalyzer = &Analyzer{
 	Name: "registrydiscipline",
-	Doc: "no switch or if-ladder on scheme kind (coherence.Scheme values or Scheme.Kind strings) outside " +
-		"internal/coherence and schemes.go",
-	Run: runRegistryDiscipline,
+	Run:  runRegistryDiscipline,
 }
 
 func runRegistryDiscipline(pass *Pass) error {

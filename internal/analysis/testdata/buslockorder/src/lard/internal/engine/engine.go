@@ -7,8 +7,6 @@ type Engine struct {
 	ch chan int
 }
 
-func (e *Engine) Stats() int { return 0 }
-
 // publishJobLocked holds e.mu by naming convention: a bare send here
 // blocks every Engine caller behind one slow receiver.
 func (e *Engine) publishJobLocked(v int) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-
-	"lard/internal/obs"
 )
 
 func emit(w any) {
@@ -15,31 +13,4 @@ func emit(w any) {
 	fmt.Fprint(os.Stdout, "raw")   // want `fmt.Fprint to os.Stdout in an internal package`
 	fmt.Fprintf(w, "fine")         // fine: the caller chose the writer
 	log.Printf("legacy %d", 7)     // want `log.Printf in an internal package`
-}
-
-const goodName = "lard_queue_wait_seconds"
-
-func metrics() {
-	name := "lard_bad-name" // want `"lard_bad-name" is not a legal metric name`
-	_ = name
-	_ = goodName
-	_ = obs.NewHistogramVec("lard_ok_seconds", "latency", []string{"scheme"}, []float64{0.1, 0.5, 2})
-	template := "lard_build_info{version=%q} 1\n" // fine: a rendering template, validated by obs.Lint on output
-	_ = template
-	_ = obs.NewHistogramVec(
-		"lard_bad metric", // want `histogram name "lard_bad metric" is not a legal metric name`
-		"latency",
-		[]string{"le quux"}, // want `histogram label "le quux" is not a legal label name`
-		[]float64{0.2, 0.1}, // want `histogram bounds must be strictly ascending`
-	)
-}
-
-var series = []obs.SeriesDef{
-	{Name: "ops", Kind: obs.Counter},
-	{Name: "miss offchip", Kind: obs.Counter}, // want `series name "miss offchip" is not a legal series name`
-	{"replica-hits", obs.Gauge},               // want `series name "replica-hits" is not a legal series name`
-}
-
-func dynamicSeries(n string) obs.SeriesDef {
-	return obs.SeriesDef{Name: n} // fine: not a literal, validated at runtime use
 }

@@ -241,14 +241,10 @@ var (
 	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
-// ValidMetricName reports whether name is a legal exposition-format
-// metric name. Exported so static analysis (lard-lint's obshygiene) can
-// enforce the exact same legality rule on literals at build time that
-// Lint enforces on rendered output at test time.
-func ValidMetricName(name string) bool { return metricNameRE.MatchString(name) }
-
-// ValidLabelName reports whether name is a legal label name; see
-// ValidMetricName for why it is exported.
+// ValidLabelName reports whether name is a legal exposition label name.
+// A timeline series name (SeriesDef.Name) obeys the same rule, since it
+// becomes a JSON key and a CSV column; the simulator's series test
+// checks its table with this function.
 func ValidLabelName(name string) bool { return labelNameRE.MatchString(name) }
 
 // parseSample splits `name{labels} value` into parts. labels is the raw

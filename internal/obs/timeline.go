@@ -44,8 +44,9 @@ func (k SeriesKind) String() string {
 }
 
 // SeriesDef declares one series a Recorder tracks. Name must be a legal
-// exposition label name (ValidLabelName); lard-lint's obshygiene checks
-// literal SeriesDef names at build time.
+// exposition label name (ValidLabelName): it becomes a JSON key on
+// GET /v1/runs/{id}/timeline and a CSV column header. The simulator's
+// table is checked by a test (TestTelemetrySeriesNames in internal/sim).
 type SeriesDef struct {
 	Name string
 	Kind SeriesKind

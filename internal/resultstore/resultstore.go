@@ -365,6 +365,17 @@ func (s *Store) GetByKey(key string) (*sim.Result, Spec, bool, error) {
 	return e.Result.Clone(), e.Spec, true, nil
 }
 
+// Has reports whether some layer holds a decodable entry for key. It
+// reads like GetByKey but counts no hit: it answers "is this run
+// stored?", not a lookup a client made.
+func (s *Store) Has(key string) (bool, error) {
+	if !ValidKey(key) {
+		return false, nil
+	}
+	_, ok, err := s.spec(key)
+	return ok, err
+}
+
 // Put stores a result for spec, overwriting any previous entry. The
 // memory layer takes the result only after the backend has.
 func (s *Store) Put(spec Spec, r *sim.Result) error {

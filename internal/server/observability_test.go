@@ -195,24 +195,32 @@ func TestTraceEndpointDisabled(t *testing.T) {
 	}
 }
 
-// TestTimelineOfStoredRun: a traced server that answers a run from the
-// result store never simulated it, so /timeline is 404 with a body that
-// says so, while /trace answers. An id never seen keeps its own body.
+// TestTimelineOfStoredRun: three traced servers share one store
+// directory, and only the first simulates the run. The second answers a
+// resubmission from the store, so it has a /trace but its /timeline is
+// 404 with a body that says so. The third only GETs the run, so its job
+// registry never holds the id: both /trace and /timeline answer that
+// same 404, and the probe behind it counts no store hit. An id never
+// seen keeps its own body.
 func TestTimelineOfStoredRun(t *testing.T) {
-	st, err := resultstore.New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	open := func() *resultstore.Store {
+		st, err := resultstore.New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	_, first := tracedTestServer(t, Config{Workers: 1, Store: st})
+	_, first := tracedTestServer(t, Config{Workers: 1, Store: open()})
 	_, v := post(t, first, smallRun(3))
 	poll(t, first, v.ID)
 
-	_, ts := tracedTestServer(t, Config{Workers: 1, Store: st})
-	code, cached := post(t, ts, smallRun(3))
+	_, second := tracedTestServer(t, Config{Workers: 1, Store: open()})
+	code, cached := post(t, second, smallRun(3))
 	if code != http.StatusOK || !cached.Cached {
 		t.Fatalf("resubmit on a second server = %d cached=%v, want 200 cached", code, cached.Cached)
 	}
-	get := func(path string) (int, string) {
+	get := func(ts *httptest.Server, path string) (int, string) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -222,16 +230,31 @@ func TestTimelineOfStoredRun(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode, string(body)
 	}
-	if code, _ := get("/v1/runs/" + v.ID + "/trace"); code != http.StatusOK {
+	const fromStore = "served from the result store and never simulated on this server"
+	if code, _ := get(second, "/v1/runs/"+v.ID+"/trace"); code != http.StatusOK {
 		t.Fatalf("trace of the stored run = %d, want 200", code)
 	}
-	code, body := get("/v1/runs/" + v.ID + "/timeline")
-	if code != http.StatusNotFound || !strings.Contains(body, "served from the result store and never simulated on this server") {
+	if code, body := get(second, "/v1/runs/"+v.ID+"/timeline"); code != http.StatusNotFound || !strings.Contains(body, fromStore) {
 		t.Fatalf("timeline of the stored run = %d %q, want 404 naming the result store", code, body)
 	}
-	code, body = get("/v1/runs/" + strings.Repeat("0", len(v.ID)) + "/timeline")
-	if code != http.StatusNotFound || !strings.Contains(body, "(unknown id, or evicted)") {
-		t.Fatalf("timeline of an unknown id = %d %q, want 404 (unknown id, or evicted)", code, body)
+
+	st := open()
+	_, third := tracedTestServer(t, Config{Workers: 1, Store: st})
+	if code, body := get(third, "/v1/runs/"+v.ID); code != http.StatusOK || !strings.Contains(body, `"cached": true`) {
+		t.Fatalf("GET of the stored run on a third server = %d %q, want 200 cached", code, body)
+	}
+	hits := func() uint64 { s := st.Stats(); return s.MemHits + s.DiskHits }
+	before := hits()
+	for _, view := range []string{"trace", "timeline"} {
+		if code, body := get(third, "/v1/runs/"+v.ID+"/"+view); code != http.StatusNotFound || !strings.Contains(body, fromStore) {
+			t.Errorf("%s of a run only the store holds = %d %q, want 404 naming the result store", view, code, body)
+		}
+		if code, body := get(third, "/v1/runs/"+strings.Repeat("0", len(v.ID))+"/"+view); code != http.StatusNotFound || !strings.Contains(body, "(unknown id, or evicted)") {
+			t.Errorf("%s of an unknown id = %d %q, want 404 (unknown id, or evicted)", view, code, body)
+		}
+	}
+	if after := hits(); after != before {
+		t.Errorf("store hits went %d -> %d: the /trace and /timeline probes must not count as hits", before, after)
 	}
 }
 

@@ -304,18 +304,12 @@ var errTracingOff = errors.New("tracing is disabled on this server (start with -
 
 // handleRunTrace implements GET /v1/runs/{id}/trace: the run's span tree
 // (admitted -> queued -> simulating with the simulator's phase breakdown
-// -> stored), finished or in flight. 404 covers three cases the body
-// distinguishes: tracing disabled on this server, an id never seen, and a
-// trace evicted from the bounded registry.
+// -> stored), finished or in flight. Without one, notRecorded answers.
 func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tree, ok := s.engine.Trace(id)
 	if !ok {
-		if !s.obs.Tracer.Enabled() {
-			writeError(w, http.StatusNotFound, errTracingOff)
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("no trace for run %q (unknown id, or evicted)", id))
+		s.notRecorded(w, "trace", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, tree)
@@ -325,11 +319,7 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 // epoch-resolved telemetry (per-epoch coherence counter deltas and cycle
 // components), finished or in flight. ?format=csv answers a flat
 // epoch-per-row dump instead of JSON; a format other than json or csv is
-// 400. 404 covers the same three cases as /trace, distinguished in the
-// body: tracing disabled on this server, an id never seen, and a
-// timeline evicted from the bounded registry. A fourth, a run this server
-// answered from the result store without simulating it, has a body of its
-// own.
+// 400. Without a timeline, notRecorded answers.
 func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
@@ -339,15 +329,7 @@ func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 	view, ok := s.engine.Timeline(id)
 	if !ok {
-		if !s.obs.Tracer.Enabled() {
-			writeError(w, http.StatusNotFound, errTracingOff)
-			return
-		}
-		if v, known := s.engine.Job(id); known && v.Cached {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no timeline for run %q: it was served from the result store and never simulated on this server", id))
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("no timeline for run %q (unknown id, or evicted)", id))
+		s.notRecorded(w, "timeline", id)
 		return
 	}
 	if format == "csv" {
@@ -359,6 +341,36 @@ func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, view)
+}
+
+// notRecorded is the 404 of /trace and /timeline (what names which) for
+// an id the tracer holds nothing for. The body tells three cases apart:
+// tracing disabled on this server; a run answered from the result store
+// without simulating here (a cached job in the registry, or an id only
+// the store holds, as after a plain GET on a fresh server); and an id
+// never seen, or one whose record was evicted. An id evicted from both
+// the job registry and the tracer but still stored reads as the second
+// case: after eviction the server cannot tell the two apart. The store
+// probe counts no hit.
+func (s *Server) notRecorded(w http.ResponseWriter, what, id string) {
+	if !s.obs.Tracer.Enabled() {
+		writeError(w, http.StatusNotFound, errTracingOff)
+		return
+	}
+	v, inRegistry := s.engine.Job(id)
+	stored := inRegistry && v.Cached
+	if !inRegistry {
+		var err error
+		if stored, err = s.store.Has(id); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+	}
+	if stored {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no %s for run %q: it was served from the result store and never simulated on this server", what, id))
+		return
+	}
+	writeError(w, http.StatusNotFound, fmt.Errorf("no %s for run %q (unknown id, or evicted)", what, id))
 }
 
 // handleCancel implements DELETE /v1/runs/{id}: cancel a queued or

@@ -273,3 +273,14 @@ func TestEpochAllocs(t *testing.T) {
 		t.Fatalf("epoch path allocates %.1f times per call, want 0", n)
 	}
 }
+
+// TestTelemetrySeriesNames: every series name becomes a JSON key on
+// GET /v1/runs/{id}/timeline and a CSV column header, so it must be a
+// legal exposition label name.
+func TestTelemetrySeriesNames(t *testing.T) {
+	for _, s := range telemetrySeries {
+		if !obs.ValidLabelName(s.Name) {
+			t.Errorf("series name %q is not a legal label name ([a-zA-Z_][a-zA-Z0-9_]*)", s.Name)
+		}
+	}
+}
