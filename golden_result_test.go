@@ -139,6 +139,21 @@ func TestGoldenResults(t *testing.T) {
 						}
 					})
 				}
+				// The same cell under the engine's correctness checks (SWMR
+				// versions, home stamps, back-handles, L1 replica bits) must
+				// pass them and still hash to the pin: the checks observe the
+				// run and never steer it.
+				t.Run("invariants", func(t *testing.T) {
+					checked := opt
+					checked.CheckInvariants = true
+					r := sim.Run(cfg, prof, checked)
+					if r == nil {
+						t.Fatal("sim.Run returned nil without an interrupt")
+					}
+					if h := goldenHash(t, r); h != want {
+						t.Errorf("run under CheckInvariants diverged from pinned outcome:\n  pinned %s\n  got    %s", want, h)
+					}
+				})
 			})
 		}
 	}

@@ -45,7 +45,7 @@ type Line[M any] struct {
 }
 
 // VictimSelector picks the index of the way to evict among a full set. Every
-// line passed to the selector is valid. now is the current LRU clock.
+// line passed to the selector is valid.
 type VictimSelector[M any] func(ways []Line[M]) int
 
 // Cache is a set-associative cache with W ways and S sets.

@@ -164,7 +164,7 @@ func (e *Engine) replicaLookup(c, rslice mem.CoreID, op Op, t mem.Cycles, res *A
 		l1State = mem.Modified
 		fillDirty = true
 	}
-	e.fillL1(c, op, l1State, fillDirty, version, sharedRO, home, t)
+	e.fillL1(c, op, l1State, fillDirty, version, sharedRO, home, !consumed, t)
 	res.Breakdown[stats.L1ToLLCReplica] += t - t0
 	res.Miss = stats.LLCReplicaHit
 	e.replicaHits[class]++
@@ -308,7 +308,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef,
 	sharedRO := hl.Meta.flags&(lineEverShared|lineEverWritten) == lineEverShared
 	if home == c {
 		// Local home hit: L1 fill only (§2.2.1).
-		e.fillL1(c, op, grant, false, version, sharedRO, ref, t)
+		e.fillL1(c, op, grant, false, version, sharedRO, ref, false, t)
 		return t
 	}
 
@@ -326,7 +326,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef,
 		e.insertReplica(rslice, la, grant, false, version, op.Class, hl.Meta.everWritten(), ref, tr)
 		e.replicaSlices(&hl.Meta).Add(rslice)
 		tr = e.mesh.Send(rslice, c, e.dataFlits(), tr)
-		e.fillL1(c, op, l1grant, false, version, sharedRO, ref, tr)
+		e.fillL1(c, op, l1grant, false, version, sharedRO, ref, true, tr)
 		return tr
 	}
 
@@ -335,7 +335,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef,
 		tr += e.cfg.LLCDataLatency
 		e.insertReplica(c, la, grant, false, version, op.Class, hl.Meta.everWritten(), ref, tr)
 	}
-	e.fillL1(c, op, grant, false, version, sharedRO, ref, tr)
+	e.fillL1(c, op, grant, false, version, sharedRO, ref, replicate, tr)
 	return tr
 }
 
@@ -369,6 +369,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef
 				e.chargeLLCData(true)
 			}
 			wtl.llc.Invalidate(la)
+			e.clearReplicaBits(c, la) // fillL1 below refreshes the written copy
 			e.replicaInvals++
 			e.chargeLLCTag(true)
 			e.clfDemotions++
@@ -409,7 +410,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef
 	e.setStamp(home, la, ent, t)
 
 	if home == c {
-		e.fillL1(c, op, mem.Modified, true, version, false, ref, t)
+		e.fillL1(c, op, mem.Modified, true, version, false, ref, false, t)
 		return t
 	}
 
@@ -419,7 +420,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef
 		e.insertReplica(rslice, la, mem.Modified, false, version, op.Class, true, ref, tr)
 		e.replicaSlices(&hl.Meta).Add(rslice)
 		tr = e.mesh.Send(rslice, c, e.dataFlits(), tr)
-		e.fillL1(c, op, mem.Modified, true, version, false, ref, tr)
+		e.fillL1(c, op, mem.Modified, true, version, false, ref, true, tr)
 		return tr
 	}
 
@@ -428,7 +429,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, ref homeRef
 		tr += e.cfg.LLCDataLatency
 		e.insertReplica(c, la, mem.Modified, false, version, op.Class, true, ref, tr)
 	}
-	e.fillL1(c, op, mem.Modified, true, version, false, ref, tr)
+	e.fillL1(c, op, mem.Modified, true, version, false, ref, replicate, tr)
 	return tr
 }
 
@@ -645,8 +646,10 @@ func (e *Engine) downgradeReplicaAt(sl mem.CoreID, la mem.LineAddr) bool {
 
 // fillL1 inserts (or upgrades) the line in the requester's L1 and handles
 // the displaced victim according to the active scheme. home is the
-// back-handle to the line's home, which the copy keeps.
-func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version uint64, sharedRO bool, home homeRef, t mem.Cycles) {
+// back-handle to the line's home, which the copy keeps. replica reports
+// whether the caller leaves a replica of the line at c's replica slice,
+// and becomes the copy's replica bit.
+func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version uint64, sharedRO bool, home homeRef, replica bool, t mem.Cycles) {
 	if e.opts.CheckInvariants {
 		e.homeAt(home, op.Line, c)
 	}
@@ -659,6 +662,7 @@ func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version
 		existing.State = state
 		existing.Dirty = existing.Dirty || dirty
 		existing.Meta.version = e.l1Version(version)
+		existing.Meta.replica = replica
 		l1.Touch(existing)
 		e.chargeL1(op.Type.IsInstr(), true)
 		return
@@ -666,10 +670,22 @@ func (e *Engine) fillL1(c mem.CoreID, op Op, state mem.MESI, dirty bool, version
 	idx, victim, evicted := l1.Insert(op.Line, state, lruL1)
 	ins := l1.At(idx)
 	ins.Dirty = dirty
-	ins.Meta = l1Meta{version: e.l1Version(version), home: home, sharedRO: sharedRO, class: op.Class}
+	ins.Meta = l1Meta{version: e.l1Version(version), home: home, sharedRO: sharedRO, class: op.Class, replica: replica}
 	e.chargeL1(op.Type.IsInstr(), true)
 	if evicted {
 		e.handleL1Evict(c, victim, sib, t)
+	}
+}
+
+// clearReplicaBits clears the replica bit of core c's L1 copies of la, on
+// a path that removes c's replica while those copies stay.
+func (e *Engine) clearReplicaBits(c mem.CoreID, la mem.LineAddr) {
+	tl := e.tiles[c]
+	if l := tl.l1i.Lookup(la); l != nil {
+		l.Meta.replica = false
+	}
+	if l := tl.l1d.Lookup(la); l != nil {
+		l.Meta.replica = false
 	}
 }
 

@@ -52,7 +52,19 @@ func benchWorkload(tb testing.TB, cfg *config.Config) []benchAccess {
 // Directory entries and Limited-3 lists live in the LLC ways, so a home
 // birth allocates nothing either.
 func BenchmarkCoherenceAccess(b *testing.B) {
-	cfg := config.Small()
+	benchAccessLoop(b, config.Small())
+}
+
+// BenchmarkCoherenceAccess64 is BenchmarkCoherenceAccess on the 64-core
+// machine, whose 16 MB of LLC slice arrays no host cache holds, so every
+// LLC line the engine reads is a likely host cache miss.
+func BenchmarkCoherenceAccess64(b *testing.B) {
+	benchAccessLoop(b, config.Default64())
+}
+
+// benchAccessLoop times the BARNES workload of cfg on a locality-aware
+// engine after one warm-up pass.
+func benchAccessLoop(b *testing.B, cfg *config.Config) {
 	accs := benchWorkload(b, cfg)
 	e := New(cfg, Options{Scheme: LocalityAware})
 	t := mem.Cycles(0)
@@ -68,7 +80,7 @@ func BenchmarkCoherenceAccess(b *testing.B) {
 }
 
 // TestEnginesRaceFree drives several independent engines concurrently, the
-// way the harness runs AutoASR's five pressure levels in parallel. Engines
+// way RunMatrix's worker pool runs matrix members side by side. Engines
 // must share no mutable state (the fan-out scratch buffers, the side-record
 // table and the policies' bound classifiers are all per-engine); `go test
 // -race` verifies it.

@@ -189,6 +189,7 @@ func (e *Engine) replicaEvicted(slice mem.CoreID, victim cacheLine, t mem.Cycles
 		// verify that claim (see the replica-eviction ablation).
 		e.chargeL1(true, false)
 		e.chargeL1(false, false)
+		e.clearReplicaBits(slice, la)
 	} else {
 		tl := e.tiles[slice]
 		if rem, ok := tl.l1i.Invalidate(la); ok {
@@ -241,6 +242,12 @@ func (e *Engine) replicaEvicted(slice mem.CoreID, victim cacheLine, t mem.Cycles
 // ASR), or acknowledge the home (with a write-back when dirty). sib is the
 // tile's other L1, the only one that can still hold the line. Eviction
 // traffic is off the requester's critical path.
+//
+// A victim whose replica bit is set merges into its replica without
+// probing the replica slice, unless it is dirty and the replica must be
+// marked so; a victim with a clear bit probes, since its replica may have
+// been created after it was filled. Under CheckInvariants every victim
+// probes, and a set bit with no replica resident panics.
 func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, sib *l1Cache, t mem.Cycles) {
 	la := victim.Addr
 	// The LLC is inclusive, so the victim's home is resident and its
@@ -276,7 +283,19 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, sib *l1Cache, t mem.
 	if e.usesReplicas {
 		rslice := e.policy.ReplicaSlice(la, c)
 		if rslice != home {
-			if l := e.tiles[rslice].llc.Lookup(la); l != nil && !l.Meta.home() {
+			resident := victim.Meta.replica
+			var l *cacheLine
+			if !resident || victim.Dirty || e.opts.CheckInvariants {
+				if l = e.tiles[rslice].llc.Lookup(la); l != nil && l.Meta.home() {
+					l = nil
+				}
+				if resident && l == nil {
+					panic(fmt.Sprintf("coherence: core %d's L1 victim %#x has its replica bit set, but slice %d holds no replica",
+						c, uint64(la), rslice))
+				}
+				resident = l != nil
+			}
+			if resident {
 				if rslice != c {
 					flits := e.ctrlFlits()
 					if victim.Dirty {

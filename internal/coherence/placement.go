@@ -59,9 +59,9 @@ func (pt *pageTable) classify(line mem.LineAddr, c mem.CoreID, instr bool) (info
 }
 
 // homeFor computes the home slice of a line for the active scheme, updating
-// the page table when R-NUCA placement is in effect. The returned flush
-// function is non-nil when a page reclassification requires the old owner's
-// copies to be flushed; the engine invokes it at transaction time.
+// the page table when R-NUCA placement is in effect. A page
+// reclassification flushes the old owner's copies of the page on the spot,
+// at cycle t, before the home is returned.
 func (e *Engine) homeFor(op Op, c mem.CoreID, t mem.Cycles) mem.CoreID {
 	if !e.rnucaPlacement {
 		return e.interleave(op.Line)

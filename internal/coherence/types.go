@@ -99,6 +99,19 @@ type l1Meta struct {
 	class mem.DataClass
 	// hintCount counts L1 hits for the TLH-LRU replacement policy.
 	hintCount uint8
+	// replica is set only while the core's replica slice holds a non-home
+	// copy of the line, so an L1 victim with the bit set merges into that
+	// replica without probing the LLC (handleL1Evict). fillL1 sets it from
+	// what the fill just did. A replica leaves while an L1 copy it serves
+	// stays in two ways, and both clear the copies' bits
+	// (clearReplicaBits): a keep-L1 replica eviction, and a store that
+	// invalidates the writer's own replica while its other L1 holds the
+	// line. No other path needs to: a consuming replica hit (VR) fills a
+	// clear bit and VR sets none, and a cluster writer's other L1 holds no
+	// data line, since R-NUCA placement keeps instruction and data pages
+	// apart. A clear bit says nothing: a copy filled before its core's
+	// replica was created keeps it clear, and its eviction probes.
+	replica bool
 }
 
 // llcMeta is the per-line metadata of the LLC slices: 40 bytes with no
